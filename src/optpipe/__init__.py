@@ -53,6 +53,7 @@ from .topology import (
     loaded_background,
     path_aggregate_occupancy,
     release_spectrum,
+    set_link_occupancy,
 )
 from .workload import (
     Direction,

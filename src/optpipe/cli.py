@@ -142,10 +142,12 @@ class RunConfig:
                 raw = overrides.pop(key)
                 try:
                     flat[key] = conv(raw)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"{key}: invalid value {raw!r} ({exc})") from exc
             else:
                 flat[key] = default
+            if isinstance(flat[key], float) and not math.isfinite(flat[key]):
+                raise ConfigError(f"{key}: must be finite (got {flat[key]!r})")
         if overrides:
             unknown = sorted(overrides)
             raise ConfigError(f"unknown config keys: {unknown}")
@@ -174,6 +176,8 @@ class RunConfig:
             if not cond:
                 raise ConfigError(f"{key}: {msg} (got {f[key]!r})")
 
+        require(not f["topology.path"] or os.path.isfile(f["topology.path"]),
+                "topology.path", "no such file")
         require(f["topology.fs_total"] >= 1, "topology.fs_total", "must be >= 1")
         require(f["topology.slot_width_ghz"] > 0, "topology.slot_width_ghz", "must be positive")
         require(f["pp.stages"] >= 1, "pp.stages", "must be >= 1")
@@ -197,6 +201,12 @@ class RunConfig:
         require(f["fs.boost_factor"] >= 1, "fs.boost_factor", "must be >= 1")
         require(1 <= f["fs.max"] <= f["topology.fs_total"], "fs.max",
                 "must be in [1, topology.fs_total]")
+        require(f["fs.base"] <= f["fs.max"], "fs.base", "must be <= fs.max")
+        for key in ("latency.prop_s_per_km", "latency.per_hop_overhead_s",
+                    "latency.intra_dc_latency_s", "latency.queue_penalty_per_conflict_s"):
+            require(f[key] >= 0, key, "must be nonnegative")
+        for key in ("latency.fs_rate_bps", "latency.intra_dc_rate_bps"):
+            require(f[key] > 0, key, "must be positive")
         require(f["engine.max_retries"] >= 0, "engine.max_retries", "must be >= 0")
         require(f["engine.retry_backoff_s"] >= 0, "engine.retry_backoff_s",
                 "must be nonnegative")
@@ -213,6 +223,13 @@ class RunConfig:
             for key in ("bg.arrival_rate_per_s", "bg.mean_hold_s",
                         "bg.fs_demand_min", "bg.fs_demand_max"):
                 require(f[key] is not None, key, "required when bg.preset=custom")
+        for key in ("bg.arrival_rate_per_s", "bg.mean_hold_s", "bg.prewarm_s"):
+            require(f[key] is None or f[key] >= 0, key, "must be nonnegative")
+        require(f["bg.fs_demand_min"] is None or f["bg.fs_demand_min"] >= 1,
+                "bg.fs_demand_min", "must be >= 1")
+        if f["bg.fs_demand_min"] is not None and f["bg.fs_demand_max"] is not None:
+            require(f["bg.fs_demand_min"] <= f["bg.fs_demand_max"], "bg.fs_demand_min",
+                    "must be <= bg.fs_demand_max")
         for model in {f["run.model"], *f["compare.models"]}:
             if model != "custom" and model not in workload.profile_presets():
                 raise ConfigError(
@@ -325,14 +342,15 @@ class RunConfig:
     def prewarm_s(self) -> float:
         """Seconds of background evolution before iteration 0.
 
-        The loaded preset defaults to five holding times so measured
-        iterations see steady-state occupancy instead of a cold start.
+        The loaded preset defaults to five of its effective holding times
+        (``bg.mean_hold_s`` when set) so measured iterations see steady-state
+        occupancy instead of a cold start.
         """
         f = self.flat
         if f["bg.prewarm_s"] is not None:
             return f["bg.prewarm_s"]
         if f["bg.preset"] == "loaded":
-            return 5.0 * topology.loaded_background(0).mean_hold_s
+            return 5.0 * self.background(0).mean_hold_s
         return 0.0
 
     def check_model_depth(self, models: Iterable[str]) -> None:

@@ -1,8 +1,8 @@
 """Routing and spectrum assignment over the elastic optical network.
 
 Candidate routes come from k-shortest-path enumeration; candidate slot
-blocks from a sliding scan of the path-aggregate occupancy.  Three selection
-policies are provided:
+blocks from the path's spectrum bitmask, the OR of its links' ints (see
+``topology``).  Three selection policies are provided:
 
 * fitness-based selection: scores each candidate path by
   ``gamma = [B nonempty] / (length_km * availability) * mean block contiguity``
@@ -19,6 +19,23 @@ fitness ties break by shorter length, fewer hops, then path order; block
 ties break by lowest start slot.  The contiguity mean is computed from
 integer transition counts with a single float division so that independent
 reimplementations can match it bit for bit.
+
+Fitness by popcount.  On a free block no transition lies inside the block,
+so each mode's clamped transition count reduces to one bit per block.  With
+``agg`` the path bitmask, ``r`` the bitmask of free-run starts for width
+``w``, ``nfree = popcount(r)`` and ``denom = max(w - 1, 1)``, the sum S of
+counts over the free blocks is
+
+* window: ``popcount(r & (agg >> w))``, since a block's window holds one
+  transition exactly when slot f+w is occupied;
+* literal: 0;
+* global: ``nfree * min(popcount(~agg & (agg >> 1) & mask(F-1)), denom)``.
+
+The mean contiguity is ``(nfree*denom - S) / (nfree*denom)`` and the best
+window block is the lowest start in ``r & ~(agg >> w)``, or in ``r`` when
+that is empty.  ``ci_per_link`` averages the counts over the path's links
+instead; it sums those float means in numpy's order, so it is the one
+selection path that still builds slot arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +48,15 @@ import networkx as nx
 import numpy as np
 
 from .latency import LatencyParams, alpha
-from .topology import Link, Network, free_block_starts
+from .topology import (
+    Link,
+    Network,
+    bit_positions,
+    free_run_starts,
+    lowest_bit,
+    path_bits,
+    unpack_bits,
+)
 
 
 class CiMode(enum.Enum):
@@ -58,7 +83,7 @@ CI_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class CandidatePath:
-    """A loopless route with its precomputed length and link row indices."""
+    """A loopless route with its precomputed length and link indices."""
 
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
@@ -113,44 +138,8 @@ def _make_candidate(net: Network, nodes: Sequence[str]) -> CandidatePath:
     )
 
 
-class _PathSet:
-    """Candidate paths of one (src, dst, k) plus precomputed batch arrays.
-
-    ``idxmat`` is padded with the network's all-free row so the whole set
-    aggregates with a single fancy-index, regardless of hop counts.
-    """
-
-    __slots__ = ("paths", "idxmat", "lengths", "n_links", "hops")
-
-    def __init__(self, net: Network, paths: Sequence[CandidatePath]):
-        self.paths = tuple(paths)
-        max_links = max((len(p.links) for p in paths), default=1)
-        self.idxmat = np.full((len(paths), max_links), net.pad_row, dtype=np.intp)
-        for i, p in enumerate(paths):
-            self.idxmat[i, : len(p.links)] = p.link_indices
-        self.lengths = np.array([p.length_km for p in paths])
-        self.n_links = np.array([len(p.links) for p in paths], dtype=np.int64)
-        self.hops = np.array([p.hop_count for p in paths], dtype=np.int64)
-
-
-def _path_set(net: Network, src: str, dst: str, k: int) -> _PathSet | None:
-    key = (src, dst, k)
-    pset = net._pathset_cache.get(key)
-    if pset is None:
-        paths = k_shortest_paths(net, src, dst, k)
-        if not paths:
-            return None
-        pset = _PathSet(net, paths)
-        net._pathset_cache[key] = pset
-    return pset
-
-
-def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> list[CandidatePath]:
-    """Up to k loopless paths sorted by (length_km, hops, node sequence).
-
-    Matches brute-force enumeration of all simple paths under the same key,
-    truncated to k.  Returns an empty list when no path exists.
-    """
+def _candidate_paths(net: Network, src: str, dst: str, k: int) -> tuple[CandidatePath, ...]:
+    """Candidates of ``k_shortest_paths``, cached per (src, dst, k) on the network."""
     if src == dst:
         raise ValueError("src and dst must differ")
     if k < 1:
@@ -158,7 +147,7 @@ def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> list[Candidate
     cache_key = (src, dst, k)
     cached = net._ksp_cache.get(cache_key)
     if cached is not None:
-        return list(cached)
+        return cached
 
     collected: list[tuple[float, int, tuple[str, ...]]] = []
     try:
@@ -175,18 +164,26 @@ def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> list[Candidate
     except nx.NetworkXNoPath:
         pass
     collected.sort()
-    result = [_make_candidate(net, nodes) for _, _, nodes in collected[:k]]
-    net._ksp_cache[cache_key] = tuple(result)
+    result = tuple(_make_candidate(net, nodes) for _, _, nodes in collected[:k])
+    net._ksp_cache[cache_key] = result
     return result
+
+
+def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> list[CandidatePath]:
+    """Up to k loopless paths sorted by (length_km, hops, node sequence).
+
+    Matches brute-force enumeration of all simple paths under the same key,
+    truncated to k.  Returns an empty list when no path exists.
+    """
+    return list(_candidate_paths(net, src, dst, k))
 
 
 def find_candidate_blocks(net: Network, path: CandidatePath, width: int) -> list[CandidateBlock]:
     """Every free block of ``width`` slots on the path, ascending by start."""
     if not (1 <= width <= net.fs_total):
         raise ValueError(f"width {width} outside [1, {net.fs_total}]")
-    agg = net.occupancy_matrix[list(path.link_indices)].max(axis=0)
-    starts = free_block_starts(agg, width)
-    return [CandidateBlock(int(f), int(f) + width - 1) for f in starts]
+    starts = free_run_starts(path_bits(path.links), width, net.fs_total)
+    return [CandidateBlock(f, f + width - 1) for f in bit_positions(starts)]
 
 
 def contiguity_index(
@@ -224,162 +221,90 @@ def contiguity_index(
 
 def availability_factor(net: Network, path: CandidatePath) -> float:
     """1 - occupied/F over the path-aggregate occupancy; 0 only when full."""
-    agg = net.occupancy_matrix[list(path.link_indices)].max(axis=0)
-    return 1.0 - int(agg.sum()) / net.fs_total
+    return 1.0 - path_bits(path.links).bit_count() / net.fs_total
 
 
 # ----------------------------------------------------------------------
-# vectorized path evaluation (shared by fitness and the selectors)
-
-_IDX_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+# path scoring (shared by fitness and the selectors)
 
 
-def _window_bounds(F: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-start (hi, lo-1) cumulative-count indices for window mode."""
-    key = (F, width)
-    cached = _IDX_CACHE.get(key)
-    if cached is None:
-        starts = np.arange(F - width + 1)
-        hi = np.minimum(starts + width, F - 1)
-        lo = np.maximum(starts, 1) - 1
-        cached = (hi, lo)
-        _IDX_CACHE[key] = cached
-    return cached
-
-
-@dataclass(frozen=True)
-class PathEvaluation:
-    """Per-path selection inputs: score, free block starts, transition counts."""
-
-    gamma: float
-    delta: float
-    starts: np.ndarray       # free block start slots, ascending
-    clamped_counts: np.ndarray  # min(transition count, denom) per start
-    denom: int
-
-
-class _BatchEval:
-    """Vectorized fitness inputs for one path set at the current occupancy."""
-
-    __slots__ = ("gamma", "delta", "free_mask", "counts", "denom", "feasible")
-
-    def __init__(self, gamma, delta, free_mask, counts, denom, feasible):
-        self.gamma = gamma          # (n,) float
-        self.delta = delta          # (n,) float
-        self.free_mask = free_mask  # (n, nstarts) bool
-        self.counts = counts        # (n, nstarts) clamped transition counts
-        self.denom = denom
-        self.feasible = feasible    # (n,) bool
-
-
-def _gamma_batch(
-    net: Network,
-    pset: _PathSet,
-    width: int,
-    mode: CiMode,
-    ci_per_link: bool = False,
-    delta_aggregate: bool = False,
-) -> _BatchEval:
-    """Evaluate fitness for every path in one shot against current occupancy.
-
-    The availability divisor is the mean per-link free fraction by default;
-    ``delta_aggregate`` switches it to the union-occupancy variant, which
-    flattens the length preference on multi-hop paths (a longer path's union
-    occupancy is systematically higher, cancelling the 1/L term).
-
-    Mean contiguity is formed from integer transition counts and a single
-    float division so a straightforward reimplementation reproduces the
-    scores bit for bit.
-    """
-    F = net.fs_total
-    n = len(pset.paths)
-    rows = net.occupancy_matrix[pset.idxmat]  # (n, max_links, F)
-    agg = rows.max(axis=1)
-    ext = np.zeros((n, F + 1), dtype=np.int32)
-    np.cumsum(agg, axis=1, out=ext[:, 1:])
-    window_occ = ext[:, width:] - ext[:, : F - width + 1]
-    free_mask = window_occ == 0
-
-    denom = max(width - 1, 1)
-    if ci_per_link:
-        counts = np.stack(_per_link_counts(net, pset.paths, width, mode, denom))
-        S = (counts * free_mask).sum(axis=1)
-    else:
-        counts = _transition_counts(agg, n, F, width, mode, denom)
-        S = (counts * free_mask).sum(axis=1, dtype=np.int64)
-    nfree = free_mask.sum(axis=1, dtype=np.int64)
-
-    if delta_aggregate:
-        delta = 1.0 - ext[:, F].astype(np.float64) / F
-    else:
-        per_link_occupied = rows.sum(axis=(1, 2), dtype=np.int64)  # pad rows are zero
-        delta = 1.0 - per_link_occupied / (pset.n_links * F)
-
-    feasible = (nfree > 0) & (delta > 0.0)
-    nd = np.maximum(nfree * denom, 1)
-    mean_ci = (nd - S) / nd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = np.maximum(mean_ci, CI_FLOOR) / (pset.lengths * delta)
-    gamma = np.where(feasible, gamma, 0.0)
-    return _BatchEval(gamma, delta, free_mask, counts, denom, feasible)
-
-
-def _evaluate_paths(
-    net: Network,
-    paths: Sequence[CandidatePath],
-    width: int,
-    mode: CiMode,
-    ci_per_link: bool = False,
-    delta_aggregate: bool = False,
-) -> list[PathEvaluation]:
-    """Per-path view of the batch evaluation (query API and audits)."""
-    ev = _gamma_batch(net, _PathSet(net, paths), width, mode, ci_per_link, delta_aggregate)
-    out = []
-    for i in range(len(paths)):
-        starts = np.flatnonzero(ev.free_mask[i])
-        out.append(
-            PathEvaluation(
-                gamma=float(ev.gamma[i]),
-                delta=float(ev.delta[i]),
-                starts=starts,
-                clamped_counts=ev.counts[i][starts],
-                denom=ev.denom,
-            )
-        )
-    return out
-
-
-def _transition_counts(
-    agg: np.ndarray, n: int, F: int, width: int, mode: CiMode, denom: int
-) -> np.ndarray:
-    """min(count, denom) of 0->1 transitions per block start, for each row."""
-    trans = (1 - agg[:, :-1]) * agg[:, 1:]
-    tc = np.zeros((n, F), dtype=np.int32)
-    if F > 1:
-        np.cumsum(trans, axis=1, out=tc[:, 1:])
-    nstarts = F - width + 1
-    if mode is CiMode.LITERAL:
-        counts = tc[:, width - 1 :] - tc[:, :nstarts]
-    elif mode is CiMode.WINDOW:
-        hi, lo = _window_bounds(F, width)
-        counts = tc[:, hi] - tc[:, lo]
-    else:
-        counts = np.broadcast_to(tc[:, F - 1 : F], (n, nstarts)).copy()
-    return np.minimum(counts, denom)
+def _rises(agg: int, fs_total: int) -> int:
+    """Number of free-to-occupied transitions (slot j-1 free, slot j occupied)."""
+    return (~agg & (agg >> 1) & ((1 << (fs_total - 1)) - 1)).bit_count()
 
 
 def _per_link_counts(
-    net: Network, paths: Sequence[CandidatePath], width: int, mode: CiMode, denom: int
-) -> list[np.ndarray]:
-    """Per-block clamped counts averaged across the path's links (float)."""
-    F = net.fs_total
-    occ = net.occupancy_matrix
-    result = []
-    for p in paths:
-        rows = occ[list(p.link_indices)]
-        counts = _transition_counts(rows, rows.shape[0], F, width, mode, denom)
-        result.append(counts.mean(axis=0))
-    return result
+    path: CandidatePath, starts: int, width: int, mode: CiMode, fs_total: int, denom: int
+) -> np.ndarray:
+    """Per-start clamped transition counts summed over the path's links.
+
+    Zero at starts that are not free.  On a free block each link's count is
+    its own window bit, nothing, or its own clamped rise count (global).
+    """
+    nstarts = fs_total - width + 1
+    counts = np.zeros(nstarts, dtype=np.int64)
+    if mode is CiMode.WINDOW:
+        for link in path.links:
+            counts += unpack_bits(starts & (link.bits >> width), nstarts)
+    elif mode is CiMode.GLOBAL:
+        per_block = sum(min(_rises(link.bits, fs_total), denom) for link in path.links)
+        counts += unpack_bits(starts, nstarts) * per_block
+    return counts
+
+
+def _gamma(
+    path: CandidatePath, agg: int, starts: int, width: int, mode: CiMode,
+    ci_per_link: bool, fs_total: int,
+) -> float:
+    """Fitness of a path given its bitmask and free-run starts; 0 when none fit.
+
+    The availability divisor is the mean per-link free fraction.  It is
+    positive whenever a block fits, since a free slot is free on every link.
+    """
+    nfree = starts.bit_count()
+    if nfree == 0:
+        return 0.0
+    occupied = 0
+    for link in path.links:
+        occupied += link.bits.bit_count()
+    delta = 1.0 - occupied / (len(path.links) * fs_total)
+    denom = max(width - 1, 1)
+    if ci_per_link:
+        counts = _per_link_counts(path, starts, width, mode, fs_total, denom)
+        S = float((counts / len(path.links)).sum())
+    elif mode is CiMode.WINDOW:
+        S = (starts & (agg >> width)).bit_count()
+    elif mode is CiMode.GLOBAL:
+        S = nfree * min(_rises(agg, fs_total), denom)
+    else:
+        S = 0
+    nd = nfree * denom
+    mean_ci = (nd - S) / nd
+    return max(mean_ci, CI_FLOOR) / (path.length_km * delta)
+
+
+def _score(
+    path: CandidatePath, width: int, mode: CiMode, ci_per_link: bool, fs_total: int
+) -> tuple[float, int, int]:
+    """(gamma, path bitmask, free-run starts) of one path at the current occupancy."""
+    agg = path_bits(path.links)
+    starts = free_run_starts(agg, width, fs_total)
+    return _gamma(path, agg, starts, width, mode, ci_per_link, fs_total), agg, starts
+
+
+def _best_start(
+    path: CandidatePath, agg: int, starts: int, width: int, mode: CiMode,
+    ci_per_link: bool, fs_total: int,
+) -> int:
+    """Lowest free start among those with the fewest transitions (max CI)."""
+    if ci_per_link:
+        counts = _per_link_counts(path, starts, width, mode, fs_total, max(width - 1, 1))
+        return min(bit_positions(starts), key=lambda f: counts[f])
+    if mode is CiMode.WINDOW:
+        clean = starts & ~(agg >> width)
+        if clean:
+            return lowest_bit(clean)
+    return lowest_bit(starts)
 
 
 def fitness(
@@ -396,7 +321,7 @@ def fitness(
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    return _evaluate_paths(net, [path], width, mode, ci_per_link)[0].gamma
+    return _score(path, width, mode, ci_per_link, net.fs_total)[0]
 
 
 def select_cba(
@@ -415,75 +340,44 @@ def select_cba(
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    pset = _path_set(net, src, dst, k)
-    if pset is None:
-        return SelectionResult(None, None, 0.0, 0)
-    ev = _gamma_batch(net, pset, width, mode, ci_per_link)
-
-    best_i = -1
-    best_key: tuple | None = None
-    for i, p in enumerate(pset.paths):
-        g = ev.gamma[i]
-        if g <= 0.0:
-            continue
-        key = (-g, p.length_km, p.hop_count, i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_i = i
-    if best_i < 0:
-        return SelectionResult(None, None, 0.0, len(pset.paths))
-
-    starts = np.flatnonzero(ev.free_mask[best_i])
-    j = int(np.argmin(ev.counts[best_i][starts]))  # max CI = min count; first wins
-    f0 = int(starts[j])
-    block = CandidateBlock(f0, f0 + width - 1)
-    return SelectionResult(pset.paths[best_i], block, float(ev.gamma[best_i]), len(pset.paths))
-
-
-def _gamma_single(net: Network, pset: _PathSet, i: int, width: int, mode: CiMode) -> float:
-    """Fitness of one path of the set; same arithmetic as the batch path."""
+    paths = _candidate_paths(net, src, dst, k)
     F = net.fs_total
-    rows = net.occupancy_matrix[pset.idxmat[i]]
-    agg = rows.max(axis=0)
-    ext = np.zeros(F + 1, dtype=np.int32)
-    np.cumsum(agg, out=ext[1:])
-    free_mask = (ext[width:] - ext[: F - width + 1]) == 0
-    nfree = int(free_mask.sum())
-    path = pset.paths[i]
-    delta = 1.0 - int(rows.sum()) / (len(path.links) * F)
-    if nfree == 0 or delta <= 0.0:
-        return 0.0
-    denom = max(width - 1, 1)
-    counts = _transition_counts(agg[None, :], 1, F, width, mode, denom)[0]
-    S = int(counts[free_mask].sum())
-    nd = nfree * denom
-    mean_ci = (nd - S) / nd
-    return max(mean_ci, CI_FLOOR) / (path.length_km * delta)
+    best = None
+    for i, p in enumerate(paths):
+        gamma, agg, starts = _score(p, width, mode, ci_per_link, F)
+        if gamma <= 0.0:
+            continue
+        key = (-gamma, p.length_km, p.hop_count, i)
+        if best is None or key < best[0]:
+            best = (key, gamma, p, agg, starts)
+    if best is None:
+        return SelectionResult(None, None, 0.0, len(paths))
+    _, gamma, p, agg, starts = best
+    f0 = _best_start(p, agg, starts, width, mode, ci_per_link, F)
+    return SelectionResult(p, CandidateBlock(f0, f0 + width - 1), gamma, len(paths))
 
 
 def _first_fit_over(
-    net: Network, pset: _PathSet | None, order: Sequence[int], width: int
+    net: Network, paths: Sequence[CandidatePath], order: Sequence[int], width: int
 ) -> SelectionResult:
-    if pset is None:
-        return SelectionResult(None, None, 0.0, 0)
-    occ = net.occupancy_matrix
+    F = net.fs_total
     for examined, i in enumerate(order, start=1):
-        agg = occ[pset.idxmat[i]].max(axis=0)
-        starts = free_block_starts(agg, width)
-        if starts.size:
-            f0 = int(starts[0])
-            block = CandidateBlock(f0, f0 + width - 1)
-            gamma = _gamma_single(net, pset, i, width, CiMode.WINDOW)
-            return SelectionResult(pset.paths[i], block, gamma, examined)
-    return SelectionResult(None, None, 0.0, len(pset.paths))
+        path = paths[i]
+        agg = path_bits(path.links)
+        starts = free_run_starts(agg, width, F)
+        if starts:
+            f0 = lowest_bit(starts)
+            gamma = _gamma(path, agg, starts, width, CiMode.WINDOW, False, F)
+            return SelectionResult(path, CandidateBlock(f0, f0 + width - 1), gamma, examined)
+    return SelectionResult(None, None, 0.0, len(paths))
 
 
 def select_ksp_ff(net: Network, src: str, dst: str, width: int, k: int) -> SelectionResult:
     """First path in shortest-path order with any feasible block, lowest slot."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    pset = _path_set(net, src, dst, k)
-    return _first_fit_over(net, pset, range(len(pset.paths)) if pset else (), width)
+    paths = _candidate_paths(net, src, dst, k)
+    return _first_fit_over(net, paths, range(len(paths)), width)
 
 
 def select_sd_ff(
@@ -496,32 +390,11 @@ def select_sd_ff(
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    pset = _path_set(net, src, dst, k)
-    if pset is None:
-        return SelectionResult(None, None, 0.0, 0)
+    paths = _candidate_paths(net, src, dst, k)
     cache_key = (src, dst, k, params.prop_s_per_km, params.per_hop_overhead_s)
     order = net._order_cache.get(cache_key)
     if order is None:
         # stable sort keeps the shortest-path composite order within alpha ties
-        order = sorted(range(len(pset.paths)), key=lambda i: alpha(params, pset.paths[i]))
+        order = sorted(range(len(paths)), key=lambda i: alpha(params, paths[i]))
         net._order_cache[cache_key] = order
-    return _first_fit_over(net, pset, order, width)
-
-
-def all_simple_paths_sorted(net: Network, src: str, dst: str) -> list[CandidatePath]:
-    """Every simple path under the KSP sort key (small graphs; used by audits)."""
-    found: list[tuple[float, int, tuple[str, ...]]] = []
-    n = len(net.nodes)
-    stack: list[tuple[str, tuple[str, ...]]] = [(src, (src,))]
-    while stack:
-        node, seen = stack.pop()
-        if node == dst:
-            found.append((_path_length(net, seen), len(seen) - 1, seen))
-            continue
-        if len(seen) > n:
-            continue
-        for nbr in net.graph.neighbors(node):
-            if nbr not in seen:
-                stack.append((nbr, seen + (nbr,)))
-    found.sort()
-    return [_make_candidate(net, nodes) for _, _, nodes in found]
+    return _first_fit_over(net, paths, order, width)

@@ -7,10 +7,13 @@ spectrum bookkeeping: committing and releasing allocations, time-driven
 state updates, and the synthetic background traffic that makes optical path
 availability vary over time.
 
-Occupancy is stored as one uint8 matrix with a row per link (0 free,
-1 occupied) plus a trailing all-zero pad row so that variable-length paths
-can be evaluated with a single fancy-index.  A link's ``occupancy``
-attribute is a view into its row.
+Spectrum state is one Python ``int`` per link, ``Link.bits``: bit f is set
+when slot f is occupied.  A path's aggregate is the OR of its links' ints,
+the starts of free runs come from shift-AND folding (``free_run_starts``)
+and the lowest one from ``x & -x``.  ``Link.occupancy`` and
+``Network.occupancy_matrix`` are read-only uint8 arrays derived from the
+ints on each access; ``set_link_occupancy`` overwrites a link's slots
+directly, for building test instances.
 """
 
 from __future__ import annotations
@@ -51,20 +54,28 @@ class SpectrumAllocation:
     release_time: float
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Link:
-    """One fiber link.  ``occupancy`` is a live view into the network matrix."""
+    """One fiber link.  ``bits`` is its spectrum state; only Network writes it."""
 
     index: int
     a: str
     b: str
     length_km: float
-    occupancy: np.ndarray
+    fs_total: int
+    bits: int = 0
     allocations: dict[str, SpectrumAllocation] = field(default_factory=dict)
 
     @property
     def endpoints(self) -> tuple[str, str]:
         return (self.a, self.b)
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Read-only uint8 slot vector (0 free, 1 occupied) derived from ``bits``."""
+        arr = unpack_bits(self.bits, self.fs_total)
+        arr.setflags(write=False)
+        return arr
 
     def __repr__(self) -> str:
         return f"Link({self.a}-{self.b}, {self.length_km} km)"
@@ -183,24 +194,22 @@ class Network:
             if per_direction:
                 oriented.append((b, a, float(km)))
 
-        self._occ = np.zeros((len(oriented) + 1, self.fs_total), dtype=np.uint8)
         self.links: list[Link] = []
         self._by_pair: dict[tuple[str, str], Link] = {}
         for idx, (a, b, km) in enumerate(oriented):
-            link = Link(index=idx, a=a, b=b, length_km=km, occupancy=self._occ[idx])
+            link = Link(index=idx, a=a, b=b, length_km=km, fs_total=self.fs_total)
             self.links.append(link)
             self._by_pair[(a, b)] = link
             if not per_direction:
                 self._by_pair[(b, a)] = link
 
-        # owner -> (link indices, f_start, f_end, release_time)
-        self._active: dict[str, tuple[tuple[int, ...], int, int, float]] = {}
+        # owner -> (links, f_start, f_end, release_time)
+        self._active: dict[str, tuple[tuple[Link, ...], int, int, float]] = {}
         self._release_heap: list[tuple[float, str]] = []
         self._stream: _BackgroundStream | None = None
         self._bg_counter = 0
         # caches keyed on the immutable topology; safe for a single writer
         self._ksp_cache: dict = {}
-        self._pathset_cache: dict = {}
         self._order_cache: dict = {}
         self._sp_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
 
@@ -209,12 +218,12 @@ class Network:
 
     @property
     def occupancy_matrix(self) -> np.ndarray:
-        """(n_links + 1, F) uint8 matrix; the final row is an all-free pad."""
-        return self._occ
-
-    @property
-    def pad_row(self) -> int:
-        return len(self.links)
+        """Read-only (n_links, F) uint8 matrix, row i derived from ``links[i].bits``."""
+        matrix = np.empty((len(self.links), self.fs_total), dtype=np.uint8)
+        for link in self.links:
+            matrix[link.index] = unpack_bits(link.bits, self.fs_total)
+        matrix.setflags(write=False)
+        return matrix
 
     def link_between(self, a: str, b: str) -> Link:
         try:
@@ -241,8 +250,8 @@ class Network:
             return
         self.now -= origin
         self._active = {
-            o: (idx, f0, f1, t - origin)
-            for o, (idx, f0, f1, t) in self._active.items()
+            o: (links, f0, f1, t - origin)
+            for o, (links, f0, f1, t) in self._active.items()
         }
         for link in self.links:
             for o, a in list(link.allocations.items()):
@@ -282,8 +291,7 @@ class Network:
         if demand > self.fs_total:
             return False
         links = self._shortest_path_links(src, dst)
-        agg = path_aggregate_occupancy(self, links)
-        start = first_free_block(agg, demand)
+        start = first_free_run(path_bits(links), demand, self.fs_total)
         if start is None:
             return False
         self._bg_counter += 1
@@ -295,17 +303,20 @@ class Network:
     # spectrum mutation
 
     def _commit(self, links: Sequence[Link], f0: int, f1: int, owner: str, release_time: float) -> None:
+        mask = block_mask(f0, f1)
+        alloc = SpectrumAllocation(owner, f0, f1, release_time)
         for link in links:
-            self._occ[link.index, f0 : f1 + 1] = 1
-            link.allocations[owner] = SpectrumAllocation(owner, f0, f1, release_time)
-        self._active[owner] = (tuple(l.index for l in links), f0, f1, release_time)
+            link.bits |= mask
+            link.allocations[owner] = alloc
+        self._active[owner] = (tuple(links), f0, f1, release_time)
         heapq.heappush(self._release_heap, (release_time, owner))
 
     def _release_owner(self, owner: str) -> None:
-        idxs, f0, f1, _ = self._active.pop(owner)
-        for i in idxs:
-            self._occ[i, f0 : f1 + 1] = 0
-            del self.links[i].allocations[owner]
+        links, f0, f1, _ = self._active.pop(owner)
+        keep = ~block_mask(f0, f1)
+        for link in links:
+            link.bits &= keep
+            del link.allocations[owner]
 
 
 def load_topology(
@@ -451,8 +462,9 @@ def allocate_spectrum(
         raise SpectrumConflictError(f"owner {owner_id!r} already has an active allocation")
     if not (release_time > net.now):
         raise ValueError("release_time must be in the future")
+    mask = block_mask(f0, f1)
     for link in links:
-        if net._occ[link.index, f0 : f1 + 1].any():
+        if link.bits & mask:
             raise SpectrumConflictError(
                 f"slots [{f0},{f1}] not free on {link!r} for owner {owner_id!r}"
             )
@@ -466,6 +478,94 @@ def release_spectrum(net: Network, owner_id: str) -> None:
     net._release_owner(owner_id)
 
 
+def set_link_occupancy(net: Network, link_index: int, slots: Sequence[int] | np.ndarray) -> None:
+    """Overwrite one link's slot state from an F-length 0/1 vector.
+
+    Builds test and oracle instances without allocation records, so such a
+    network fails ``audit_occupancy``.  A link that carries allocations is
+    refused, because releasing them would then clear slots set here.
+    """
+    link = net.links[link_index]
+    if link.allocations:
+        raise SpectrumConflictError(f"{link!r} carries allocations; release them first")
+    arr = np.asarray(slots)
+    if arr.shape != (net.fs_total,) or not np.isin(arr, (0, 1)).all():
+        raise ValueError(f"slots must be a 0/1 vector of length {net.fs_total}")
+    link.bits = pack_bits(arr)
+
+
+# ----------------------------------------------------------------------
+# bitset spectrum helpers
+
+
+def block_mask(f0: int, f1: int) -> int:
+    """Bitmask of slots f0..f1 inclusive."""
+    return ((1 << (f1 - f0 + 1)) - 1) << f0
+
+
+def pack_bits(occupancy: Sequence[int] | np.ndarray) -> int:
+    """0/1 slot vector to int, bit f = slot f."""
+    arr = np.asarray(occupancy, dtype=np.uint8)
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def unpack_bits(bits: int, n: int) -> np.ndarray:
+    """Int to a fresh length-n uint8 slot vector, slot f = bit f."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
+
+
+def path_bits(links: Iterable[Link]) -> int:
+    """OR of the links' spectrum ints: a slot is free on the path iff its bit is 0."""
+    agg = 0
+    for link in links:
+        agg |= link.bits
+    return agg
+
+
+def free_run_starts(agg: int, width: int, fs_total: int) -> int:
+    """Bitmask of starts f such that slots f..f+width-1 are all free in ``agg``.
+
+    Shift-AND folding: while bit f of ``run`` marks a free run of ``span``
+    slots from f, ``run & (run >> step)`` marks runs of ``span + step`` for
+    any ``step <= span``, so log2(width) folds suffice.
+    """
+    if not (1 <= width <= fs_total):
+        return 0
+    run = ~agg & ((1 << fs_total) - 1)
+    span = 1
+    while span < width and run:
+        step = span if 2 * span <= width else width - span
+        run &= run >> step
+        span += step
+    return run
+
+
+def lowest_bit(bits: int) -> int:
+    """Index of the lowest set bit of a positive int."""
+    return (bits & -bits).bit_length() - 1
+
+
+def first_free_run(agg: int, width: int, fs_total: int) -> int | None:
+    """Lowest start of a free run of ``width`` slots in ``agg``, or None."""
+    run = free_run_starts(agg, width, fs_total)
+    return lowest_bit(run) if run else None
+
+
+def bit_positions(bits: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+# ----------------------------------------------------------------------
+# array views (tests, oracles and callers holding slot vectors)
+
+
 def path_aggregate_occupancy(net: Network, links: Sequence[Link]) -> np.ndarray:
     """Elementwise OR of link occupancy along the path (fresh array).
 
@@ -473,14 +573,14 @@ def path_aggregate_occupancy(net: Network, links: Sequence[Link]) -> np.ndarray:
     """
     if not links:
         raise ValueError("empty path")
-    if len(links) == 1:
-        return links[0].occupancy.copy()
-    idx = [l.index for l in links]
-    return net._occ[idx].max(axis=0)
+    return unpack_bits(path_bits(links), net.fs_total)
 
 
 def free_block_starts(occupancy: np.ndarray, width: int) -> np.ndarray:
-    """All start slots f such that [f, f+width-1] is entirely free, ascending."""
+    """All start slots f such that [f, f+width-1] is entirely free, ascending.
+
+    A cumulative-sum scan of a slot vector; tests hold the bitset helpers to it.
+    """
     F = occupancy.shape[0]
     if not (1 <= width <= F):
         return np.empty(0, dtype=np.int64)
@@ -492,8 +592,7 @@ def free_block_starts(occupancy: np.ndarray, width: int) -> np.ndarray:
 
 def first_free_block(occupancy: np.ndarray, width: int) -> int | None:
     """Lowest start slot of a free block of ``width`` slots, or None."""
-    starts = free_block_starts(occupancy, width)
-    return int(starts[0]) if starts.size else None
+    return first_free_run(pack_bits(occupancy), width, len(occupancy))
 
 
 def audit_occupancy(net: Network) -> None:
@@ -503,12 +602,13 @@ def audit_occupancy(net: Network) -> None:
     the union of its active allocation ranges, or if two allocations overlap.
     """
     for link in net.links:
-        rebuilt = np.zeros(net.fs_total, dtype=np.uint8)
+        rebuilt = 0
         for alloc in link.allocations.values():
-            if rebuilt[alloc.f_start : alloc.f_end + 1].any():
+            mask = block_mask(alloc.f_start, alloc.f_end)
+            if rebuilt & mask:
                 raise SpectrumConflictError(
                     f"overlapping allocations on {link!r} at [{alloc.f_start},{alloc.f_end}]"
                 )
-            rebuilt[alloc.f_start : alloc.f_end + 1] = 1
-        if not np.array_equal(rebuilt, link.occupancy):
+            rebuilt |= mask
+        if rebuilt != link.bits:
             raise SpectrumConflictError(f"occupancy out of sync with allocations on {link!r}")

@@ -153,7 +153,7 @@ def random_instance(rng: np.random.Generator) -> topology.Network:
         bits = rng.random(F) < rng.uniform(0.1, 0.9)
         if bits.any():
             # write occupancy directly; these nets are never advanced in time
-            net.occupancy_matrix[link.index, :] = bits.astype(np.uint8)
+            topology.set_link_occupancy(net, link.index, bits.astype(np.uint8))
     return net
 
 

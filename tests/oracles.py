@@ -12,7 +12,7 @@ import itertools
 
 from optpipe.latency import LatencyParams
 from optpipe.rsa import CiMode
-from optpipe.topology import Network
+from optpipe.topology import Network, set_link_occupancy
 
 CI_FLOOR = 1e-9  # documented lower bound of the mean-contiguity factor
 
@@ -164,5 +164,5 @@ def random_network(rng, max_nodes: int = 5, max_fs: int = 10) -> Network:
     net = Network(names, specs, fs_total=F)
     for link in net.links:
         bits = rng.random(F) < rng.uniform(0.1, 0.9)
-        net.occupancy_matrix[link.index, :] = bits.astype(np.uint8)
+        set_link_occupancy(net, link.index, bits.astype(np.uint8))
     return net

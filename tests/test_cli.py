@@ -66,6 +66,10 @@ class TestConfig:
         assert cfg.prewarm_s() == pytest.approx(30.0)
         assert RunConfig.from_flat({}).prewarm_s() == 0.0
 
+    def test_loaded_preset_prewarm_follows_hold_override(self):
+        cfg = RunConfig.from_flat({"bg.preset": "loaded", "bg.mean_hold_s": 0.6})
+        assert cfg.prewarm_s() == pytest.approx(3.0)
+
     def test_shipped_loaded_config_parses(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json")
         cfg = RunConfig.from_file(root)
@@ -178,6 +182,28 @@ class TestMain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pp.stages": -1}))
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"latency.fs_rate_bps": 0}', "latency.fs_rate_bps"),
+            ('{"latency.intra_dc_rate_bps": -1.0}', "latency.intra_dc_rate_bps"),
+            ('{"latency.prop_s_per_km": NaN}', "latency.prop_s_per_km"),
+            ('{"engine.retry_backoff_s": Infinity}', "engine.retry_backoff_s"),
+            ('{"rsa.k": Infinity}', "rsa.k"),
+            ('{"bg.preset": "custom", "bg.arrival_rate_per_s": 1.0, "bg.mean_hold_s": 1.0,'
+             ' "bg.fs_demand_min": 5, "bg.fs_demand_max": 3}', "bg.fs_demand_min"),
+            ('{"bg.preset": "loaded", "bg.prewarm_s": -1.0}', "bg.prewarm_s"),
+            ('{"topology.path": "no/such/topology.json"}', "topology.path"),
+            ('{"fs.base": 8, "fs.max": 4}', "fs.base"),
+        ],
+    )
+    def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
 
     def test_policy_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -23,6 +23,7 @@ from optpipe.topology import (
     allocate_spectrum,
     audit_occupancy,
     load_nsfnet,
+    set_link_occupancy,
 )
 from optpipe.workload import ScheduleKind, build_profile, build_schedule, partition_stages
 
@@ -95,7 +96,7 @@ class TestCrossDcTransfer:
     def test_retry_decrements_demand(self):
         # block slots so that width 4 fails but width 3 fits: first retry wins
         net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
-        net.occupancy_matrix[0, :] = [1, 0, 0, 0, 1, 0, 0, 1]
+        set_link_occupancy(net, 0, [1, 0, 0, 0, 1, 0, 0, 1])
         stages = toy_stages(2, ["A", "B"])
         tasks = build_schedule(ScheduleKind.GPIPE, stages, 1)
         tl = simulate_iteration(net, stages, tasks, PolicyConfig(fs_max=8),

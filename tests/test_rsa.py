@@ -17,7 +17,14 @@ from optpipe.rsa import (
     select_ksp_ff,
     select_sd_ff,
 )
-from optpipe.topology import Network, allocate_spectrum
+from optpipe.topology import (
+    Network,
+    advance_network,
+    allocate_spectrum,
+    load_nsfnet,
+    loaded_background,
+    set_link_occupancy,
+)
 
 
 def bits(s: str) -> np.ndarray:
@@ -79,7 +86,7 @@ class TestCandidateBlocks:
         for f in (0, 2, 4, 6):
             occupy(two_dc, "A", "B", (f * 10, f * 10), f"x{f}")
         net = Network(["A", "B"], [("A", "B", 1.0)], fs_total=8)
-        net.occupancy_matrix[0, :] = bits("10101010")
+        set_link_occupancy(net, 0, bits("10101010"))
         (path,) = k_shortest_paths(net, "A", "B", 1)
         assert find_candidate_blocks(net, path, 2) == []
 
@@ -182,7 +189,7 @@ class TestFitness:
             occ.extend([v] * n)
         assert len(occ) == 80 and sum(occ) == 40
         net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=80)
-        net.occupancy_matrix[0, :] = occ
+        set_link_occupancy(net, 0, occ)
         (path,) = k_shortest_paths(net, "A", "B", 1)
 
         g, starts, m = oracles.gamma(net, ("A", "B"), 4, CiMode.WINDOW)
@@ -204,7 +211,7 @@ class TestFitness:
         # isolated free slots: every block's contiguity is zero, but capacity
         # exists, so the score must stay positive (availability == feasibility)
         net = Network(["A", "B"], [("A", "B", 10.0)], fs_total=8)
-        net.occupancy_matrix[0, :] = bits("10101011")
+        set_link_occupancy(net, 0, bits("10101011"))
         (path,) = k_shortest_paths(net, "A", "B", 1)
         g = fitness(net, path, 1, CiMode.WINDOW)
         assert 0.0 < g < 1e-6
@@ -324,3 +331,64 @@ class TestBruteForceEquivalence:
                     sel.path.nodes if sel.path else None,
                     sel.block.f_start if sel.block else None,
                 ) == want[:2], f"instance {i} {name}"
+
+
+def _diamond() -> Network:
+    """Three routes A->D whose links are fragmented differently, F=16."""
+    net = Network(
+        ["A", "B", "C", "D"],
+        [("A", "B", 1.0), ("B", "D", 1.0), ("A", "C", 1.2), ("C", "D", 1.0), ("A", "D", 2.5)],
+        fs_total=16,
+    )
+    for a, b, block, owner in [
+        ("A", "B", (0, 2), "p"), ("A", "B", (7, 8), "q"), ("B", "D", (4, 5), "r"),
+        ("B", "D", (12, 15), "s"), ("A", "C", (3, 3), "t"), ("C", "D", (9, 11), "u"),
+        ("A", "D", (0, 0), "v"), ("A", "D", (6, 6), "w"),
+    ]:
+        occupy(net, a, b, block, owner)
+    return net
+
+
+def _loaded_nsfnet() -> Network:
+    net = load_nsfnet()
+    net.attach_background(loaded_background(3))
+    advance_network(net, 30.0)
+    return net
+
+
+class TestCiPerLink:
+    """Pinned selections with per-link contiguity averaging (``ci_per_link``).
+
+    Each case differs from the path-aggregate rule in path, block or score,
+    so the pins tell the two rules apart.
+    """
+
+    @pytest.mark.parametrize(
+        "make, src, dst, width, mode, gamma, nodes, f_start",
+        [
+            (_diamond, "A", "D", 1, CiMode.WINDOW, 0.5333333333333333, ("A", "B", "D"), 9),
+            (_diamond, "A", "D", 3, CiMode.WINDOW, 0.5714285714285714, ("A", "B", "D"), 9),
+            (_diamond, "A", "D", 3, CiMode.GLOBAL, 0.2597402597402597, ("A", "C", "D"), 0),
+            (_diamond, "A", "D", 4, CiMode.WINDOW, 0.4906204906204905, ("A", "C", "D"), 4),
+            (_diamond, "A", "D", 4, CiMode.GLOBAL, 0.34632034632034625, ("A", "C", "D"), 4),
+            (_loaded_nsfnet, "WA", "DC", 1, CiMode.WINDOW, 0.00044028618602091364,
+             ("WA", "IL", "PA", "NY", "NJ", "DC"), 69),
+            (_loaded_nsfnet, "WA", "DC", 3, CiMode.GLOBAL, 8.479966080135679e-05,
+             ("WA", "CA1", "UT", "MI", "DC"), 32),
+            (_loaded_nsfnet, "WA", "DC", 4, CiMode.WINDOW, 0.00047619047619047614,
+             ("WA", "IL", "PA", "DC"), 41),
+            (_loaded_nsfnet, "WA", "DC", 4, CiMode.GLOBAL, 0.00011306621440180906,
+             ("WA", "CA1", "UT", "MI", "DC"), 62),
+        ],
+    )
+    def test_pinned_selection(self, make, src, dst, width, mode, gamma, nodes, f_start):
+        net = make()
+        sel = select_cba(net, src, dst, width, 5, mode, ci_per_link=True)
+        assert sel.path.nodes == nodes
+        assert (sel.block.f_start, sel.block.f_end) == (f_start, f_start + width - 1)
+        assert sel.fitness == gamma
+        assert fitness(net, sel.path, width, mode, ci_per_link=True) == gamma
+
+    def test_blocked_when_nothing_fits(self):
+        sel = select_cba(_loaded_nsfnet(), "WA", "DC", 8, 5, CiMode.WINDOW, ci_per_link=True)
+        assert sel.blocked and sel.fitness == 0.0

@@ -16,12 +16,18 @@ from optpipe.topology import (
     advance_network,
     allocate_spectrum,
     audit_occupancy,
+    bit_positions,
     first_free_block,
+    first_free_run,
     free_block_starts,
+    free_run_starts,
     load_nsfnet,
     load_topology,
+    pack_bits,
     path_aggregate_occupancy,
     release_spectrum,
+    set_link_occupancy,
+    unpack_bits,
 )
 
 
@@ -120,6 +126,32 @@ class TestSpectrumOps:
         release_spectrum(two_dc, "t1")
         assert links[0].occupancy[4:6].sum() == 2
         assert links[0].occupancy[0:2].sum() == 0
+
+
+class TestOccupancyViews:
+    def test_views_are_read_only(self, two_dc):
+        allocate_spectrum(two_dc, [two_dc.link_between("A", "B")], (0, 3), "t1", 5.0)
+        matrix = two_dc.occupancy_matrix
+        assert matrix.shape == (1, 80) and matrix[0, :5].tolist() == [1, 1, 1, 1, 0]
+        with pytest.raises(ValueError):
+            matrix[0, 10] = 1
+        with pytest.raises(ValueError):
+            two_dc.links[0].occupancy[10] = 1
+        assert two_dc.occupancy_matrix.sum() == 4
+
+    def test_setter_overwrites_one_link(self, triangle):
+        set_link_occupancy(triangle, 1, [0, 1, 1, 0, 0, 0, 0, 1])
+        assert triangle.links[1].occupancy.tolist() == [0, 1, 1, 0, 0, 0, 0, 1]
+        assert triangle.occupancy_matrix.sum() == 3
+
+    def test_setter_rejects_bad_vectors_and_allocated_links(self, triangle):
+        with pytest.raises(ValueError):
+            set_link_occupancy(triangle, 0, [0, 1])
+        with pytest.raises(ValueError):
+            set_link_occupancy(triangle, 0, [0, 2, 0, 0, 0, 0, 0, 0])
+        allocate_spectrum(triangle, [triangle.links[0]], (0, 1), "t1", 5.0)
+        with pytest.raises(SpectrumConflictError):
+            set_link_occupancy(triangle, 0, [0] * 8)
 
 
 class TestAggregateOccupancy:
@@ -249,3 +281,24 @@ def test_free_block_starts_matches_naive(occ, width):
         if all(occ[f + i] == 0 for i in range(width))
     ] if width <= len(occ) else []
     assert got == want
+
+
+def _runs_vector(runs):
+    """Slot vector from (length, occupied) runs, cut to at most 200 slots."""
+    occ = []
+    for n, v in runs:
+        occ.extend([int(v)] * n)
+    return np.array(occ[:200], dtype=np.uint8)
+
+
+@given(runs=st.lists(st.tuples(st.integers(1, 70), st.booleans()), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_bitset_runs_match_free_block_starts(runs):
+    arr = _runs_vector(runs)
+    F = len(arr)
+    agg = pack_bits(arr)
+    assert np.array_equal(unpack_bits(agg, F), arr)
+    for width in range(1, F + 2):
+        want = free_block_starts(arr, width).tolist()
+        assert bit_positions(free_run_starts(agg, width, F)) == want
+        assert first_free_run(agg, width, F) == (want[0] if want else None)
