@@ -44,7 +44,6 @@ from .topology import (
     BackgroundTrafficModel,
     Link,
     Network,
-    SpectrumAllocation,
     advance_network,
     allocate_spectrum,
     audit_occupancy,

@@ -178,7 +178,6 @@ def orchestrate(
     params: LatencyParams,
     msg_bits: float,
     bg: BackgroundTrafficModel | None = None,
-    audit: bool = True,
 ) -> list[IterationResult]:
     """Run the full multi-iteration loop; iteration 0 is the warm-up.
 
@@ -186,7 +185,8 @@ def orchestrate(
     the adaptive policy; first-fit baselines always run with base demand.
     Egress state resets between iterations; network state (background
     allocations and the arrival stream) carries over, with the clock rebased
-    so every iteration runs from t=0 with identical arithmetic.
+    so every iteration runs from t=0 with identical arithmetic.  The
+    occupancy invariant is audited after every iteration.
     """
     if bg is not None:
         net.attach_background(bg)
@@ -209,8 +209,7 @@ def orchestrate(
         for task in tasks:
             task.cb_label = task.id in labels.cb_tasks
             task.blocked_flag = task.id in labels.blocked_tasks
-        if audit:
-            audit_occupancy(net)
+        audit_occupancy(net)
         results.append(
             IterationResult(
                 iteration=it,

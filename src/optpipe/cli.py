@@ -252,7 +252,10 @@ class RunConfig:
             per_direction=f["topology.per_direction"],
         )
         if f["topology.path"]:
-            net = topology.load_topology_file(f["topology.path"], **kwargs)
+            try:
+                net = topology.load_topology_file(f["topology.path"], **kwargs)
+            except (OSError, UnicodeDecodeError, topology.TopologyError) as exc:
+                raise ConfigError(f"topology.path: {exc}") from exc
         else:
             net = topology.load_nsfnet(**kwargs)
         dcs = self.dc_nodes()
@@ -384,13 +387,12 @@ def run_cell(
     m: int,
     seed: int,
     collect_events: bool = False,
-    audit_logs: bool = True,
 ) -> CellOutcome:
     """Run one (model, schedule, m, seed) cell for the given policies.
 
     All policies observe the identical placement and background seed; each
     gets its own fresh network so their spectrum evolution stays independent.
-    Every iteration's event log is replay-audited unless disabled.
+    Every iteration's event log is replay-audited and its CB labels checked.
     """
     p = cfg["pp.stages"]
     profile = cfg.profile(model)
@@ -418,11 +420,10 @@ def run_cell(
         )
         for r in results:
             lines = r.timeline.event_log_lines()
-            if audit_logs:
-                audited += engine.audit_event_log(net, lines, r.timeline.iteration_makespan)
-                label_checks += cba.verify_label_soundness(
-                    r.timeline, tasks, r.labels, orch.epsilon_bubble_s
-                )
+            audited += engine.audit_event_log(net, lines, r.timeline.iteration_makespan)
+            label_checks += cba.verify_label_soundness(
+                r.timeline, tasks, r.labels, orch.epsilon_bubble_s
+            )
             if collect_events:
                 event_lines.append(
                     f"RUN\tpolicy={policy_name}\tmodel={model}\tschedule={schedule}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -44,16 +44,6 @@ class UnknownOwnerError(KeyError):
     """Release requested for an owner with no active allocations."""
 
 
-@dataclass(frozen=True)
-class SpectrumAllocation:
-    """A committed slot block on one link, released at ``release_time``."""
-
-    owner_id: str
-    f_start: int
-    f_end: int
-    release_time: float
-
-
 @dataclass(eq=False, slots=True)
 class Link:
     """One fiber link.  ``bits`` is its spectrum state; only Network writes it."""
@@ -64,7 +54,6 @@ class Link:
     length_km: float
     fs_total: int
     bits: int = 0
-    allocations: dict[str, SpectrumAllocation] = field(default_factory=dict)
 
     @property
     def endpoints(self) -> tuple[str, str]:
@@ -203,7 +192,7 @@ class Network:
             if not per_direction:
                 self._by_pair[(b, a)] = link
 
-        # owner -> (links, f_start, f_end, release_time)
+        # the one allocation ledger: owner -> (links, f_start, f_end, release_time)
         self._active: dict[str, tuple[tuple[Link, ...], int, int, float]] = {}
         self._release_heap: list[tuple[float, str]] = []
         self._stream: _BackgroundStream | None = None
@@ -253,11 +242,6 @@ class Network:
             o: (links, f0, f1, t - origin)
             for o, (links, f0, f1, t) in self._active.items()
         }
-        for link in self.links:
-            for o, a in list(link.allocations.items()):
-                link.allocations[o] = SpectrumAllocation(
-                    a.owner_id, a.f_start, a.f_end, a.release_time - origin
-                )
         self._release_heap = [(t - origin, o) for t, o in self._release_heap]
         heapq.heapify(self._release_heap)
         if self._stream is not None:
@@ -304,10 +288,8 @@ class Network:
 
     def _commit(self, links: Sequence[Link], f0: int, f1: int, owner: str, release_time: float) -> None:
         mask = block_mask(f0, f1)
-        alloc = SpectrumAllocation(owner, f0, f1, release_time)
         for link in links:
             link.bits |= mask
-            link.allocations[owner] = alloc
         self._active[owner] = (tuple(links), f0, f1, release_time)
         heapq.heappush(self._release_heap, (release_time, owner))
 
@@ -316,7 +298,6 @@ class Network:
         keep = ~block_mask(f0, f1)
         for link in links:
             link.bits &= keep
-            del link.allocations[owner]
 
 
 def load_topology(
@@ -336,6 +317,8 @@ def load_topology(
         raise TopologyError(f"topology is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "links" not in doc:
         raise TopologyError("topology must be an object with 'nodes' and 'links'")
+    if not isinstance(doc["links"], list):
+        raise TopologyError("'links' must be a list")
 
     nodes = doc["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(n, str) and n for n in nodes):
@@ -352,13 +335,15 @@ def load_topology(
             a, b, km = entry["a"], entry["b"], float(entry["length_km"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyError(f"malformed link entry {entry!r}") from exc
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise TopologyError(f"malformed link entry {entry!r}")
         for end in (a, b):
             if end not in known:
                 raise TopologyError(f"link {a}-{b} references unknown node {end!r}")
         if a == b:
             raise TopologyError(f"link {a}-{b} is a self-loop")
-        if km <= 0:
-            raise TopologyError(f"link {a}-{b} has nonpositive length {km}")
+        if not 0 < km < math.inf:
+            raise TopologyError(f"link {a}-{b} has nonpositive or non-finite length {km}")
         pair = frozenset((a, b))
         if pair in seen_pairs:
             raise TopologyError(f"duplicate link {a}-{b}")
@@ -482,11 +467,11 @@ def set_link_occupancy(net: Network, link_index: int, slots: Sequence[int] | np.
     """Overwrite one link's slot state from an F-length 0/1 vector.
 
     Builds test and oracle instances without allocation records, so such a
-    network fails ``audit_occupancy``.  A link that carries allocations is
-    refused, because releasing them would then clear slots set here.
+    network fails ``audit_occupancy``.  A link that an active owner uses is
+    refused, because releasing it would then clear slots set here.
     """
     link = net.links[link_index]
-    if link.allocations:
+    if any(link in links for links, _, _, _ in net._active.values()):
         raise SpectrumConflictError(f"{link!r} carries allocations; release them first")
     arr = np.asarray(slots)
     if arr.shape != (net.fs_total,) or not np.isin(arr, (0, 1)).all():
@@ -563,7 +548,7 @@ def bit_positions(bits: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# array views (tests, oracles and callers holding slot vectors)
+# array views (tests and callers holding slot vectors)
 
 
 def path_aggregate_occupancy(net: Network, links: Sequence[Link]) -> np.ndarray:
@@ -576,20 +561,6 @@ def path_aggregate_occupancy(net: Network, links: Sequence[Link]) -> np.ndarray:
     return unpack_bits(path_bits(links), net.fs_total)
 
 
-def free_block_starts(occupancy: np.ndarray, width: int) -> np.ndarray:
-    """All start slots f such that [f, f+width-1] is entirely free, ascending.
-
-    A cumulative-sum scan of a slot vector; tests hold the bitset helpers to it.
-    """
-    F = occupancy.shape[0]
-    if not (1 <= width <= F):
-        return np.empty(0, dtype=np.int64)
-    ext = np.zeros(F + 1, dtype=np.int32)
-    np.cumsum(occupancy, out=ext[1:])
-    window = ext[width:] - ext[: F - width + 1]
-    return np.flatnonzero(window == 0)
-
-
 def first_free_block(occupancy: np.ndarray, width: int) -> int | None:
     """Lowest start slot of a free block of ``width`` slots, or None."""
     return first_free_run(pack_bits(occupancy), width, len(occupancy))
@@ -598,17 +569,16 @@ def first_free_block(occupancy: np.ndarray, width: int) -> int | None:
 def audit_occupancy(net: Network) -> None:
     """Rebuild-and-compare check of the occupancy invariant.
 
-    Raises SpectrumConflictError if any link's occupancy vector differs from
-    the union of its active allocation ranges, or if two allocations overlap.
+    Raises SpectrumConflictError if any link's slots differ from the union of
+    the active allocations' blocks on it, or if two allocations overlap.
     """
+    rebuilt = [0] * len(net.links)
+    for links, f0, f1, _ in net._active.values():
+        mask = block_mask(f0, f1)
+        for link in links:
+            if rebuilt[link.index] & mask:
+                raise SpectrumConflictError(f"overlapping allocations on {link!r} at [{f0},{f1}]")
+            rebuilt[link.index] |= mask
     for link in net.links:
-        rebuilt = 0
-        for alloc in link.allocations.values():
-            mask = block_mask(alloc.f_start, alloc.f_end)
-            if rebuilt & mask:
-                raise SpectrumConflictError(
-                    f"overlapping allocations on {link!r} at [{alloc.f_start},{alloc.f_end}]"
-                )
-            rebuilt |= mask
-        if rebuilt != link.bits:
+        if rebuilt[link.index] != link.bits:
             raise SpectrumConflictError(f"occupancy out of sync with allocations on {link!r}")

@@ -1,16 +1,17 @@
-"""Built-in oracle suite behind ``optpipe validate``.
+"""The reference layer: oracles behind ``optpipe validate`` and the tests.
 
 Every check pits a production code path against an independent reference
 written the slow, obvious way: closed-form pipeline algebra, exhaustive
 path/block enumeration, direct transition-count loops, and log replay.
 A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
+The test suite imports the same ``ref_*`` functions, ``random_instance``
+and ``free_block_starts``; there is no second copy.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .latency import LatencyParams, RequestLabel, required_fs
 # reference implementations (independent of the production paths)
 
 
-def ref_ci(occ: list[int], f0: int, f1: int, mode: rsa.CiMode) -> float:
+def _rises(occ: list[int], f0: int, f1: int, mode: rsa.CiMode) -> int:
+    """Free-to-occupied steps j-1 -> j over the span that ``mode`` reads."""
     F = len(occ)
     if mode is rsa.CiMode.LITERAL:
         span = range(f0 + 1, f1 + 1)
@@ -30,19 +32,29 @@ def ref_ci(occ: list[int], f0: int, f1: int, mode: rsa.CiMode) -> float:
         span = range(max(1, f0), min(F - 1, f1 + 1) + 1)
     else:
         span = range(1, F)
-    count = sum(1 for j in span if occ[j - 1] == 0 and occ[j] == 1)
+    return sum(1 for j in span if occ[j - 1] == 0 and occ[j] == 1)
+
+
+def _km(net: topology.Network, nodes: tuple[str, ...]) -> float:
+    total = 0.0
+    for u, v in zip(nodes, nodes[1:]):
+        total += net.link_between(u, v).length_km
+    return total
+
+
+def ref_ci(occ: list[int], f0: int, f1: int, mode: rsa.CiMode) -> float:
+    F = len(occ)
     denom = (F - 1) if mode is rsa.CiMode.GLOBAL else (f1 - f0)
-    denom = max(denom, 1)
-    return max(0.0, min(1.0, 1.0 - count / denom))
+    return max(0.0, min(1.0, 1.0 - _rises(occ, f0, f1, mode) / max(denom, 1)))
 
 
 def ref_simple_paths(net: topology.Network, src: str, dst: str) -> list[tuple[str, ...]]:
+    """All simple paths by (length, hops, node sequence), via DFS."""
     paths: list[tuple[float, int, tuple[str, ...]]] = []
 
     def walk(node: str, seen: tuple[str, ...]) -> None:
         if node == dst:
-            km = sum(net.link_between(u, v).length_km for u, v in zip(seen, seen[1:]))
-            paths.append((km, len(seen) - 1, seen))
+            paths.append((_km(net, seen), len(seen) - 1, seen))
             return
         for nbr in net.graph.neighbors(node):
             if nbr not in seen:
@@ -53,17 +65,34 @@ def ref_simple_paths(net: topology.Network, src: str, dst: str) -> list[tuple[st
     return [nodes for _, _, nodes in paths]
 
 
-def ref_blocks(net: topology.Network, nodes: tuple[str, ...], width: int) -> list[int]:
-    links = net.path_links(nodes)
+def _aggregate(net: topology.Network, nodes: tuple[str, ...]) -> list[int]:
     agg = [0] * net.fs_total
-    for link in links:
+    for link in net.path_links(nodes):
         for j, bit in enumerate(link.occupancy):
             agg[j] |= int(bit)
-    starts = []
-    for f in range(net.fs_total - width + 1):
-        if all(agg[f + i] == 0 for i in range(width)):
-            starts.append(f)
-    return starts
+    return agg
+
+
+def free_block_starts(occupancy: np.ndarray, width: int) -> np.ndarray:
+    """All start slots f such that [f, f+width-1] is entirely free, ascending.
+
+    A cumulative-sum scan of a slot vector; tests hold the bitset helpers to it.
+    """
+    F = occupancy.shape[0]
+    if not (1 <= width <= F):
+        return np.empty(0, dtype=np.int64)
+    ext = np.zeros(F + 1, dtype=np.int32)
+    np.cumsum(occupancy, out=ext[1:])
+    window = ext[width:] - ext[: F - width + 1]
+    return np.flatnonzero(window == 0)
+
+
+def ref_blocks(net: topology.Network, nodes: tuple[str, ...], width: int) -> list[int]:
+    agg = _aggregate(net, nodes)
+    return [
+        f for f in range(net.fs_total - width + 1)
+        if all(agg[f + i] == 0 for i in range(width))
+    ]
 
 
 def ref_gamma(net: topology.Network, nodes: tuple[str, ...], width: int,
@@ -72,66 +101,47 @@ def ref_gamma(net: topology.Network, nodes: tuple[str, ...], width: int,
     mean-per-link availability divisor, integer-count contiguity mean with the
     positive floor so that zero means exactly "no feasible block"."""
     links = net.path_links(nodes)
-    agg = [0] * net.fs_total
-    occupied_total = 0
-    for link in links:
-        for j, bit in enumerate(link.occupancy):
-            agg[j] |= int(bit)
-            occupied_total += int(bit)
+    occupied_total = sum(int(link.occupancy.sum()) for link in links)
+    agg = _aggregate(net, nodes)
     starts = ref_blocks(net, nodes, width)
     delta = 1.0 - occupied_total / (len(links) * net.fs_total)
     if not starts or delta <= 0.0:
         return 0.0, starts, []
-    F = net.fs_total
     d = max(width - 1, 1)
-    counts = []
-    for f in range(len(agg) - width + 1):
-        f1 = f + width - 1
-        if mode is rsa.CiMode.LITERAL:
-            span = range(f + 1, f1 + 1)
-        elif mode is rsa.CiMode.WINDOW:
-            span = range(max(1, f), min(F - 1, f1 + 1) + 1)
-        else:
-            span = range(1, F)
-        c = sum(1 for j in span if agg[j - 1] == 0 and agg[j] == 1)
-        counts.append(min(c, d))
-    m = [counts[f] for f in starts]
+    m = [min(_rises(agg, f, f + width - 1, mode), d) for f in starts]
     n = len(starts)
     mean_ci = (n * d - sum(m)) / (n * d)
-    length = 0.0
-    for u, v in zip(nodes, nodes[1:]):
-        length += net.link_between(u, v).length_km
-    return max(mean_ci, 1e-9) / (length * delta), starts, m
+    return max(mean_ci, 1e-9) / (_km(net, nodes) * delta), starts, m
 
 
 def ref_select(net: topology.Network, src: str, dst: str, width: int, k: int,
-               mode: rsa.CiMode, selector: str,
-               params: LatencyParams) -> tuple[tuple[str, ...] | None, int | None]:
+               mode: rsa.CiMode, selector: str, params: LatencyParams,
+               ) -> tuple[tuple[str, ...] | None, int | None, float | None]:
+    """(path nodes, start slot, CBA's winning gamma) per the documented
+    tie-breaks; None where blocked, and gamma None for the first-fit selectors."""
     all_paths = ref_simple_paths(net, src, dst)[:k]
     if selector == "sd_ff":
         def prop(nodes):
-            km = sum(net.link_between(u, v).length_km for u, v in zip(nodes, nodes[1:]))
-            return km * params.prop_s_per_km + (len(nodes) - 1) * params.per_hop_overhead_s
+            return (_km(net, nodes) * params.prop_s_per_km
+                    + (len(nodes) - 1) * params.per_hop_overhead_s)
         all_paths = sorted(all_paths, key=prop)
     if selector in ("ksp_ff", "sd_ff"):
         for nodes in all_paths:
             starts = ref_blocks(net, nodes, width)
             if starts:
-                return nodes, starts[0]
-        return None, None
+                return nodes, starts[0], None
+        return None, None, None
     best = None
     for i, nodes in enumerate(all_paths):
         gamma, starts, m = ref_gamma(net, nodes, width, mode)
         if gamma <= 0.0:
             continue
-        km = sum(net.link_between(u, v).length_km for u, v in zip(nodes, nodes[1:]))
-        key = (-gamma, km, len(nodes) - 1, i)
+        key = (-gamma, _km(net, nodes), len(nodes) - 1, i)
         if best is None or key < best[0]:
-            j = m.index(min(m))
-            best = (key, nodes, starts[j])
+            best = (key, nodes, starts[m.index(min(m))], gamma)
     if best is None:
-        return None, None
-    return best[1], best[2]
+        return None, None, None
+    return best[1], best[2], best[3]
 
 
 def random_instance(rng: np.random.Generator) -> topology.Network:
@@ -151,9 +161,8 @@ def random_instance(rng: np.random.Generator) -> topology.Network:
     net = topology.Network(names, specs, fs_total=F)
     for link in net.links:
         bits = rng.random(F) < rng.uniform(0.1, 0.9)
-        if bits.any():
-            # write occupancy directly; these nets are never advanced in time
-            topology.set_link_occupancy(net, link.index, bits.astype(np.uint8))
+        # write occupancy directly; these nets are never advanced in time
+        topology.set_link_occupancy(net, link.index, bits.astype(np.uint8))
     return net
 
 
@@ -216,8 +225,8 @@ def check_selection_bruteforce(n_instances: int = 200) -> tuple[bool, str]:
                 got = rsa.select_ksp_ff(net, src, dst, width, k)
             else:
                 got = rsa.select_sd_ff(net, src, dst, width, k, params)
-            want_nodes, want_start = ref_select(net, src, dst, width, k, mode,
-                                                selector, params)
+            want_nodes, want_start, _ = ref_select(net, src, dst, width, k, mode,
+                                                   selector, params)
             got_nodes = got.path.nodes if got.path else None
             got_start = got.block.f_start if got.block else None
             if (got_nodes, got_start) != (want_nodes, want_start):

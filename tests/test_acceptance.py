@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-import oracles
-from optpipe import cli
+from optpipe import cli, validate
 from optpipe.engine import PolicyConfig, bubble_ratio, simulate_iteration
 from optpipe.latency import LatencyParams
 from optpipe.rsa import CiMode, contiguity_index, select_cba, select_ksp_ff, select_sd_ff
@@ -76,7 +75,7 @@ def test_2_bruteforce_rsa_equivalence():
     params = LatencyParams()
     n_instances = 1000
     for i in range(n_instances):
-        net = oracles.random_network(rng, max_nodes=5, max_fs=10)
+        net = validate.random_instance(rng)
         a, b = rng.choice(len(net.nodes), size=2, replace=False)
         src, dst = net.nodes[int(a)], net.nodes[int(b)]
         width = int(rng.integers(1, 4))
@@ -84,7 +83,7 @@ def test_2_bruteforce_rsa_equivalence():
         mode = CiMode(["literal", "window", "global"][int(rng.integers(3))])
 
         got = select_cba(net, src, dst, width, k, mode)
-        want = oracles.select(net, src, dst, width, k, mode, "cba", params)
+        want = validate.ref_select(net, src, dst, width, k, mode, "cba", params)
         assert (
             got.path.nodes if got.path else None,
             got.block.f_start if got.block else None,
@@ -96,7 +95,7 @@ def test_2_bruteforce_rsa_equivalence():
             ("ksp_ff", select_ksp_ff(net, src, dst, width, k)),
             ("sd_ff", select_sd_ff(net, src, dst, width, k, params)),
         ):
-            want = oracles.select(net, src, dst, width, k, mode, name, params)
+            want = validate.ref_select(net, src, dst, width, k, mode, name, params)
             assert (
                 sel.path.nodes if sel.path else None,
                 sel.block.f_start if sel.block else None,
@@ -124,7 +123,7 @@ def test_3_contiguity_exhaustive():
                 for mode in CiMode:
                     got = contiguity_index(arr, (f0, f1), mode)
                     assert 0.0 <= got <= 1.0
-                    worst = max(worst, abs(got - oracles.ci_reference(occ, f0, f1, mode)))
+                    worst = max(worst, abs(got - validate.ref_ci(occ, f0, f1, mode)))
                     checked += 1
     elapsed = time.time() - t0
     ok = worst < 1e-12 and elapsed < 10

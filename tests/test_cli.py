@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import os
 
 import pytest
 
-from optpipe import cli
+from optpipe import cli, rsa
 from optpipe.cli import ConfigError, RunConfig
 
 
@@ -204,6 +205,46 @@ class TestMain:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "topo",
+        [
+            '{"nodes": ["A", "B"], "links": [',
+            '{"nodes": ["A", "B"], "links": 5}',
+            '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "A", "length_km": 1}]}',
+            '{"nodes": ["A", "B"], "links": [{"a": ["A"], "b": "B", "length_km": 1}]}',
+            '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": NaN}]}',
+        ],
+    )
+    def test_malformed_topology_file_exits_one(self, tmp_path, capsys, command, topo):
+        path = tmp_path / "topo.json"
+        path.write_text(topo)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "topology.path": str(path)}))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: topology.path: ")
+
+    def test_validate_passes_and_catches_a_planted_fault(self, capsys, monkeypatch):
+        assert cli.main(["validate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and all(": PASS" in line for line in lines)
+
+        real = rsa.select_ksp_ff
+
+        def next_higher_block(net, src, dst, width, k):
+            sel = real(net, src, dst, width, k)
+            if sel.blocked:
+                return sel
+            higher = [b for b in rsa.find_candidate_blocks(net, sel.path, width)
+                      if b.f_start > sel.block.f_start]
+            return dataclasses.replace(sel, block=higher[0]) if higher else sel
+
+        monkeypatch.setattr(rsa, "select_ksp_ff", next_higher_block)
+        assert cli.main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert "selection-bruteforce: FAIL" in out
+        assert "first-fit-lowest-block: FAIL" in out
 
     def test_policy_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -19,7 +19,6 @@ from optpipe.topology import (
     bit_positions,
     first_free_block,
     first_free_run,
-    free_block_starts,
     free_run_starts,
     load_nsfnet,
     load_topology,
@@ -29,6 +28,7 @@ from optpipe.topology import (
     set_link_occupancy,
     unpack_bits,
 )
+from optpipe.validate import free_block_starts
 
 
 class TestLoadTopology:
@@ -126,6 +126,16 @@ class TestSpectrumOps:
         release_spectrum(two_dc, "t1")
         assert links[0].occupancy[4:6].sum() == 2
         assert links[0].occupancy[0:2].sum() == 0
+
+    def test_audit_flags_drift_and_overlap(self, two_dc):
+        links = [two_dc.link_between("A", "B")]
+        allocate_spectrum(two_dc, links, (0, 3), "t1", 5.0)
+        links[0].bits |= 1 << 9
+        with pytest.raises(SpectrumConflictError, match="out of sync"):
+            audit_occupancy(two_dc)
+        two_dc._commit(links, 2, 4, "t2", 5.0)  # bypasses the conflict check
+        with pytest.raises(SpectrumConflictError, match="overlapping"):
+            audit_occupancy(two_dc)
 
 
 class TestOccupancyViews:
