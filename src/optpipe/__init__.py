@@ -36,6 +36,7 @@ from .rsa import (
     find_candidate_blocks,
     fitness,
     k_shortest_paths,
+    sd_ff_order,
     select_cba,
     select_ksp_ff,
     select_sd_ff,

@@ -31,9 +31,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from . import cba, engine, topology, workload
+from . import cba, engine, rsa, topology, workload
 from .latency import LatencyParams
-from .rsa import CiMode
 
 # Densest NSFNET region: every inter-DC pair has several near-equal-length
 # routes, so route-and-spectrum choice (not raw propagation) dominates.
@@ -296,7 +295,7 @@ class RunConfig:
         return engine.PolicyConfig(
             selector=selector,
             k=f["rsa.k"],
-            ci_mode=CiMode(f["rsa.ci_mode"]),
+            ci_mode=rsa.CiMode(f["rsa.ci_mode"]),
             ci_per_link=f["rsa.ci_per_link"],
             base_fs=f["fs.base"],
             boost_factor=f["fs.boost_factor"],
@@ -377,6 +376,25 @@ class CellOutcome:
     audited_transfers: int
     label_checks: int
     event_lines: list[str]
+    first_fit_reused: bool = False  # the second first-fit baseline was copied
+
+
+# The two first-fit baselines: same candidates, possibly different trial order.
+_FIRST_FIT_TWIN = {"ksp_ff": "sd_ff", "sd_ff": "ksp_ff"}
+
+
+def _routed_pairs(stages: Sequence[workload.Stage],
+                  tasks: Sequence[workload.Task]) -> set[tuple[str, str]]:
+    """Every ordered (src DC, dst DC) pair whose messages go through selection."""
+    dc = [stages[t.stage_id].dc_node for t in tasks]
+    return {(dc[a], dc[b]) for a, b in workload.message_edges(tasks) if dc[a] != dc[b]}
+
+
+def _sd_ff_order_is_ksp_ff(net: topology.Network, pairs: Iterable[tuple[str, str]],
+                           k: int, params: LatencyParams) -> bool:
+    """True when SD-FF tries every pair's candidates in shortest-path order."""
+    orders = (rsa.sd_ff_order(net, src, dst, k, params) for src, dst in pairs)
+    return all(list(order) == sorted(order) for order in orders)
 
 
 def run_cell(
@@ -392,9 +410,18 @@ def run_cell(
 
     All policies observe the identical placement and background seed; each
     gets its own fresh network so their spectrum evolution stays independent.
-    Every iteration's event log is replay-audited and its CB labels checked.
+    Every simulated iteration's event log is replay-audited and its CB labels
+    checked.
+
+    KSP-FF and SD-FF differ only in the order in which they try the same
+    candidate paths, and the simulation is deterministic.  When the cell runs
+    both and SD-FF's order is the shortest-path order for every routed pair,
+    the second of the two is not simulated: it takes the first one's rows
+    and event lines under its own policy name, and adds nothing to the audit
+    and label counts.
     """
     p = cfg["pp.stages"]
+    k = cfg["rsa.k"]
     profile = cfg.profile(model)
     placement = cfg.placement(seed, p)
     params = cfg.latency_params()
@@ -406,7 +433,21 @@ def run_cell(
     audited = 0
     label_checks = 0
     event_lines: list[str] = []
+    first_fit: dict[str, tuple[list[list], list[str]]] = {}
+    reused = False
     for policy_name in policy_names:
+        head = f"RUN\tpolicy={policy_name}\t"
+        twin = _FIRST_FIT_TWIN.get(policy_name)
+        if twin in first_fit and _sd_ff_order_is_ksp_ff(twin_net, routed, k, params):
+            twin_rows, twin_lines = first_fit[twin]
+            twin_head = f"RUN\tpolicy={twin}\t"
+            rows.extend([policy_name, *r[1:]] for r in twin_rows)
+            event_lines.extend(
+                head + line[len(twin_head):] if line.startswith(twin_head) else line
+                for line in twin_lines
+            )
+            reused = True
+            continue
         net = cfg.build_network()
         bg = cfg.background(seed)
         if bg is not None:
@@ -418,6 +459,8 @@ def run_cell(
             orch, net, stages, tasks, cfg.policy(policy_name), params,
             msg_bits=msg_bits, bg=bg,
         )
+        policy_rows: list[list] = []
+        policy_lines: list[str] = []
         for r in results:
             lines = r.timeline.event_log_lines()
             audited += engine.audit_event_log(net, lines, r.timeline.iteration_makespan)
@@ -425,18 +468,23 @@ def run_cell(
                 r.timeline, tasks, r.labels, orch.epsilon_bubble_s
             )
             if collect_events:
-                event_lines.append(
-                    f"RUN\tpolicy={policy_name}\tmodel={model}\tschedule={schedule}"
+                policy_lines.append(
+                    f"{head}model={model}\tschedule={schedule}"
                     f"\tm={m}\tseed={seed}\titeration={r.iteration}"
                 )
-                event_lines.extend(lines)
+                policy_lines.extend(lines)
             if r.iteration >= 1:
-                rows.append([
+                policy_rows.append([
                     policy_name, model, schedule, m, seed, r.iteration,
                     repr(r.runtime_s), repr(r.bubble_ratio),
                     r.requests, r.blocked, repr(r.blocking_prob),
                 ])
-    return CellOutcome(rows, audited, label_checks, event_lines)
+        rows.extend(policy_rows)
+        event_lines.extend(policy_lines)
+        if twin is not None:
+            first_fit[policy_name] = (policy_rows, policy_lines)
+            twin_net, routed = net, _routed_pairs(stages, tasks)
+    return CellOutcome(rows, audited, label_checks, event_lines, reused)
 
 
 def _run_cell_job(args: tuple) -> tuple[tuple, CellOutcome]:
@@ -505,9 +553,13 @@ def cmd_run(cfg: RunConfig, outdir: str, verbose: bool = True) -> dict[str, str]
 def compare_grid(
     cfg: RunConfig, jobs: int | None = None, verbose: bool = True,
     collect_events: bool = False,
-) -> tuple[list[list], list[list], list[str], int, int]:
+) -> tuple[list[list], list[list], list[str], int, int, int]:
     """Run the full paired grid; returns (rows, summary_rows, events, audited,
-    label_checks)."""
+    label_checks, reused_cells).
+
+    ``audited`` and ``label_checks`` count what was simulated and checked;
+    ``reused_cells`` is the number of cells whose SD-FF rows were copied from
+    KSP-FF (see ``run_cell``)."""
     cfg.check_model_depth(cfg["compare.models"])
     grid = [
         (model, schedule, m, seed)
@@ -542,6 +594,7 @@ def compare_grid(
     events: list[str] = []
     audited = 0
     label_checks = 0
+    reused_cells = 0
     order = lambda r: (r[0], r[1], r[2], int(r[3]), int(r[4]), int(r[5]))
     for cell in grid:
         out = outcomes[tuple(cell)]
@@ -549,10 +602,11 @@ def compare_grid(
         events.extend(out.event_lines)
         audited += out.audited_transfers
         label_checks += out.label_checks
+        reused_cells += out.first_fit_reused
     rows.sort(key=order)
 
     summary_rows = _summarize(cfg, rows)
-    return rows, summary_rows, events, audited, label_checks
+    return rows, summary_rows, events, audited, label_checks, reused_cells
 
 
 def _summarize(cfg: RunConfig, rows: list[list]) -> list[list]:
@@ -589,7 +643,7 @@ def _summarize(cfg: RunConfig, rows: list[list]) -> list[list]:
 def cmd_compare(cfg: RunConfig, outdir: str, jobs: int | None = None,
                 verbose: bool = True) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
-    rows, summary_rows, events, audited, _ = compare_grid(
+    rows, summary_rows, events, audited, _, reused_cells = compare_grid(
         cfg, jobs=jobs, verbose=verbose, collect_events=cfg["output.event_log"],
     )
     paths = {
@@ -603,8 +657,9 @@ def cmd_compare(cfg: RunConfig, outdir: str, jobs: int | None = None,
         with open(paths["events"], "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(events) + "\n")
     if verbose:
-        print(f"compare: audited {audited} transfers, wrote {paths['results']}",
-              file=sys.stderr, flush=True)
+        print(f"compare: replayed and audited {audited} transfers; "
+              f"{reused_cells} cells reused the KSP-FF trajectory for SD-FF; "
+              f"wrote {paths['results']}", file=sys.stderr, flush=True)
     return paths
 
 

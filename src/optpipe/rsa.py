@@ -380,21 +380,31 @@ def select_ksp_ff(net: Network, src: str, dst: str, width: int, k: int) -> Selec
     return _first_fit_over(net, paths, range(len(paths)), width)
 
 
-def select_sd_ff(
-    net: Network, src: str, dst: str, width: int, k: int, params: LatencyParams
-) -> SelectionResult:
-    """First-fit over the same candidates reordered by propagation delay.
+def sd_ff_order(
+    net: Network, src: str, dst: str, k: int, params: LatencyParams
+) -> tuple[int, ...]:
+    """SD-FF's trial order: indices into ``k_shortest_paths`` by propagation delay.
 
     The delay term is length * per-km delay + hops * per-hop overhead, so the
-    order can differ from pure km order when hop counts differ.
+    order can differ from pure km order when hop counts differ.  The sort is
+    stable, so it is the identity whenever the delay order agrees with the
+    shortest-path order.  It depends only on the topology, ``k`` and the two
+    delay parameters, never on occupancy.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
     paths = _candidate_paths(net, src, dst, k)
     cache_key = (src, dst, k, params.prop_s_per_km, params.per_hop_overhead_s)
     order = net._order_cache.get(cache_key)
     if order is None:
-        # stable sort keeps the shortest-path composite order within alpha ties
-        order = sorted(range(len(paths)), key=lambda i: alpha(params, paths[i]))
+        order = tuple(sorted(range(len(paths)), key=lambda i: alpha(params, paths[i])))
         net._order_cache[cache_key] = order
-    return _first_fit_over(net, paths, order, width)
+    return order
+
+
+def select_sd_ff(
+    net: Network, src: str, dst: str, width: int, k: int, params: LatencyParams
+) -> SelectionResult:
+    """First-fit over the same candidates in ``sd_ff_order``, lowest slot."""
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    paths = _candidate_paths(net, src, dst, k)
+    return _first_fit_over(net, paths, sd_ff_order(net, src, dst, k, params), width)

@@ -332,10 +332,12 @@ def load_topology(
     seen_pairs: set[frozenset[str]] = set()
     for entry in doc["links"]:
         try:
-            a, b, km = entry["a"], entry["b"], float(entry["length_km"])
-        except (KeyError, TypeError, ValueError) as exc:
+            a, b, length = entry["a"], entry["b"], entry["length_km"]
+            km = float(length)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TopologyError(f"malformed link entry {entry!r}") from exc
-        if not (isinstance(a, str) and isinstance(b, str)):
+        # float() also takes JSON true/false and numeric strings; only numbers count
+        if not (isinstance(a, str) and isinstance(b, str)) or isinstance(length, (bool, str)):
             raise TopologyError(f"malformed link entry {entry!r}")
         for end in (a, b):
             if end not in known:

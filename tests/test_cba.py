@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optpipe.cba import (
     IterationResult,
@@ -12,9 +13,16 @@ from optpipe.cba import (
     plan_requests,
     verify_label_soundness,
 )
-from optpipe.engine import PolicyConfig, simulate_iteration
+from optpipe.cli import DEFAULT_DC_NODES
+from optpipe.engine import SELECTORS, PolicyConfig, audit_event_log, simulate_iteration
 from optpipe.latency import LatencyParams, RequestLabel
-from optpipe.topology import BackgroundTrafficModel, Network, advance_network, load_nsfnet
+from optpipe.topology import (
+    BackgroundTrafficModel,
+    Network,
+    advance_network,
+    load_nsfnet,
+    loaded_background,
+)
 from optpipe.workload import ScheduleKind, build_profile, build_schedule, partition_stages
 
 ZERO_COMM = LatencyParams(intra_dc_latency_s=0.0)
@@ -202,6 +210,40 @@ class TestOrchestrate:
                               PolicyConfig(), LatencyParams(), msg_bits=1e8)
         final = results[-1].labels
         assert {t.id for t in tasks if t.cb_label} == final.cb_tasks
+
+
+@given(
+    p=st.integers(2, 4),
+    m=st.integers(1, 4),
+    dcs=st.lists(st.sampled_from(DEFAULT_DC_NODES), min_size=4, max_size=4),
+    kind=st.sampled_from(list(ScheduleKind)),
+    selector=st.sampled_from(SELECTORS),
+    bg_seed=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+)
+@settings(max_examples=30, deadline=None)
+def test_orchestrate_properties(p, m, dcs, kind, selector, bg_seed):
+    # bg_seed None is the quiet network, otherwise the loaded preset pre-warmed
+    # for its default five holding times
+    def run():
+        net = load_nsfnet()
+        bg = None if bg_seed is None else loaded_background(bg_seed)
+        if bg is not None:
+            net.attach_background(bg)
+            advance_network(net, 5.0 * bg.mean_hold_s)
+        stages, tasks = build(p, dcs[:p], m, kind)
+        results = orchestrate(OrchestratorConfig(n_iterations=3), net, stages, tasks,
+                              PolicyConfig(selector=selector), LatencyParams(),
+                              msg_bits=16 * 2**20 * 8, bg=bg)
+        return net, tasks, results
+
+    net, tasks, results = run()
+    logs = [r.timeline.event_log_lines() for r in results]
+    assert logs == [r.timeline.event_log_lines() for r in run()[2]]
+    for r, lines in zip(results, logs):
+        audit_event_log(net, lines, r.runtime_s)
+        verify_label_soundness(r.timeline, tasks, r.labels)
+        assert r.runtime_s >= max(r.timeline.stage_busy.values())
+        assert 0.0 <= r.bubble_ratio < 1.0
 
 
 class TestVerifySoundness:

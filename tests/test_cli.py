@@ -11,6 +11,7 @@ import pytest
 
 from optpipe import cli, rsa
 from optpipe.cli import ConfigError, RunConfig
+from optpipe.engine import SELECTORS
 
 
 class TestConfig:
@@ -171,6 +172,39 @@ class TestCmdCompare:
         assert open(a["results"], "rb").read() == open(b["results"], "rb").read()
 
 
+class TestFirstFitReuse:
+    LOADED = {"bg.preset": "loaded", "cba.n_iterations": 3}
+
+    def _cell(self, flat, model, schedule):
+        cfg = RunConfig.from_flat(flat)
+        both = cli.run_cell(cfg, SELECTORS, model, schedule, 4, 0,
+                            collect_events=True)
+        solo = {name: cli.run_cell(cfg, [name], model, schedule, 4, 0, collect_events=True)
+                for name in SELECTORS}
+        # every policy's rows and event lines, SD-FF's included, byte for byte
+        assert both.rows == [r for name in SELECTORS for r in solo[name].rows]
+        assert both.event_lines == [x for name in SELECTORS
+                                    for x in solo[name].event_lines]
+        return both, solo
+
+    @pytest.mark.parametrize("model", ["llama3-8b-like", "llama3-70b-like"])
+    @pytest.mark.parametrize("schedule", ["gpipe", "1f1b"])
+    def test_reused_sd_ff_matches_solo_run(self, model, schedule):
+        both, solo = self._cell(self.LOADED, model, schedule)
+        assert both.first_fit_reused
+        assert both.audited_transfers == (
+            solo["cba"].audited_transfers + solo["ksp_ff"].audited_transfers)
+        assert both.label_checks == solo["cba"].label_checks + solo["ksp_ff"].label_checks
+
+    def test_reordering_latency_simulates_sd_ff(self):
+        # a 10 ms per-hop overhead puts fewer-hop routes first on some pool pairs
+        both, solo = self._cell({**self.LOADED, "latency.per_hop_overhead_s": 0.01},
+                                "llama3-8b-like", "gpipe")
+        assert not both.first_fit_reused
+        assert both.audited_transfers == sum(o.audited_transfers for o in solo.values())
+        assert both.label_checks == sum(o.label_checks for o in solo.values())
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -215,6 +249,8 @@ class TestMain:
             '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "A", "length_km": 1}]}',
             '{"nodes": ["A", "B"], "links": [{"a": ["A"], "b": "B", "length_km": 1}]}',
             '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": NaN}]}',
+            '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": true}]}',
+            '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": "7"}]}',
         ],
     )
     def test_malformed_topology_file_exits_one(self, tmp_path, capsys, command, topo):
