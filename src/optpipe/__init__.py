@@ -31,9 +31,6 @@ from .rsa import (
     CandidatePath,
     CiMode,
     SelectionResult,
-    availability_factor,
-    contiguity_index,
-    find_candidate_blocks,
     fitness,
     k_shortest_paths,
     sd_ff_order,
@@ -51,7 +48,6 @@ from .topology import (
     load_nsfnet,
     load_topology,
     loaded_background,
-    path_aggregate_occupancy,
     release_spectrum,
     set_link_occupancy,
 )

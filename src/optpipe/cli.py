@@ -74,6 +74,16 @@ def _as_str_list(v) -> list[str]:
     raise ValueError("expected a list of strings")
 
 
+# The background traffic model's keys, with the values bg.preset=loaded gives
+# the unset ones (bg.preset=custom requires all four).
+_LOADED_PRESET = topology.loaded_background(0)
+_LOADED_BG = {
+    "bg.arrival_rate_per_s": _LOADED_PRESET.arrival_rate_per_s,
+    "bg.mean_hold_s": _LOADED_PRESET.mean_hold_s,
+    "bg.fs_demand_min": _LOADED_PRESET.fs_demand_range[0],
+    "bg.fs_demand_max": _LOADED_PRESET.fs_demand_range[1],
+}
+
 # key -> (default, converter).  Converters raise ValueError on bad input.
 KEY_TABLE: dict[str, tuple[Any, Any]] = {
     "topology.path": (None, lambda v: v if v is None else str(v)),
@@ -104,7 +114,6 @@ KEY_TABLE: dict[str, tuple[Any, Any]] = {
     "latency.queue_penalty_per_conflict_s": (0.0, float),
     "rsa.k": (5, int),
     "rsa.ci_mode": ("window", str),
-    "rsa.ci_per_link": (False, _as_bool),
     "fs.base": (4, int),
     "fs.boost_factor": (2.0, float),
     "fs.max": (16, int),
@@ -218,17 +227,20 @@ class RunConfig:
                 "must be nonnegative")
         require(f["bg.preset"] in ("off", "loaded", "custom"), "bg.preset",
                 "must be off, loaded or custom")
+        if f["bg.preset"] == "off":
+            for key in (*_LOADED_BG, "bg.prewarm_s"):
+                require(f[key] is None, key, "has no effect when bg.preset=off")
         if f["bg.preset"] == "custom":
-            for key in ("bg.arrival_rate_per_s", "bg.mean_hold_s",
-                        "bg.fs_demand_min", "bg.fs_demand_max"):
+            for key in _LOADED_BG:
                 require(f[key] is not None, key, "required when bg.preset=custom")
         for key in ("bg.arrival_rate_per_s", "bg.mean_hold_s", "bg.prewarm_s"):
             require(f[key] is None or f[key] >= 0, key, "must be nonnegative")
         require(f["bg.fs_demand_min"] is None or f["bg.fs_demand_min"] >= 1,
                 "bg.fs_demand_min", "must be >= 1")
-        if f["bg.fs_demand_min"] is not None and f["bg.fs_demand_max"] is not None:
-            require(f["bg.fs_demand_min"] <= f["bg.fs_demand_max"], "bg.fs_demand_min",
-                    "must be <= bg.fs_demand_max")
+        if f["bg.preset"] != "off":
+            lo, hi = self._bg("bg.fs_demand_min"), self._bg("bg.fs_demand_max")
+            key = "bg.fs_demand_min" if f["bg.fs_demand_min"] is not None else "bg.fs_demand_max"
+            require(lo <= hi, key, f"effective demand range [{lo}, {hi}] needs min <= max")
         for model in {f["run.model"], *f["compare.models"]}:
             if model != "custom" and model not in workload.profile_presets():
                 raise ConfigError(
@@ -296,7 +308,6 @@ class RunConfig:
             selector=selector,
             k=f["rsa.k"],
             ci_mode=rsa.CiMode(f["rsa.ci_mode"]),
-            ci_per_link=f["rsa.ci_per_link"],
             base_fs=f["fs.base"],
             boost_factor=f["fs.boost_factor"],
             fs_max=f["fs.max"],
@@ -314,25 +325,18 @@ class RunConfig:
             epsilon_bubble_s=f["cba.epsilon_bubble_s"],
         )
 
+    def _bg(self, key: str) -> Any:
+        """A background model key's value, or the loaded preset's when unset."""
+        value = self.flat[key]
+        return _LOADED_BG[key] if value is None else value
+
     def background(self, seed: int) -> topology.BackgroundTrafficModel | None:
-        f = self.flat
-        if f["bg.preset"] == "off":
+        if self.flat["bg.preset"] == "off":
             return None
-        if f["bg.preset"] == "loaded":
-            base = topology.loaded_background(seed)
-            tweaks = {}
-            if f["bg.arrival_rate_per_s"] is not None:
-                tweaks["arrival_rate_per_s"] = f["bg.arrival_rate_per_s"]
-            if f["bg.mean_hold_s"] is not None:
-                tweaks["mean_hold_s"] = f["bg.mean_hold_s"]
-            if tweaks:
-                from dataclasses import replace
-                base = replace(base, **tweaks)
-            return base
         return topology.BackgroundTrafficModel(
-            arrival_rate_per_s=f["bg.arrival_rate_per_s"],
-            mean_hold_s=f["bg.mean_hold_s"],
-            fs_demand_range=(f["bg.fs_demand_min"], f["bg.fs_demand_max"]),
+            arrival_rate_per_s=self._bg("bg.arrival_rate_per_s"),
+            mean_hold_s=self._bg("bg.mean_hold_s"),
+            fs_demand_range=(self._bg("bg.fs_demand_min"), self._bg("bg.fs_demand_max")),
             rng_seed=seed,
         )
 

@@ -52,7 +52,6 @@ class PolicyConfig:
     selector: str = "cba"
     k: int = 5
     ci_mode: rsa.CiMode = rsa.CiMode.WINDOW
-    ci_per_link: bool = False
     base_fs: int = 4
     boost_factor: float = 2.0
     fs_max: int = 16
@@ -395,7 +394,7 @@ class _Sim:
 
         # retries exhausted: degraded fallback delivery, no spectrum held
         # (the penalty scales the route service time, not the local queue wait)
-        path0 = rsa.k_shortest_paths(self.net, req.src, req.dst, 1)[0]
+        path0 = self.net.paths.candidates(req.src, req.dst, self.policy.k)[0]
         pen = self._penalty(req.producer.stage_id, now, path0)
         dt = self.policy.fallback_penalty * transfer_time(self.params, path0, 1, req.bits) + pen
         complete = now + dt
@@ -426,7 +425,7 @@ class _Sim:
     def _select(self, src: str, dst: str, width: int) -> rsa.SelectionResult:
         p = self.policy
         if p.selector == "cba":
-            return rsa.select_cba(self.net, src, dst, width, p.k, p.ci_mode, p.ci_per_link)
+            return rsa.select_cba(self.net, src, dst, width, p.k, p.ci_mode)
         if p.selector == "ksp_ff":
             return rsa.select_ksp_ff(self.net, src, dst, width, p.k)
         return rsa.select_sd_ff(self.net, src, dst, width, p.k, self.params)

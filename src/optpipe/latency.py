@@ -24,6 +24,7 @@ from typing import Iterable, Protocol, Sequence
 class _PathLike(Protocol):
     length_km: float
     hop_count: int
+    link_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def queue_penalty(
     penalty = egress.pending(stage, now)
     kappa = params.queue_penalty_per_conflict_s
     if kappa > 0.0 and path is not None:
-        mine = set(getattr(path, "link_indices"))
+        mine = set(path.link_indices)
         conflicts = sum(1 for links in inflight if mine.intersection(links))
         penalty += kappa * conflicts
     return penalty

@@ -5,15 +5,18 @@ link carries the same number of frequency slots (FS); a transfer occupies a
 contiguous slot block on every link of its path.  This module owns all
 spectrum bookkeeping: committing and releasing allocations, time-driven
 state updates, and the synthetic background traffic that makes optical path
-availability vary over time.
+availability vary over time.  It also owns the routes: each network's
+``paths`` is a ``PathCatalog`` that memoises, per node pair, the candidate
+paths every selector tries, SD-FF's delay order over them, and the
+shortest path that background admission uses.
 
 Spectrum state is one Python ``int`` per link, ``Link.bits``: bit f is set
-when slot f is occupied.  A path's aggregate is the OR of its links' ints,
-the starts of free runs come from shift-AND folding (``free_run_starts``)
-and the lowest one from ``x & -x``.  ``Link.occupancy`` and
-``Network.occupancy_matrix`` are read-only uint8 arrays derived from the
-ints on each access; ``set_link_occupancy`` overwrites a link's slots
-directly, for building test instances.
+when slot f is occupied.  A path's aggregate is the OR of its links' ints
+(``path_bits``), the starts of free runs come from shift-AND folding
+(``free_run_starts``) and the lowest one from ``x & -x``.
+``Link.occupancy`` is a read-only uint8 array derived from the int on each
+access; ``set_link_occupancy`` overwrites a link's slots directly, for
+building test instances.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from typing import Iterable, Sequence
 
 import networkx as nx
 import numpy as np
+
+from .latency import LatencyParams, alpha
 
 DEFAULT_FS_TOTAL = 80
 DEFAULT_SLOT_WIDTH_GHZ = 12.5
@@ -68,6 +73,101 @@ class Link:
 
     def __repr__(self) -> str:
         return f"Link({self.a}-{self.b}, {self.length_km} km)"
+
+
+@dataclass(frozen=True)
+class CandidatePath:
+    """A loopless route with its precomputed length and link indices."""
+
+    nodes: tuple[str, ...]
+    links: tuple[Link, ...]
+    length_km: float
+    hop_count: int
+    link_indices: tuple[int, ...]
+
+
+class PathCatalog:
+    """The routes of one network, memoised per node pair; entries never change.
+
+    ``candidates`` are the paths every selector tries and ``delay_order`` is
+    SD-FF's order over them.  ``background`` is the path that background
+    admission uses: ``nx.dijkstra_path``, which breaks length ties its own
+    way and so differs from ``candidates(src, dst, 1)[0]`` on some pairs
+    (29 of the 182 ordered NSFNET pairs, PA->NJ among them).  Merging the two
+    would change every background allocation.
+    """
+
+    def __init__(self, net: Network):
+        self._net = net
+        self._candidates: dict[tuple[str, str, int], tuple[CandidatePath, ...]] = {}
+        self._delay: dict[tuple[str, str, int, float, float], tuple[int, ...]] = {}
+        self._background: dict[tuple[str, str], tuple[Link, ...]] = {}
+
+    def _length(self, nodes: Sequence[str]) -> float:
+        total = 0.0
+        for u, v in zip(nodes, nodes[1:]):
+            total += self._net.link_between(u, v).length_km
+        return total
+
+    def candidates(self, src: str, dst: str, k: int) -> tuple[CandidatePath, ...]:
+        """Up to k loopless paths sorted by (length_km, hops, node sequence).
+
+        Matches brute-force enumeration of all simple paths under the same
+        key, truncated to k.  Empty when no path exists.
+        """
+        cached = self._candidates.get((src, dst, k))
+        if cached is not None:
+            return cached
+        if src == dst:
+            raise ValueError("src and dst must differ")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        collected: list[tuple[float, int, tuple[str, ...]]] = []
+        try:
+            gen = nx.shortest_simple_paths(self._net.graph, src, dst, weight="length_km")
+            for nodes in gen:
+                length = self._length(nodes)
+                collected.append((length, len(nodes) - 1, tuple(nodes)))
+                if len(collected) >= k:
+                    # paths arrive in nondecreasing length; once the newest one is
+                    # strictly longer than the kth-best we have every tie candidate
+                    kth = sorted(collected)[k - 1][0]
+                    if length > kth * (1 + 1e-12) + 1e-12:
+                        break
+        except nx.NetworkXNoPath:
+            pass
+        collected.sort()
+        result = tuple(self._candidate(nodes, length) for length, _, nodes in collected[:k])
+        self._candidates[(src, dst, k)] = result
+        return result
+
+    def _candidate(self, nodes: tuple[str, ...], length_km: float) -> CandidatePath:
+        links = self._net.path_links(nodes)
+        return CandidatePath(nodes, links, length_km, len(links),
+                             tuple(link.index for link in links))
+
+    def delay_order(self, src: str, dst: str, k: int, params: LatencyParams) -> tuple[int, ...]:
+        """Indices into ``candidates(src, dst, k)`` by ascending propagation delay.
+
+        The sort is stable, so it is the identity whenever the delay order
+        agrees with the shortest-path order.  It depends only on the
+        topology, ``k`` and the two delay parameters, never on occupancy.
+        """
+        key = (src, dst, k, params.prop_s_per_km, params.per_hop_overhead_s)
+        order = self._delay.get(key)
+        if order is None:
+            paths = self.candidates(src, dst, k)
+            order = tuple(sorted(range(len(paths)), key=lambda i: alpha(params, paths[i])))
+            self._delay[key] = order
+        return order
+
+    def background(self, src: str, dst: str) -> tuple[Link, ...]:
+        """Links of the Dijkstra shortest path by length_km."""
+        links = self._background.get((src, dst))
+        if links is None:
+            nodes = nx.dijkstra_path(self._net.graph, src, dst, weight="length_km")
+            links = self._background[(src, dst)] = self._net.path_links(nodes)
+        return links
 
 
 @dataclass(frozen=True)
@@ -197,22 +297,10 @@ class Network:
         self._release_heap: list[tuple[float, str]] = []
         self._stream: _BackgroundStream | None = None
         self._bg_counter = 0
-        # caches keyed on the immutable topology; safe for a single writer
-        self._ksp_cache: dict = {}
-        self._order_cache: dict = {}
-        self._sp_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
+        self.paths = PathCatalog(self)
 
     # ------------------------------------------------------------------
     # topology queries
-
-    @property
-    def occupancy_matrix(self) -> np.ndarray:
-        """Read-only (n_links, F) uint8 matrix, row i derived from ``links[i].bits``."""
-        matrix = np.empty((len(self.links), self.fs_total), dtype=np.uint8)
-        for link in self.links:
-            matrix[link.index] = unpack_bits(link.bits, self.fs_total)
-        matrix.setflags(write=False)
-        return matrix
 
     def link_between(self, a: str, b: str) -> Link:
         try:
@@ -262,19 +350,10 @@ class Network:
             return
         self._stream = _BackgroundStream(model, self.nodes, self.now)
 
-    def _shortest_path_links(self, src: str, dst: str) -> tuple[Link, ...]:
-        key = (src, dst)
-        cached = self._sp_cache.get(key)
-        if cached is None:
-            nodes = nx.dijkstra_path(self.graph, src, dst, weight="length_km")
-            cached = self.path_links(nodes)
-            self._sp_cache[key] = cached
-        return cached
-
     def _admit_background(self, t: float, src: str, dst: str, demand: int, hold: float) -> bool:
         if demand > self.fs_total:
             return False
-        links = self._shortest_path_links(src, dst)
+        links = self.paths.background(src, dst)
         start = first_free_run(path_bits(links), demand, self.fs_total)
         if start is None:
             return False
@@ -547,25 +626,6 @@ def bit_positions(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
-
-
-# ----------------------------------------------------------------------
-# array views (tests and callers holding slot vectors)
-
-
-def path_aggregate_occupancy(net: Network, links: Sequence[Link]) -> np.ndarray:
-    """Elementwise OR of link occupancy along the path (fresh array).
-
-    A slot is free for the path iff it is free on every link.
-    """
-    if not links:
-        raise ValueError("empty path")
-    return unpack_bits(path_bits(links), net.fs_total)
-
-
-def first_free_block(occupancy: np.ndarray, width: int) -> int | None:
-    """Lowest start slot of a free block of ``width`` slots, or None."""
-    return first_free_run(pack_bits(occupancy), width, len(occupancy))
 
 
 def audit_occupancy(net: Network) -> None:

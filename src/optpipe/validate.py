@@ -5,8 +5,8 @@ written the slow, obvious way: closed-form pipeline algebra, exhaustive
 path/block enumeration, direct transition-count loops, and log replay.
 A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
-The test suite imports the same ``ref_*`` functions, ``random_instance``
-and ``free_block_starts``; there is no second copy.
+The test suite imports the same ``ref_*`` functions, ``random_instance``,
+``free_block_starts`` and ``one_link_exhaustive``; there is no second copy.
 """
 
 from __future__ import annotations
@@ -190,21 +190,45 @@ def check_bubble_closed_form() -> tuple[bool, str]:
     return worst < 1e-9, f"max |simulated - analytic| = {worst:.2e}"
 
 
-def check_ci_reference() -> tuple[bool, str]:
-    F = 8
-    worst = 0.0
+def one_link_exhaustive(F: int) -> tuple[int, str | None]:
+    """Production CBA scoring against the reference on a one-link path.
+
+    For every occupancy vector of F slots, every width 1..F and every mode,
+    ``rsa.fitness`` must equal ``ref_gamma`` and ``select_cba`` must return
+    ``ref_select``'s block and gamma, all exactly.  Returns the number of
+    evaluations and the first mismatch, or None.
+    """
+    net = topology.Network(["A", "B"], [("A", "B", 1.0)], fs_total=F)
+    path = net.paths.candidates("A", "B", 1)[0]
+    params = LatencyParams()
+    evaluations = 0
     for bits in range(2 ** F):
         occ = [(bits >> j) & 1 for j in range(F)]
-        arr = np.array(occ, dtype=np.uint8)
-        for f0 in range(F):
-            for f1 in range(f0, F):
-                for mode in rsa.CiMode:
-                    got = rsa.contiguity_index(arr, (f0, f1), mode)
-                    want = ref_ci(occ, f0, f1, mode)
-                    if not (0.0 <= got <= 1.0):
-                        return False, f"CI out of range for {occ} block ({f0},{f1})"
-                    worst = max(worst, abs(got - want))
-    return worst < 1e-12, f"max |production - reference| = {worst:.2e}"
+        topology.set_link_occupancy(net, 0, occ)
+        for width in range(1, F + 1):
+            for mode in rsa.CiMode:
+                evaluations += 1
+                got = rsa.fitness(net, path, width, mode)
+                want = ref_gamma(net, path.nodes, width, mode)[0]
+                sel = rsa.select_cba(net, "A", "B", width, 1, mode)
+                _, want_start, want_gamma = ref_select(net, "A", "B", width, 1, mode,
+                                                       "cba", params)
+                got_start = sel.block.f_start if sel.block else None
+                if (got, got_start, sel.fitness) != (want, want_start, want_gamma or 0.0):
+                    return evaluations, (
+                        f"occupancy {occ} width {width} {mode.value}: fitness {got!r}, "
+                        f"selected {sel.fitness!r} at {got_start}; want {want!r}, "
+                        f"selected {want_gamma!r} at {want_start}"
+                    )
+    return evaluations, None
+
+
+def check_ci_reference() -> tuple[bool, str]:
+    evaluations, mismatch = one_link_exhaustive(8)
+    if mismatch is not None:
+        return False, mismatch
+    return True, (f"{evaluations} one-link cases at F=8: fitness and CBA's block "
+                  "equal the reference")
 
 
 def check_selection_bruteforce(n_instances: int = 200) -> tuple[bool, str]:
@@ -349,8 +373,8 @@ def check_occupancy_rebuild() -> tuple[bool, str]:
             i, j = rng.choice(len(nodes), size=2, replace=False)
             paths = rsa.k_shortest_paths(net, nodes[int(i)], nodes[int(j)], 1)
             width = int(rng.integers(1, 4))
-            agg = topology.path_aggregate_occupancy(net, paths[0].links)
-            start = topology.first_free_block(agg, width)
+            start = topology.first_free_run(topology.path_bits(paths[0].links), width,
+                                            net.fs_total)
             if start is None:
                 continue
             owner = f"chk-{step}"

@@ -19,7 +19,7 @@ import pytest
 from optpipe import cli, validate
 from optpipe.engine import PolicyConfig, bubble_ratio, simulate_iteration
 from optpipe.latency import LatencyParams
-from optpipe.rsa import CiMode, contiguity_index, select_cba, select_ksp_ff, select_sd_ff
+from optpipe.rsa import CiMode, select_cba, select_ksp_ff, select_sd_ff
 from optpipe.topology import load_nsfnet
 from optpipe.workload import ScheduleKind, build_profile, build_schedule, partition_stages
 
@@ -111,25 +111,16 @@ def test_2_bruteforce_rsa_equivalence():
 
 
 def test_3_contiguity_exhaustive():
+    # every occupancy vector, width and mode: production fitness and CBA's
+    # block on a one-link path equal the slot-by-slot reference exactly
     t0 = time.time()
-    F = 10
-    worst = 0.0
-    checked = 0
-    for bits in range(2 ** F):
-        occ = [(bits >> j) & 1 for j in range(F)]
-        arr = np.array(occ, dtype=np.uint8)
-        for f0 in range(F):
-            for f1 in range(f0, F):
-                for mode in CiMode:
-                    got = contiguity_index(arr, (f0, f1), mode)
-                    assert 0.0 <= got <= 1.0
-                    worst = max(worst, abs(got - validate.ref_ci(occ, f0, f1, mode)))
-                    checked += 1
+    checked, mismatch = validate.one_link_exhaustive(10)
     elapsed = time.time() - t0
-    ok = worst < 1e-12 and elapsed < 10
+    ok = mismatch is None and elapsed < 10
     report(3, "contiguity exhaustiveness", ok,
-           f"{checked} evaluations, max dev {worst:.2e}, {elapsed:.1f}s")
-    assert worst < 1e-12
+           f"{checked} evaluations, {mismatch or 'no mismatch'}, {elapsed:.1f}s")
+    assert mismatch is None
+    assert checked == 2 ** 10 * 10 * len(CiMode)
     assert elapsed < 10
 
 

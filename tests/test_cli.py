@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from optpipe import cli, rsa
+from optpipe import cli, rsa, topology, validate
 from optpipe.cli import ConfigError, RunConfig
 from optpipe.engine import SELECTORS
 
@@ -71,6 +71,15 @@ class TestConfig:
     def test_loaded_preset_prewarm_follows_hold_override(self):
         cfg = RunConfig.from_flat({"bg.preset": "loaded", "bg.mean_hold_s": 0.6})
         assert cfg.prewarm_s() == pytest.approx(3.0)
+
+    def test_loaded_preset_demand_overrides(self):
+        cfg = RunConfig.from_flat({"bg.preset": "loaded", "bg.fs_demand_min": 1,
+                                   "bg.fs_demand_max": 3})
+        assert cfg.background(5).fs_demand_range == (1, 3)
+        only_max = RunConfig.from_flat({"bg.preset": "loaded", "bg.fs_demand_max": 4})
+        assert only_max.background(5).fs_demand_range == (2, 4)
+        assert RunConfig.from_flat({"bg.preset": "loaded"}).background(5) == (
+            topology.loaded_background(5))
 
     def test_shipped_loaded_config_parses(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json")
@@ -231,6 +240,15 @@ class TestMain:
             ('{"bg.preset": "loaded", "bg.prewarm_s": -1.0}', "bg.prewarm_s"),
             ('{"topology.path": "no/such/topology.json"}', "topology.path"),
             ('{"fs.base": 8, "fs.max": 4}', "fs.base"),
+            ('{"bg.preset": "loaded", "bg.fs_demand_min": 11}', "bg.fs_demand_min"),
+            ('{"bg.preset": "loaded", "bg.fs_demand_max": 1}', "bg.fs_demand_max"),
+            ('{"bg.preset": "loaded", "bg.fs_demand_min": 4, "bg.fs_demand_max": 3}',
+             "bg.fs_demand_min"),
+            ('{"bg.preset": "off", "bg.arrival_rate_per_s": 5.0}', "bg.arrival_rate_per_s"),
+            ('{"bg.mean_hold_s": 2.0}', "bg.mean_hold_s"),
+            ('{"bg.preset": "off", "bg.fs_demand_min": 1}', "bg.fs_demand_min"),
+            ('{"bg.preset": "off", "bg.fs_demand_max": 3}', "bg.fs_demand_max"),
+            ('{"bg.preset": "off", "bg.prewarm_s": 1.0}', "bg.prewarm_s"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):
@@ -272,9 +290,12 @@ class TestMain:
             sel = real(net, src, dst, width, k)
             if sel.blocked:
                 return sel
-            higher = [b for b in rsa.find_candidate_blocks(net, sel.path, width)
-                      if b.f_start > sel.block.f_start]
-            return dataclasses.replace(sel, block=higher[0]) if higher else sel
+            higher = [f for f in validate.ref_blocks(net, sel.path.nodes, width)
+                      if f > sel.block.f_start]
+            if not higher:
+                return sel
+            return dataclasses.replace(sel, block=rsa.CandidateBlock(higher[0],
+                                                                     higher[0] + width - 1))
 
         monkeypatch.setattr(rsa, "select_ksp_ff", next_higher_block)
         assert cli.main(["validate"]) == 1

@@ -8,9 +8,6 @@ from optpipe import validate
 from optpipe.latency import LatencyParams
 from optpipe.rsa import (
     CiMode,
-    availability_factor,
-    contiguity_index,
-    find_candidate_blocks,
     fitness,
     k_shortest_paths,
     select_cba,
@@ -19,10 +16,10 @@ from optpipe.rsa import (
 )
 from optpipe.topology import (
     Network,
-    advance_network,
     allocate_spectrum,
-    load_nsfnet,
-    loaded_background,
+    bit_positions,
+    free_run_starts,
+    path_bits,
     set_link_occupancy,
 )
 
@@ -69,18 +66,20 @@ class TestKShortestPaths:
             assert len(set(p.nodes)) == len(p.nodes)  # simple path
 
 
+def free_starts(net: Network, path, width: int) -> list[int]:
+    return bit_positions(free_run_starts(path_bits(path.links), width, net.fs_total))
+
+
 class TestCandidateBlocks:
     def test_empty_spectrum_all_starts(self, triangle):
         (path,) = k_shortest_paths(triangle, "A", "C", 1)
-        blocks = find_candidate_blocks(triangle, path, 4)
-        assert [b.f_start for b in blocks] == [0, 1, 2, 3, 4]
+        assert free_starts(triangle, path, 4) == [0, 1, 2, 3, 4]
 
     def test_half_occupied_single_block(self, triangle):
         occupy(triangle, "A", "B", (0, 3), "x")
         occupy(triangle, "B", "C", (0, 3), "y")
         (path,) = k_shortest_paths(triangle, "A", "C", 1)
-        blocks = find_candidate_blocks(triangle, path, 4)
-        assert [(b.f_start, b.f_end) for b in blocks] == [(4, 7)]
+        assert free_starts(triangle, path, 4) == [4]
 
     def test_alternating_occupancy_no_pairs(self, two_dc):
         for f in (0, 2, 4, 6):
@@ -88,47 +87,43 @@ class TestCandidateBlocks:
         net = Network(["A", "B"], [("A", "B", 1.0)], fs_total=8)
         set_link_occupancy(net, 0, bits("10101010"))
         (path,) = k_shortest_paths(net, "A", "B", 1)
-        assert find_candidate_blocks(net, path, 2) == []
+        assert free_starts(net, path, 2) == []
 
     def test_width_bounds(self, triangle):
         (path,) = k_shortest_paths(triangle, "A", "C", 1)
-        with pytest.raises(ValueError):
-            find_candidate_blocks(triangle, path, 0)
-        with pytest.raises(ValueError):
-            find_candidate_blocks(triangle, path, 9)
+        assert free_starts(triangle, path, 0) == []
+        assert free_starts(triangle, path, 9) == []
 
 
 class TestContiguityIndex:
+    """Hand-computed cases of the slot-by-slot reference ``validate.ref_ci``."""
+
     def test_all_free_literal_is_one(self):
-        assert contiguity_index(bits("00000000"), (2, 5), CiMode.LITERAL) == 1.0
+        assert validate.ref_ci([0] * 8, 2, 5, CiMode.LITERAL) == 1.0
 
     def test_literal_interior_only(self):
         # occupied run at 3-4; window [4,7] has no free-to-occupied step inside
-        assert contiguity_index(bits("00011000"), (4, 7), CiMode.LITERAL) == 1.0
+        assert validate.ref_ci([0, 0, 0, 1, 1, 0, 0, 0], 4, 7, CiMode.LITERAL) == 1.0
 
     def test_window_mode_right_edge(self):
-        occ = bits("00000100")
-        assert contiguity_index(occ, (0, 3), CiMode.WINDOW) == 1.0
-        got = contiguity_index(occ, (1, 4), CiMode.WINDOW)
+        occ = [0, 0, 0, 0, 0, 1, 0, 0]
+        assert validate.ref_ci(occ, 0, 3, CiMode.WINDOW) == 1.0
+        got = validate.ref_ci(occ, 1, 4, CiMode.WINDOW)
         assert got == pytest.approx(1 - 1 / 3, abs=1e-12)
 
     def test_degenerate_block_literal_is_one(self):
-        assert contiguity_index(bits("10101010"), (3, 3), CiMode.LITERAL) == 1.0
+        assert validate.ref_ci([1, 0, 1, 0, 1, 0, 1, 0], 3, 3, CiMode.LITERAL) == 1.0
 
     def test_global_mode_ignores_block_position(self):
-        occ = bits("0110010011")
+        occ = [0, 1, 1, 0, 0, 1, 0, 0, 1, 1]
         vals = {
-            contiguity_index(occ, (f0, f1), CiMode.GLOBAL)
+            validate.ref_ci(occ, f0, f1, CiMode.GLOBAL)
             for f0 in range(10)
             for f1 in range(f0, 10)
         }
         assert len(vals) == 1
         # three free-to-occupied steps over nine positions
         assert vals.pop() == pytest.approx(1 - 3 / 9, abs=1e-12)
-
-    def test_block_outside_vector_rejected(self):
-        with pytest.raises(ValueError):
-            contiguity_index(bits("0000"), (2, 4))
 
     @given(
         occ=st.lists(st.integers(0, 1), min_size=1, max_size=12),
@@ -137,29 +132,19 @@ class TestContiguityIndex:
     )
     @settings(max_examples=300, deadline=None)
     def test_range_and_reference(self, occ, data, mode):
+        # production fitness and CBA's block on a one-link path, exactly
         F = len(occ)
-        f0 = data.draw(st.integers(0, F - 1))
-        f1 = data.draw(st.integers(f0, F - 1))
-        got = contiguity_index(np.array(occ, dtype=np.uint8), (f0, f1), mode)
-        assert 0.0 <= got <= 1.0
-        assert got == pytest.approx(validate.ref_ci(occ, f0, f1, mode), abs=1e-12)
-
-
-class TestAvailabilityFactor:
-    def test_empty_spectrum(self, two_dc):
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
-        assert availability_factor(two_dc, path) == 1.0
-
-    def test_half_occupied(self, two_dc):
-        occupy(two_dc, "A", "B", (0, 39), "x")
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
-        assert availability_factor(two_dc, path) == 0.5
-
-    def test_fully_occupied_path_unavailable(self, two_dc):
-        occupy(two_dc, "A", "B", (0, 79), "x")
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
-        assert availability_factor(two_dc, path) == 0.0
-        assert fitness(two_dc, path, 4) == 0.0
+        width = data.draw(st.integers(1, F))
+        net = Network(["A", "B"], [("A", "B", 7.0)], fs_total=F)
+        set_link_occupancy(net, 0, occ)
+        (path,) = k_shortest_paths(net, "A", "B", 1)
+        want, starts, _ = validate.ref_gamma(net, path.nodes, width, mode)
+        assert fitness(net, path, width, mode) == want
+        sel = select_cba(net, "A", "B", width, 1, mode)
+        _, want_start, _ = validate.ref_select(net, "A", "B", width, 1, mode, "cba",
+                                               LatencyParams())
+        assert (sel.block.f_start if sel.block else None) == want_start
+        assert sel.fitness == want and (want > 0.0) == bool(starts)
 
 
 class TestFitness:
@@ -171,7 +156,7 @@ class TestFitness:
     def test_empty_single_link_literal(self, two_dc):
         # 77 blocks, each contiguity 1, availability 1 -> 1/100 km
         (path,) = k_shortest_paths(two_dc, "A", "B", 1)
-        assert len(find_candidate_blocks(two_dc, path, 4)) == 77
+        assert len(free_starts(two_dc, path, 4)) == 77
         assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.01, abs=1e-15)
 
     def test_constructed_half_occupancy_window_mean(self, two_dc):
@@ -281,11 +266,11 @@ class TestSelectors:
 
     def test_selectors_do_not_mutate_network(self, nsfnet):
         occupy(nsfnet, "PA", "NY", (0, 9), "x")
-        before = nsfnet.occupancy_matrix.copy()
+        before = [link.bits for link in nsfnet.links]
         select_cba(nsfnet, "IL", "NY", 4, 5)
         select_ksp_ff(nsfnet, "IL", "NY", 4, 5)
         select_sd_ff(nsfnet, "IL", "NY", 4, 5, LatencyParams())
-        assert np.array_equal(before, nsfnet.occupancy_matrix)
+        assert [link.bits for link in nsfnet.links] == before
 
     def test_first_fit_never_skips_lower_block(self):
         rng = np.random.default_rng(23)
@@ -332,63 +317,3 @@ class TestBruteForceEquivalence:
                     sel.block.f_start if sel.block else None,
                 ) == want[:2], f"instance {i} {name}"
 
-
-def _diamond() -> Network:
-    """Three routes A->D whose links are fragmented differently, F=16."""
-    net = Network(
-        ["A", "B", "C", "D"],
-        [("A", "B", 1.0), ("B", "D", 1.0), ("A", "C", 1.2), ("C", "D", 1.0), ("A", "D", 2.5)],
-        fs_total=16,
-    )
-    for a, b, block, owner in [
-        ("A", "B", (0, 2), "p"), ("A", "B", (7, 8), "q"), ("B", "D", (4, 5), "r"),
-        ("B", "D", (12, 15), "s"), ("A", "C", (3, 3), "t"), ("C", "D", (9, 11), "u"),
-        ("A", "D", (0, 0), "v"), ("A", "D", (6, 6), "w"),
-    ]:
-        occupy(net, a, b, block, owner)
-    return net
-
-
-def _loaded_nsfnet() -> Network:
-    net = load_nsfnet()
-    net.attach_background(loaded_background(3))
-    advance_network(net, 30.0)
-    return net
-
-
-class TestCiPerLink:
-    """Pinned selections with per-link contiguity averaging (``ci_per_link``).
-
-    Each case differs from the path-aggregate rule in path, block or score,
-    so the pins tell the two rules apart.
-    """
-
-    @pytest.mark.parametrize(
-        "make, src, dst, width, mode, gamma, nodes, f_start",
-        [
-            (_diamond, "A", "D", 1, CiMode.WINDOW, 0.5333333333333333, ("A", "B", "D"), 9),
-            (_diamond, "A", "D", 3, CiMode.WINDOW, 0.5714285714285714, ("A", "B", "D"), 9),
-            (_diamond, "A", "D", 3, CiMode.GLOBAL, 0.2597402597402597, ("A", "C", "D"), 0),
-            (_diamond, "A", "D", 4, CiMode.WINDOW, 0.4906204906204905, ("A", "C", "D"), 4),
-            (_diamond, "A", "D", 4, CiMode.GLOBAL, 0.34632034632034625, ("A", "C", "D"), 4),
-            (_loaded_nsfnet, "WA", "DC", 1, CiMode.WINDOW, 0.00044028618602091364,
-             ("WA", "IL", "PA", "NY", "NJ", "DC"), 69),
-            (_loaded_nsfnet, "WA", "DC", 3, CiMode.GLOBAL, 8.479966080135679e-05,
-             ("WA", "CA1", "UT", "MI", "DC"), 32),
-            (_loaded_nsfnet, "WA", "DC", 4, CiMode.WINDOW, 0.00047619047619047614,
-             ("WA", "IL", "PA", "DC"), 41),
-            (_loaded_nsfnet, "WA", "DC", 4, CiMode.GLOBAL, 0.00011306621440180906,
-             ("WA", "CA1", "UT", "MI", "DC"), 62),
-        ],
-    )
-    def test_pinned_selection(self, make, src, dst, width, mode, gamma, nodes, f_start):
-        net = make()
-        sel = select_cba(net, src, dst, width, 5, mode, ci_per_link=True)
-        assert sel.path.nodes == nodes
-        assert (sel.block.f_start, sel.block.f_end) == (f_start, f_start + width - 1)
-        assert sel.fitness == gamma
-        assert fitness(net, sel.path, width, mode, ci_per_link=True) == gamma
-
-    def test_blocked_when_nothing_fits(self):
-        sel = select_cba(_loaded_nsfnet(), "WA", "DC", 8, 5, CiMode.WINDOW, ci_per_link=True)
-        assert sel.blocked and sel.fitness == 0.0

@@ -17,13 +17,12 @@ from optpipe.topology import (
     allocate_spectrum,
     audit_occupancy,
     bit_positions,
-    first_free_block,
     first_free_run,
     free_run_starts,
     load_nsfnet,
     load_topology,
     pack_bits,
-    path_aggregate_occupancy,
+    path_bits,
     release_spectrum,
     set_link_occupancy,
     unpack_bits,
@@ -38,7 +37,7 @@ class TestLoadTopology:
         assert len(net.links) == 21
         assert net.fs_total == 80
         assert net.slot_width_ghz == 12.5
-        assert all((net.occupancy_matrix == 0).ravel())
+        assert all(link.bits == 0 for link in net.links)
 
     def test_minimal_two_node_graph(self):
         net = load_topology(
@@ -141,18 +140,16 @@ class TestSpectrumOps:
 class TestOccupancyViews:
     def test_views_are_read_only(self, two_dc):
         allocate_spectrum(two_dc, [two_dc.link_between("A", "B")], (0, 3), "t1", 5.0)
-        matrix = two_dc.occupancy_matrix
-        assert matrix.shape == (1, 80) and matrix[0, :5].tolist() == [1, 1, 1, 1, 0]
+        view = two_dc.links[0].occupancy
+        assert view.shape == (80,) and view[:5].tolist() == [1, 1, 1, 1, 0]
         with pytest.raises(ValueError):
-            matrix[0, 10] = 1
-        with pytest.raises(ValueError):
-            two_dc.links[0].occupancy[10] = 1
-        assert two_dc.occupancy_matrix.sum() == 4
+            view[10] = 1
+        assert two_dc.links[0].bits == 0b1111
 
     def test_setter_overwrites_one_link(self, triangle):
         set_link_occupancy(triangle, 1, [0, 1, 1, 0, 0, 0, 0, 1])
         assert triangle.links[1].occupancy.tolist() == [0, 1, 1, 0, 0, 0, 0, 1]
-        assert triangle.occupancy_matrix.sum() == 3
+        assert [link.bits for link in triangle.links] == [0, 0b10000110, 0]
 
     def test_setter_rejects_bad_vectors_and_allocated_links(self, triangle):
         with pytest.raises(ValueError):
@@ -167,24 +164,23 @@ class TestOccupancyViews:
 class TestAggregateOccupancy:
     def test_all_free(self, nsfnet):
         links = nsfnet.path_links(["WA", "CA1", "UT"])
-        assert path_aggregate_occupancy(nsfnet, links).sum() == 0
+        assert path_bits(links) == 0
 
     def test_or_semantics(self):
         net = Network(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)], fs_total=4)
         l1, l2 = net.link_between("A", "B"), net.link_between("B", "C")
         allocate_spectrum(net, [l1], (0, 1), "x", 9.0)   # 1100
         allocate_spectrum(net, [l2], (1, 2), "y", 9.0)   # 0110
-        agg = path_aggregate_occupancy(net, [l1, l2])
-        assert agg.tolist() == [1, 1, 1, 0]
+        assert path_bits([l1, l2]) == 0b0111
 
     def test_single_link_identity(self, two_dc):
         link = two_dc.link_between("A", "B")
         allocate_spectrum(two_dc, [link], (7, 9), "x", 9.0)
-        assert np.array_equal(path_aggregate_occupancy(two_dc, [link]), link.occupancy)
+        assert path_bits([link]) == link.bits == 0b1110000000
 
     def test_empty_path_rejected(self, two_dc):
-        with pytest.raises(ValueError):
-            path_aggregate_occupancy(two_dc, [])
+        with pytest.raises(ValueError, match="empty path"):
+            allocate_spectrum(two_dc, [], (0, 1), "x", 9.0)
 
 
 class TestAdvanceNetwork:
@@ -240,7 +236,7 @@ class TestAdvanceNetwork:
         many.attach_background(bg)
         total_many = sum(advance_network(many, t) for t in np.linspace(0.1, 10.0, 47))
         assert total_one == total_many
-        assert np.array_equal(one.occupancy_matrix, many.occupancy_matrix)
+        assert [link.bits for link in one.links] == [link.bits for link in many.links]
 
     def test_zero_rate_draws_nothing(self, nsfnet):
         nsfnet.attach_background(BackgroundTrafficModel(0.0, 1.0, (1, 2), 0))
@@ -256,9 +252,9 @@ class TestInvariants:
                 release_spectrum(nsfnet, owners.pop(int(rng.integers(len(owners)))))
             else:
                 i, j = rng.choice(len(nsfnet.nodes), size=2, replace=False)
-                links = nsfnet._shortest_path_links(nsfnet.nodes[int(i)], nsfnet.nodes[int(j)])
+                links = nsfnet.paths.background(nsfnet.nodes[int(i)], nsfnet.nodes[int(j)])
                 width = int(rng.integers(1, 6))
-                start = first_free_block(path_aggregate_occupancy(nsfnet, links), width)
+                start = first_free_run(path_bits(links), width, nsfnet.fs_total)
                 if start is None:
                     continue
                 owner = f"o{step}"
@@ -271,10 +267,10 @@ class TestInvariants:
             net = load_nsfnet()
             net.attach_background(BackgroundTrafficModel(20.0, 2.0, (1, 8), seed))
             advance_network(net, 30.0)
-            return net.occupancy_matrix.copy()
+            return [link.bits for link in net.links]
 
-        assert np.array_equal(occupancy_after(5), occupancy_after(5))
-        assert not np.array_equal(occupancy_after(5), occupancy_after(6))
+        assert occupancy_after(5) == occupancy_after(5)
+        assert occupancy_after(5) != occupancy_after(6)
 
 
 @given(
