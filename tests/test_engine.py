@@ -110,6 +110,17 @@ class TestCrossDcTransfer:
 
 
 class TestBubbleRatio:
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_gpipe_analytic_formula(self, m):
+        # pinned GPipe points at p=8, m=64 beyond the property's range below
+        p = 8
+        net = load_nsfnet()
+        stages = toy_stages(p, ["WA"] * p, fwd=2e-3, bwd=4e-3)
+        tasks = build_schedule(ScheduleKind.GPIPE, stages, m)
+        tl = simulate_iteration(net, stages, tasks, PolicyConfig(), ZERO_COMM, msg_bits=0.0)
+        assert bubble_ratio(tl, p) == pytest.approx((p - 1) / (m + p - 1), abs=1e-9)
+        assert tl.iteration_makespan == pytest.approx((m + p - 1) * 6e-3, abs=1e-12)
+
     @given(
         schedule=st.sampled_from(list(ScheduleKind)),
         p=st.integers(1, 8),

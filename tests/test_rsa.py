@@ -147,6 +147,34 @@ class TestContiguityIndex:
         assert sel.fitness == want and (want > 0.0) == bool(starts)
 
 
+class TestAvailabilityFactor:
+    """The availability divisor of ``fitness``: the mean per-link free fraction."""
+
+    def test_empty_spectrum(self, two_dc):
+        # divisor 1: 1/100 km times contiguity 1
+        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.01, abs=1e-15)
+
+    def test_half_occupied(self, two_dc, triangle):
+        occupy(two_dc, "A", "B", (0, 39), "x")
+        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.02, abs=1e-15)
+        # two links, 4 of 16 slots occupied: divisor 0.75 over 2 km
+        occupy(triangle, "A", "B", (0, 3), "y")
+        (path,) = k_shortest_paths(triangle, "A", "C", 1)
+        assert path.nodes == ("A", "B", "C")
+        got = fitness(triangle, path, 2, CiMode.LITERAL)
+        assert got == pytest.approx(1 / (2 * 0.75), abs=1e-12)
+        assert got == validate.ref_gamma(triangle, path.nodes, 2, CiMode.LITERAL)[0]
+
+    def test_fully_occupied_path_unavailable(self, two_dc):
+        occupy(two_dc, "A", "B", (0, 79), "x")
+        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        assert fitness(two_dc, path, 4) == 0.0
+        sel = select_cba(two_dc, "A", "B", 4, 1)
+        assert sel.blocked and sel.fitness == 0.0
+
+
 class TestFitness:
     def test_unavailable_path_scores_zero(self, two_dc):
         occupy(two_dc, "A", "B", (0, 79), "x")

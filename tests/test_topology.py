@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optpipe.latency import LatencyParams, alpha
 from optpipe.topology import (
     BackgroundTrafficModel,
     Network,
@@ -181,6 +183,56 @@ class TestAggregateOccupancy:
     def test_empty_path_rejected(self, two_dc):
         with pytest.raises(ValueError, match="empty path"):
             allocate_spectrum(two_dc, [], (0, 1), "x", 9.0)
+
+
+class TestPathCatalog:
+    def test_entries_are_memoised(self, nsfnet):
+        paths = nsfnet.paths
+        params = LatencyParams()
+        assert paths.candidates("WA", "DC", 5) is paths.candidates("WA", "DC", 5)
+        assert paths.delay_order("WA", "DC", 5, params) is paths.delay_order("WA", "DC", 5, params)
+        assert paths.background("WA", "DC") is paths.background("WA", "DC")
+
+    def test_candidates_carry_their_links(self, nsfnet):
+        for path in nsfnet.paths.candidates("WA", "DC", 5):
+            assert path.links == nsfnet.path_links(path.nodes)
+            assert path.link_indices == tuple(link.index for link in path.links)
+            assert path.hop_count == len(path.nodes) - 1
+            assert path.length_km == pytest.approx(sum(link.length_km for link in path.links))
+
+    def test_background_is_the_dijkstra_route(self, nsfnet):
+        differ = 0
+        for src in nsfnet.nodes:
+            for dst in nsfnet.nodes:
+                if src == dst:
+                    continue
+                nodes = nx.dijkstra_path(nsfnet.graph, src, dst, weight="length_km")
+                assert nsfnet.paths.background(src, dst) == nsfnet.path_links(nodes)
+                differ += tuple(nodes) != nsfnet.paths.candidates(src, dst, 1)[0].nodes
+        # length ties broken differently; see the PathCatalog docstring
+        assert differ == 29
+        assert nsfnet.paths.candidates("PA", "NJ", 1)[0].nodes == ("PA", "DC", "NJ")
+        assert nsfnet.paths.background("PA", "NJ") == nsfnet.path_links(["PA", "NY", "NJ"])
+
+    def test_delay_order(self, triangle, nsfnet):
+        # A-B-C: 2 km, 2 hops; A-C: 3 km, 1 hop
+        paths = triangle.paths
+        assert paths.delay_order("A", "C", 2, LatencyParams()) == (1, 0)
+        assert paths.delay_order("A", "C", 2, LatencyParams(per_hop_overhead_s=0.0)) == (0, 1)
+        params = LatencyParams()
+        cands = nsfnet.paths.candidates("WA", "DC", 8)
+        order = nsfnet.paths.delay_order("WA", "DC", 8, params)
+        assert sorted(order) == list(range(len(cands)))
+        delays = [alpha(params, cands[i]) for i in order]
+        assert delays == sorted(delays)
+
+    def test_bad_pairs(self):
+        net = Network(["A", "B", "C"], [("A", "B", 1.0)], fs_total=4)
+        assert net.paths.candidates("A", "C", 3) == ()
+        with pytest.raises(ValueError):
+            net.paths.candidates("A", "A", 1)
+        with pytest.raises(ValueError):
+            net.paths.candidates("A", "B", 0)
 
 
 class TestAdvanceNetwork:
