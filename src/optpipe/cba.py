@@ -183,10 +183,12 @@ def orchestrate(
 
     Labels from each finished iteration feed the next one's request plan for
     the adaptive policy; first-fit baselines always run with base demand.
+    The tasks are only read, so the same list serves every iteration.
     Egress state resets between iterations; network state (background
-    allocations and the arrival stream) carries over, with the clock rebased
-    so every iteration runs from t=0 with identical arithmetic.  The
-    occupancy invariant is audited after every iteration.
+    allocations and the arrival stream) carries over, and
+    ``simulate_iteration`` rebases the clock so every iteration runs from
+    t=0 with identical arithmetic.  The occupancy invariant is audited after
+    every iteration.
     """
     if bg is not None:
         net.attach_background(bg)
@@ -194,7 +196,6 @@ def orchestrate(
     boost = policy.boost_factor
     results: list[IterationResult] = []
     for it in range(config.n_iterations):
-        net.rebase(net.now)
         if policy.selector == "cba":
             req_labels, boost = plan_requests(labels, config, tasks, policy, boost)
             eff_policy = replace(policy, boost_factor=boost)
@@ -206,9 +207,6 @@ def orchestrate(
             request_labels=req_labels, msg_bits=msg_bits,
         )
         labels = label_cb_tasks(timeline, tasks, config.epsilon_bubble_s)
-        for task in tasks:
-            task.cb_label = task.id in labels.cb_tasks
-            task.blocked_flag = task.id in labels.blocked_tasks
         audit_occupancy(net)
         results.append(
             IterationResult(

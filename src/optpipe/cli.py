@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -241,6 +242,9 @@ class RunConfig:
             lo, hi = self._bg("bg.fs_demand_min"), self._bg("bg.fs_demand_max")
             key = "bg.fs_demand_min" if f["bg.fs_demand_min"] is not None else "bg.fs_demand_max"
             require(lo <= hi, key, f"effective demand range [{lo}, {hi}] needs min <= max")
+            require(hi <= f["topology.fs_total"], "bg.fs_demand_max",
+                    f"effective maximum demand {hi} must be <= topology.fs_total "
+                    f"({f['topology.fs_total']})")
         for model in {f["run.model"], *f["compare.models"]}:
             if model != "custom" and model not in workload.profile_presets():
                 raise ConfigError(
@@ -412,10 +416,10 @@ def run_cell(
 ) -> CellOutcome:
     """Run one (model, schedule, m, seed) cell for the given policies.
 
-    All policies observe the identical placement and background seed; each
-    gets its own fresh network so their spectrum evolution stays independent.
-    Every simulated iteration's event log is replay-audited and its CB labels
-    checked.
+    All policies observe the identical placement and background seed and
+    share one immutable stage and task list; each gets its own fresh network
+    so their spectrum evolution stays independent.  Every simulated
+    iteration's event log is replay-audited and its CB labels checked.
 
     KSP-FF and SD-FF differ only in the order in which they try the same
     candidate paths, and the simulation is deterministic.  When the cell runs
@@ -430,8 +434,9 @@ def run_cell(
     placement = cfg.placement(seed, p)
     params = cfg.latency_params()
     orch = cfg.orchestrator()
-    kind = workload.ScheduleKind(schedule)
     msg_bits = profile.msg_bytes_per_microbatch * 8
+    stages = workload.partition_stages(profile, p, placement)
+    tasks = workload.build_schedule(workload.ScheduleKind(schedule), stages, m)
 
     rows: list[list] = []
     audited = 0
@@ -442,7 +447,11 @@ def run_cell(
     for policy_name in policy_names:
         head = f"RUN\tpolicy={policy_name}\t"
         twin = _FIRST_FIT_TWIN.get(policy_name)
-        if twin in first_fit and _sd_ff_order_is_ksp_ff(twin_net, routed, k, params):
+        # ``net`` is the previous policy's network; the route orders depend
+        # only on the topology, which every policy's network shares
+        if twin in first_fit and _sd_ff_order_is_ksp_ff(
+            net, _routed_pairs(stages, tasks), k, params
+        ):
             twin_rows, twin_lines = first_fit[twin]
             twin_head = f"RUN\tpolicy={twin}\t"
             rows.extend([policy_name, *r[1:]] for r in twin_rows)
@@ -457,8 +466,6 @@ def run_cell(
         if bg is not None:
             net.attach_background(bg)
             topology.advance_network(net, cfg.prewarm_s())
-        stages = workload.partition_stages(profile, p, placement)
-        tasks = workload.build_schedule(kind, stages, m)
         results = cba.orchestrate(
             orch, net, stages, tasks, cfg.policy(policy_name), params,
             msg_bits=msg_bits, bg=bg,
@@ -487,7 +494,6 @@ def run_cell(
         event_lines.extend(policy_lines)
         if twin is not None:
             first_fit[policy_name] = (policy_rows, policy_lines)
-            twin_net, routed = net, _routed_pairs(stages, tasks)
     return CellOutcome(rows, audited, label_checks, event_lines, reused)
 
 
@@ -579,16 +585,10 @@ def compare_grid(
 
     outcomes: dict[tuple, CellOutcome] = {}
     work = [(cfg.flat, policies, *cell, collect_events) for cell in grid]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, (key, out) in enumerate(pool.map(_run_cell_job, work)):
-                outcomes[key] = out
-                if verbose:
-                    print(f"compare: cell {i + 1}/{len(work)} {key}",
-                          file=sys.stderr, flush=True)
-    else:
-        for i, args in enumerate(work):
-            key, out = _run_cell_job(args)
+    parallel = jobs > 1 and len(work) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext() as pool:
+        cell_map = pool.map if pool else map
+        for i, (key, out) in enumerate(cell_map(_run_cell_job, work)):
             outcomes[key] = out
             if verbose:
                 print(f"compare: cell {i + 1}/{len(work)} {key}",

@@ -1,24 +1,27 @@
 """Discrete-event simulation of one training iteration against the network.
 
 A compute task starts once its intra-stage predecessor has finished and its
-cross-stage input message (if any) has arrived.  When a task finishes, its
-outgoing message is issued immediately: the network state is advanced to the
-current time, the request's slot demand is sized from its label, and the
-configured selection policy picks a path and block.  A successful selection
-holds its spectrum from the issue instant until the transfer completes.  A
-blocked selection retries after a fixed backoff with the demand shrunk by
-one slot per attempt (floor 1); once retries are exhausted the message is
-delivered over a degraded fallback service (single-slot-equivalent time
-scaled by a penalty factor) so the iteration always completes.  Messages
-between stages in the same datacenter bypass the optical network.
+cross-stage input message (if any) has arrived: each task counts its unmet
+dependencies, and the event that meets the last one starts it at that
+instant.  When a task finishes, its outgoing message is issued immediately:
+the network state is advanced to the current time, the request's slot
+demand is sized from its label, and the configured selection policy picks a
+path and block.  A successful selection holds its spectrum from the issue
+instant until the transfer completes.  A blocked selection retries after a
+fixed backoff with the demand shrunk by one slot per attempt (floor 1); once
+retries are exhausted the message is delivered over a degraded fallback
+service (single-slot-equivalent time scaled by a penalty factor) so the
+iteration always completes.  Messages between stages in the same datacenter
+bypass the optical network.
 
 Event ordering is total and deterministic: (time, stage, task creation
 index, push sequence).  Given identical seeds and configuration, timelines
 serialize identically byte for byte.
 
-Timeline records store times relative to the iteration start; the network
-clock itself keeps running across iterations so background traffic carries
-over.
+Each iteration starts by rebasing the network clock to zero, so timeline
+records need no rewrite and every iteration runs with the same arithmetic;
+background allocations and the arrival stream shift with the clock and carry
+over between iterations.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ class TaskRecord:
     ready_time: float = math.nan
     start_time: float = math.nan
     finish_time: float = math.nan
-    msg_arrival: float | None = None
     msg_cross_dc: bool = False
 
 
@@ -121,7 +123,6 @@ class Timeline:
     blocking_events: list[BlockingEvent]
     iteration_makespan: float
     stage_busy: dict[int, float]
-    n_stages: int
 
     @property
     def cross_dc_requests(self) -> int:
@@ -187,7 +188,6 @@ class _Sim:
         self.bg = bg
         self.labels = request_labels
         self.msg_bits = msg_bits
-        self.t0 = net.now
         self.tasks = list(tasks)
         self.stage_dc = {s.stage_id: s.dc_node for s in stages}
         for dc in self.stage_dc.values():
@@ -206,9 +206,7 @@ class _Sim:
                 self.chain_next[t.chain_pred] = t.id
             if t.msg_pred is not None:
                 self.consumer_of[t.msg_pred] = t.id
-        self.chain_time: dict[int, float] = {}
-        self.msg_time: dict[int, float] = {}
-        self.started: set[int] = set()
+        self.unmet = [len(t.deps) for t in self.tasks]
         self.finished = 0
 
         self.heap: list[tuple[float, int, int, int, str, object]] = []
@@ -225,14 +223,14 @@ class _Sim:
 
     def run(self) -> Timeline:
         for t in self.tasks:
-            if t.chain_pred is None and t.msg_pred is None:
-                self._start(t, self.t0)
+            if not self.unmet[t.id]:
+                self._start(t, 0.0)
         while self.heap:
             time, _, _, _, kind, payload = heapq.heappop(self.heap)
             if kind == "finish":
                 self._on_finish(payload, time)  # type: ignore[arg-type]
             elif kind == "arrival":
-                self._on_arrival(payload, time)  # type: ignore[arg-type]
+                self._met(payload.id, time)  # type: ignore[attr-defined]
             else:
                 self._attempt(payload, time)  # type: ignore[arg-type]
         if self.finished != len(self.tasks):
@@ -240,8 +238,8 @@ class _Sim:
                 f"deadlock: {len(self.tasks) - self.finished} tasks never became ready "
                 "(cyclic dependencies?)"
             )
-        makespan_abs = max(r.finish_time for r in self.records) if self.records else self.t0
-        advance_network(self.net, makespan_abs, self.bg)
+        makespan = max((r.finish_time for r in self.records), default=0.0)
+        advance_network(self.net, makespan, self.bg)
         leaked = self.net.active_owners("tx-")
         if leaked:
             raise RuntimeError(f"training allocations leaked past iteration end: {leaked}")
@@ -249,24 +247,12 @@ class _Sim:
         stage_busy: dict[int, float] = {s: 0.0 for s in self.stage_dc}
         for t in self.tasks:
             stage_busy[t.stage_id] += t.compute_s
-        rel = self.t0
-        for r in self.records:
-            r.ready_time -= rel
-            r.start_time -= rel
-            r.finish_time -= rel
-            if r.msg_arrival is not None:
-                r.msg_arrival -= rel
-        for x in self.transfers:
-            x.issue_time -= rel
-            x.hold_start -= rel
-            x.complete_time -= rel
         return Timeline(
             tasks=self.records,
             transfers=self.transfers,
             blocking_events=self.blocking,
-            iteration_makespan=makespan_abs - rel,
+            iteration_makespan=makespan,
             stage_busy=stage_busy,
-            n_stages=len(self.stage_dc),
         )
 
     # ----------------------------------------------------------------
@@ -276,29 +262,23 @@ class _Sim:
         rec.ready_time = ready
         rec.start_time = ready
         rec.finish_time = ready + task.compute_s
-        self.started.add(task.id)
         self.push(rec.finish_time, task, "finish", task)
 
-    def _maybe_start(self, task: Task) -> None:
-        if task.id in self.started:
-            return
-        if task.chain_pred is not None and task.id not in self.chain_time:
-            return
-        if task.msg_pred is not None and task.id not in self.msg_time:
-            return
-        ready = max(
-            self.t0,
-            self.chain_time.get(task.id, self.t0),
-            self.msg_time.get(task.id, self.t0),
-        )
-        self._start(task, ready)
+    def _met(self, tid: int, now: float) -> None:
+        """One dependency of task ``tid`` is met at ``now``.
+
+        Events pop in nondecreasing time, so the event that meets the last
+        dependency is the latest one and ``now`` is the task's ready time.
+        """
+        self.unmet[tid] -= 1
+        if not self.unmet[tid]:
+            self._start(self.tasks[tid], now)
 
     def _on_finish(self, task: Task, now: float) -> None:
         self.finished += 1
         nxt = self.chain_next.get(task.id)
         if nxt is not None:
-            self.chain_time[nxt] = now
-            self._maybe_start(self.tasks[nxt])
+            self._met(nxt, now)
         cons = self.consumer_of.get(task.id)
         if cons is not None:
             consumer = self.tasks[cons]
@@ -319,11 +299,6 @@ class _Sim:
                 issue_time=now,
             )
             self._attempt(req, now)
-
-    def _on_arrival(self, consumer: Task, now: float) -> None:
-        self.msg_time[consumer.id] = now
-        self.records[consumer.id].msg_arrival = now
-        self._maybe_start(consumer)
 
     # ----------------------------------------------------------------
 
@@ -442,17 +417,18 @@ def simulate_iteration(
     request_labels: dict[int, RequestLabel] | None = None,
     msg_bits: float = 0.0,
 ) -> Timeline:
-    """Execute the task DAG once; returns the Timeline (relative times).
+    """Execute the task DAG once; returns its Timeline.
 
-    The network is taken as-is (background allocations may persist from
-    earlier iterations) and every training allocation is released by the
-    time this returns.
+    The network clock is first rebased so the iteration starts at t=0;
+    background allocations persist from earlier iterations, shifted with the
+    clock.  Every training allocation is released by the time this returns.
     """
     sim = _Sim(
         net, stages, tasks, policy, params,
         egress if egress is not None else EgressState(),
         bg, request_labels or {}, msg_bits,
     )
+    net.rebase(net.now)
     return sim.run()
 
 

@@ -128,12 +128,6 @@ class RequestLabel:
     cb: bool = False
     blocked: bool = False
 
-    @property
-    def kind(self) -> str:
-        if self.blocked:
-            return "blocked_flag"
-        return "cb" if self.cb else "normal"
-
 
 NORMAL = RequestLabel()
 

@@ -75,10 +75,6 @@ class CandidateBlock:
     f_start: int
     f_end: int
 
-    @property
-    def width(self) -> int:
-        return self.f_end - self.f_start + 1
-
 
 @dataclass(frozen=True)
 class SelectionResult:

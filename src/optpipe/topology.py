@@ -61,10 +61,6 @@ class Link:
     bits: int = 0
 
     @property
-    def endpoints(self) -> tuple[str, str]:
-        return (self.a, self.b)
-
-    @property
     def occupancy(self) -> np.ndarray:
         """Read-only uint8 slot vector (0 free, 1 occupied) derived from ``bits``."""
         arr = unpack_bits(self.bits, self.fs_total)

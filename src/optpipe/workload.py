@@ -140,14 +140,15 @@ def partition_stages(profile: ModelProfile, p: int, placement: Sequence[str]) ->
     return stages
 
 
-@dataclass
+@dataclass(frozen=True)
 class Task:
     """One forward or backward micro-batch computation on one stage.
 
     ``chain_pred`` is the intra-stage predecessor (schedule order);
     ``msg_pred`` is the producer of the cross-stage message this task
-    consumes, if any.  The label fields are rewritten every iteration by the
-    orchestrator and start False.
+    consumes, if any.  Tasks are immutable, so one task list serves every
+    iteration and every policy of a cell; per-iteration labels live in
+    ``cba.LabelSet``.
     """
 
     id: int
@@ -157,8 +158,6 @@ class Task:
     compute_s: float
     chain_pred: int | None = None
     msg_pred: int | None = None
-    cb_label: bool = False
-    blocked_flag: bool = False
 
     @property
     def deps(self) -> tuple[int, ...]:
@@ -183,32 +182,27 @@ def build_schedule(kind: ScheduleKind, stages: Sequence[Stage], m: int) -> list[
     if m < 1:
         raise ValueError("m must be >= 1")
     p = len(stages)
+    order = [
+        (stage, direction, mb)
+        for stage in stages
+        for direction, mb in _stage_order(kind, stage.stage_id, p, m)
+    ]
+    ids = {(stage.stage_id, d, mb): tid for tid, (stage, d, mb) in enumerate(order)}
     tasks: list[Task] = []
-    by_key: dict[tuple[int, Direction, int], int] = {}
-    for stage in stages:
-        prev_id: int | None = None
-        for direction, mb in _stage_order(kind, stage.stage_id, p, m):
-            tid = len(tasks)
-            compute = (
-                stage.fwd_compute_s if direction is Direction.FORWARD else stage.bwd_compute_s
+    for tid, (stage, direction, mb) in enumerate(order):
+        s = stage.stage_id
+        forward = direction is Direction.FORWARD
+        tasks.append(
+            Task(
+                id=tid,
+                stage_id=s,
+                microbatch=mb,
+                direction=direction,
+                compute_s=stage.fwd_compute_s if forward else stage.bwd_compute_s,
+                chain_pred=tid - 1 if tid and order[tid - 1][0] is stage else None,
+                msg_pred=ids.get((s - 1 if forward else s + 1, direction, mb)),
             )
-            tasks.append(
-                Task(
-                    id=tid,
-                    stage_id=stage.stage_id,
-                    microbatch=mb,
-                    direction=direction,
-                    compute_s=compute,
-                    chain_pred=prev_id,
-                )
-            )
-            by_key[(stage.stage_id, direction, mb)] = tid
-            prev_id = tid
-    for t in tasks:
-        if t.direction is Direction.FORWARD and t.stage_id > 0:
-            t.msg_pred = by_key[(t.stage_id - 1, Direction.FORWARD, t.microbatch)]
-        elif t.direction is Direction.BACKWARD and t.stage_id < p - 1:
-            t.msg_pred = by_key[(t.stage_id + 1, Direction.BACKWARD, t.microbatch)]
+        )
     return tasks
 
 

@@ -203,14 +203,6 @@ class TestOrchestrate:
 
         assert run() == run()
 
-    def test_labels_written_back_to_tasks(self):
-        net = Network(["A", "B"], [("A", "B", 2000.0)], fs_total=80)
-        stages, tasks = build(2, ["A", "B"], 3, fwd=1e-4, bwd=1e-4)
-        results = orchestrate(OrchestratorConfig(n_iterations=2), net, stages, tasks,
-                              PolicyConfig(), LatencyParams(), msg_bits=1e8)
-        final = results[-1].labels
-        assert {t.id for t in tasks if t.cb_label} == final.cb_tasks
-
 
 @given(
     p=st.integers(2, 4),

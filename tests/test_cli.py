@@ -249,6 +249,10 @@ class TestMain:
             ('{"bg.preset": "off", "bg.fs_demand_min": 1}', "bg.fs_demand_min"),
             ('{"bg.preset": "off", "bg.fs_demand_max": 3}', "bg.fs_demand_max"),
             ('{"bg.preset": "off", "bg.prewarm_s": 1.0}', "bg.prewarm_s"),
+            ('{"bg.preset": "loaded", "bg.fs_demand_min": 81, "bg.fs_demand_max": 90}',
+             "bg.fs_demand_max"),
+            ('{"bg.preset": "loaded", "topology.fs_total": 8, "fs.max": 8}',
+             "bg.fs_demand_max"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):

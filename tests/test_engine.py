@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optpipe.cli import DEFAULT_DC_NODES
 from optpipe.engine import (
+    SELECTORS,
     BlockingEvent,
     PolicyConfig,
     TaskRecord,
@@ -21,12 +23,22 @@ from optpipe.latency import EgressState, LatencyParams, transfer_time
 from optpipe.rsa import k_shortest_paths
 from optpipe.topology import (
     Network,
+    advance_network,
     allocate_spectrum,
     audit_occupancy,
     load_nsfnet,
+    loaded_background,
     set_link_occupancy,
 )
-from optpipe.workload import ScheduleKind, build_profile, build_schedule, partition_stages
+from optpipe.workload import (
+    Direction,
+    ScheduleKind,
+    Stage,
+    Task,
+    build_profile,
+    build_schedule,
+    partition_stages,
+)
 
 ZERO_COMM = LatencyParams(intra_dc_latency_s=0.0)
 
@@ -109,6 +121,94 @@ class TestCrossDcTransfer:
         assert blocking_probability(tl) == 1.0  # first attempts blocked
 
 
+@given(
+    kind=st.sampled_from(list(ScheduleKind)),
+    p=st.integers(1, 6),
+    m=st.integers(1, 8),
+    times=st.lists(
+        st.tuples(st.floats(1e-4, 2e-2), st.floats(1e-4, 2e-2)), min_size=6, max_size=6
+    ),
+    dcs=st.lists(st.sampled_from(DEFAULT_DC_NODES[:3]), min_size=6, max_size=6),
+    selector=st.sampled_from(SELECTORS),
+    bg_seed=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+)
+@settings(max_examples=60, deadline=None)
+def test_tasks_start_when_their_last_dependency_is_met(
+    kind, p, m, times, dcs, selector, bg_seed
+):
+    # three DCs for up to six stages, so same-DC (intra) and routed messages mix;
+    # bg_seed None is the quiet network, otherwise the loaded preset pre-warmed
+    net = load_nsfnet()
+    bg = None if bg_seed is None else loaded_background(bg_seed)
+    if bg is not None:
+        net.attach_background(bg)
+        advance_network(net, 5.0 * bg.mean_hold_s)
+    stages = [
+        Stage(s, dcs[s], s, s + 1, fwd, bwd) for s, (fwd, bwd) in enumerate(times[:p])
+    ]
+    tasks = build_schedule(kind, stages, m)
+    tl = simulate_iteration(net, stages, tasks, PolicyConfig(selector=selector),
+                            LatencyParams(), bg=bg, msg_bits=16 * 2**20 * 8)
+    consumed = {x.consumer_id: x for x in tl.transfers}
+    assert len(consumed) == len(tl.transfers) == sum(t.msg_pred is not None for t in tasks)
+    for task in tasks:
+        rec = tl.tasks[task.id]
+        met = []
+        if task.chain_pred is not None:
+            met.append(tl.tasks[task.chain_pred].finish_time)
+        if task.msg_pred is not None:
+            x = consumed[task.id]
+            assert x.task_id == task.msg_pred
+            assert x.issue_time == tl.tasks[task.msg_pred].finish_time
+            met.append(x.complete_time)
+        assert rec.ready_time == rec.start_time == max(met, default=0.0)
+    audit_event_log(net, tl.event_log_lines(), tl.iteration_makespan)
+
+
+class TestLinkConflictPenalty:
+    """``latency.queue_penalty_per_conflict_s`` adds kappa per in-flight
+    optical transfer that shares a link with the new one."""
+
+    KAPPA = 2e-3
+    BITS = 1e6
+
+    def _check(self, producers, conflicts):
+        # each producer is (stage DC, compute seconds, consumer DC): one
+        # single-task stage sends one message to a single-task stage
+        net = Network(["A", "B", "C", "D"], [("A", "B", 2000.0), ("C", "D", 2000.0)])
+        stages, tasks = [], []
+        for src, compute, dst in producers:
+            s = len(stages)
+            stages += [Stage(s, src, 0, 1, compute, compute), Stage(s + 1, dst, 0, 1, 1e-3, 1e-3)]
+            tasks += [
+                Task(s, s, 0, Direction.FORWARD, compute),
+                Task(s + 1, s + 1, 0, Direction.FORWARD, 1e-3, msg_pred=s),
+            ]
+        params = LatencyParams(queue_penalty_per_conflict_s=self.KAPPA)
+        tl = simulate_iteration(net, stages, tasks, PolicyConfig(), params,
+                                msg_bits=self.BITS)
+        xfers = sorted(tl.transfers, key=lambda x: x.issue_time)
+        assert [x.issue_time for x in xfers] == [c for _, c, _ in producers]
+        for x, n in zip(xfers, conflicts, strict=True):
+            assert x.kind == "optical"
+            path = net.paths.candidates(x.src_dc, x.dst_dc, 1)[0]
+            assert x.complete_time == x.issue_time + transfer_time(
+                params, path, x.n_fs, self.BITS, n * self.KAPPA
+            )
+        return xfers
+
+    def test_overlap_on_a_shared_link_gains_exactly_kappa(self):
+        # the second message leaves while the first is still in flight on A-B;
+        # the third leaves after both completed, so the pruned set is empty
+        xfers = self._check([("A", 1e-3, "B"), ("A", 2e-3, "B"), ("A", 5e-2, "B")], [0, 1, 0])
+        assert xfers[1].issue_time < xfers[0].complete_time < xfers[2].issue_time
+        assert xfers[1].complete_time < xfers[2].issue_time
+
+    def test_overlap_on_disjoint_links_gains_nothing(self):
+        xfers = self._check([("A", 1e-3, "B"), ("C", 2e-3, "D")], [0, 0])
+        assert xfers[1].issue_time < xfers[0].complete_time
+
+
 class TestBubbleRatio:
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_gpipe_analytic_formula(self, m):
@@ -159,7 +259,7 @@ class TestBubbleRatio:
         assert bubbles[1] >= bubbles[0] - 1e-12
 
     def test_empty_timeline_rejected(self):
-        tl = Timeline([], [], [], 0.0, {}, 0)
+        tl = Timeline([], [], [], 0.0, {})
         with pytest.raises(ValueError):
             bubble_ratio(tl, 1)
 
@@ -172,11 +272,11 @@ class TestBlockingProbability:
             for i in range(30)
         ]
         events = [BlockingEvent(i, 0, 2, "eventually_sent") for i in range(3)]
-        tl = Timeline([], transfers, events, 1.0, {0: 1.0}, 1)
+        tl = Timeline([], transfers, events, 1.0, {0: 1.0})
         assert blocking_probability(tl) == pytest.approx(0.1)
 
     def test_no_requests_is_zero(self):
-        tl = Timeline([], [], [], 1.0, {0: 1.0}, 1)
+        tl = Timeline([], [], [], 1.0, {0: 1.0})
         assert blocking_probability(tl) == 0.0
 
 

@@ -1,10 +1,13 @@
-"""Golden-output check: a reduced loaded compare must reproduce pinned bytes.
+"""Golden-output checks: a reduced loaded compare and a small quiet run must
+reproduce pinned bytes.
 
-The grid covers both models and both schedules at m=4 for one seed, with the
-loaded background and event logging on, so every selector, the background
-churn and the event-log serialisation feed the hashed files.  A change that
-is meant to alter behaviour must say so and re-pin these hashes; a
-performance change must leave them alone.
+The compare grid covers both models and both schedules at m=4 for one seed,
+with the loaded background and event logging on, so every selector, the
+background churn and the event-log serialisation feed the hashed files.  The
+run cell covers ``optpipe run`` with no background: its per-seed rows, its
+summary row and its event log.  A change that is meant to alter behaviour
+must say so and re-pin these hashes; a performance change must leave them
+alone.
 """
 
 from __future__ import annotations
@@ -41,3 +44,28 @@ def test_reduced_compare_matches_golden_hashes(tmp_path):
         for key in GOLDEN_SHA256
     }
     assert got == GOLDEN_SHA256
+
+
+GOLDEN_RUN_CONFIG = {
+    "bg.preset": "off",
+    "run.policy": "cba",
+    "run.schedule": "1f1b",
+    "run.microbatches": 4,
+    "run.seeds": [0, 1],
+    "cba.n_iterations": 3,
+    "output.event_log": True,
+}
+
+GOLDEN_RUN_SHA256 = {
+    "results": "30af8eba7442315eda1adde9193c3a49656875dc5a5e8aab3a64d8c80c0cc4b6",
+    "events": "ac8a69bf7b32061a09ff4b17a0da16e127f5d172ac8d4fa93ba321d3bada9984",
+}
+
+
+def test_quiet_run_matches_golden_hashes(tmp_path):
+    paths = cli.cmd_run(RunConfig.from_flat(GOLDEN_RUN_CONFIG), str(tmp_path), verbose=False)
+    got = {
+        key: hashlib.sha256(open(paths[key], "rb").read()).hexdigest()
+        for key in GOLDEN_RUN_SHA256
+    }
+    assert got == GOLDEN_RUN_SHA256

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +96,9 @@ class TestBuildSchedule:
         for i in (0, 1):
             assert by[(1, F, i)].msg_pred == by[(0, F, i)].id
             assert by[(0, B, i)].msg_pred == by[(1, B, i)].id
+        # one task list is shared by every iteration and policy of a cell
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tasks[0].msg_pred = tasks[1].id
 
     def test_1f1b_warmup_then_alternation(self):
         stages = partition_stages(toy_profile(n_layers=4), 4, list("WXYZ"))
