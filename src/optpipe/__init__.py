@@ -22,7 +22,6 @@ from .latency import (
     RequestLabel,
     alpha,
     beta,
-    queue_penalty,
     required_fs,
     transfer_time,
 )

@@ -27,7 +27,7 @@ from .engine import (
     simulate_iteration,
 )
 from .latency import EgressState, LatencyParams, RequestLabel
-from .topology import BackgroundTrafficModel, Network, audit_occupancy
+from .topology import Network, audit_occupancy
 from .workload import Stage, Task
 
 
@@ -100,9 +100,8 @@ def plan_requests(
     """Per-request labels for the next iteration plus the effective boost.
 
     Keyed by the consumer task of each message edge.  A request is boosted
-    when its consumer was CB (optionally also when its producer was, via
-    ``boost_outgoing``) and shrunk when the same edge blocked last iteration;
-    shrinking wins when both apply.
+    when its consumer was CB and shrunk when the same edge blocked last
+    iteration; shrinking wins when both apply.
 
     The boost adapts to observed congestion: whenever last iteration's
     blocking probability exceeded the threshold, the effective boost for all
@@ -124,8 +123,6 @@ def plan_requests(
         if task.msg_pred is None:
             continue
         cb = task.id in labels.cb_tasks
-        if policy.boost_outgoing and task.msg_pred in labels.cb_tasks:
-            cb = True
         blocked = task.msg_pred in labels.blocked_tasks
         if cb or blocked:
             out[task.id] = RequestLabel(cb=cb, blocked=blocked)
@@ -177,21 +174,19 @@ def orchestrate(
     policy: PolicyConfig,
     params: LatencyParams,
     msg_bits: float,
-    bg: BackgroundTrafficModel | None = None,
 ) -> list[IterationResult]:
     """Run the full multi-iteration loop; iteration 0 is the warm-up.
 
     Labels from each finished iteration feed the next one's request plan for
     the adaptive policy; first-fit baselines always run with base demand.
     The tasks are only read, so the same list serves every iteration.
-    Egress state resets between iterations; network state (background
-    allocations and the arrival stream) carries over, and
-    ``simulate_iteration`` rebases the clock so every iteration runs from
-    t=0 with identical arithmetic.  The occupancy invariant is audited after
-    every iteration.
+    Background traffic is whatever stream ``net`` carries: attach it with
+    ``net.attach_background`` (and pre-warm) before calling.  Egress state
+    resets between iterations; network state (background allocations and
+    the arrival stream) carries over, and ``simulate_iteration`` rebases the
+    clock so every iteration runs from t=0 with identical arithmetic.  The
+    occupancy invariant is audited after every iteration.
     """
-    if bg is not None:
-        net.attach_background(bg)
     labels: LabelSet | None = None
     boost = policy.boost_factor
     results: list[IterationResult] = []
@@ -203,8 +198,7 @@ def orchestrate(
             req_labels, eff_policy = {}, policy
         timeline = simulate_iteration(
             net, stages, tasks, eff_policy, params,
-            egress=EgressState(), bg=bg,
-            request_labels=req_labels, msg_bits=msg_bits,
+            egress=EgressState(), request_labels=req_labels, msg_bits=msg_bits,
         )
         labels = label_cb_tasks(timeline, tasks, config.epsilon_bubble_s)
         audit_occupancy(net)

@@ -57,6 +57,25 @@ class ConfigError(ValueError):
     """A config key failed validation; the message names the key."""
 
 
+def _as_int(v) -> int:
+    # int() would also take true/false, numeric strings and truncate 2.5
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError("expected an integer")
+
+
+def _as_float(v) -> float:
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError("expected a number")
+
+
+def _optional(conv):
+    return lambda v: v if v is None else conv(v)
+
+
 def _as_bool(v) -> bool:
     if isinstance(v, bool):
         return v
@@ -87,52 +106,47 @@ _LOADED_BG = {
 
 # key -> (default, converter).  Converters raise ValueError on bad input.
 KEY_TABLE: dict[str, tuple[Any, Any]] = {
-    "topology.path": (None, lambda v: v if v is None else str(v)),
-    "topology.fs_total": (80, int),
-    "topology.slot_width_ghz": (12.5, float),
-    "topology.per_direction": (False, _as_bool),
+    "topology.path": (None, _optional(str)),
+    "topology.fs_total": (80, _as_int),
     "run.policy": ("cba", str),
     "run.schedule": ("gpipe", str),
     "run.model": ("llama3-8b-like", str),
-    "run.microbatches": (16, int),
+    "run.microbatches": (16, _as_int),
     "run.seeds": ([0], _as_int_list),
-    "pp.stages": (8, int),
+    "pp.stages": (8, _as_int),
     "placement.dc_nodes": (DEFAULT_DC_NODES, _as_str_list),
-    "placement.n_dcs": (6, int),
     "compare.seeds": ([0, 1, 2], _as_int_list),
     "compare.microbatch_grid": ([16, 32, 64, 128], _as_int_list),
     "compare.models": (["llama3-8b-like", "llama3-70b-like"], _as_str_list),
     "compare.schedules": (["gpipe", "1f1b"], _as_str_list),
-    "model.n_layers": (None, lambda v: v if v is None else int(v)),
-    "model.fwd_time_per_layer_s": (None, lambda v: v if v is None else float(v)),
-    "model.bwd_time_per_layer_s": (None, lambda v: v if v is None else float(v)),
-    "model.msg_bytes_per_microbatch": (None, lambda v: v if v is None else int(v)),
-    "latency.prop_s_per_km": (5.0e-6, float),
-    "latency.per_hop_overhead_s": (1.0e-4, float),
-    "latency.fs_rate_bps": (7.5e10, float),
-    "latency.intra_dc_latency_s": (5.0e-5, float),
-    "latency.intra_dc_rate_bps": (4.0e11, float),
-    "latency.queue_penalty_per_conflict_s": (0.0, float),
-    "rsa.k": (5, int),
+    "model.n_layers": (None, _optional(_as_int)),
+    "model.fwd_time_per_layer_s": (None, _optional(_as_float)),
+    "model.bwd_time_per_layer_s": (None, _optional(_as_float)),
+    "model.msg_bytes_per_microbatch": (None, _optional(_as_int)),
+    "latency.prop_s_per_km": (5.0e-6, _as_float),
+    "latency.per_hop_overhead_s": (1.0e-4, _as_float),
+    "latency.fs_rate_bps": (7.5e10, _as_float),
+    "latency.intra_dc_latency_s": (5.0e-5, _as_float),
+    "latency.intra_dc_rate_bps": (4.0e11, _as_float),
+    "rsa.k": (5, _as_int),
     "rsa.ci_mode": ("window", str),
-    "fs.base": (4, int),
-    "fs.boost_factor": (2.0, float),
-    "fs.max": (16, int),
-    "engine.max_retries": (5, int),
-    "engine.retry_backoff_s": (1e-3, float),
-    "engine.fallback_penalty": (3.0, float),
-    "cba.n_iterations": (11, int),
-    "cba.blocking_prob_threshold": (0.05, float),
-    "cba.epsilon_bubble_s": (1e-6, float),
-    "cba.boost_outgoing": (False, _as_bool),
+    "fs.base": (4, _as_int),
+    "fs.boost_factor": (2.0, _as_float),
+    "fs.max": (16, _as_int),
+    "engine.max_retries": (5, _as_int),
+    "engine.retry_backoff_s": (1e-3, _as_float),
+    "engine.fallback_penalty": (3.0, _as_float),
+    "cba.n_iterations": (11, _as_int),
+    "cba.blocking_prob_threshold": (0.05, _as_float),
+    "cba.epsilon_bubble_s": (1e-6, _as_float),
     "bg.preset": ("off", str),
-    "bg.arrival_rate_per_s": (None, lambda v: v if v is None else float(v)),
-    "bg.mean_hold_s": (None, lambda v: v if v is None else float(v)),
-    "bg.fs_demand_min": (None, lambda v: v if v is None else int(v)),
-    "bg.fs_demand_max": (None, lambda v: v if v is None else int(v)),
-    "bg.prewarm_s": (None, lambda v: v if v is None else float(v)),
+    "bg.arrival_rate_per_s": (None, _optional(_as_float)),
+    "bg.mean_hold_s": (None, _optional(_as_float)),
+    "bg.fs_demand_min": (None, _optional(_as_int)),
+    "bg.fs_demand_max": (None, _optional(_as_int)),
+    "bg.prewarm_s": (None, _optional(_as_float)),
     "output.event_log": (False, _as_bool),
-    "jobs": (None, lambda v: v if v is None else int(v)),
+    "jobs": (None, _optional(_as_int)),
 }
 
 
@@ -188,21 +202,19 @@ class RunConfig:
         require(not f["topology.path"] or os.path.isfile(f["topology.path"]),
                 "topology.path", "no such file")
         require(f["topology.fs_total"] >= 1, "topology.fs_total", "must be >= 1")
-        require(f["topology.slot_width_ghz"] > 0, "topology.slot_width_ghz", "must be positive")
         require(f["pp.stages"] >= 1, "pp.stages", "must be >= 1")
         require(f["run.microbatches"] >= 1, "run.microbatches", "must be >= 1")
         require(f["run.policy"] in engine.SELECTORS, "run.policy",
                 f"must be one of {engine.SELECTORS}")
         require(f["run.schedule"] in ("gpipe", "1f1b"), "run.schedule",
                 "must be 'gpipe' or '1f1b'")
-        require(len(f["run.seeds"]) >= 1, "run.seeds", "must not be empty")
-        require(len(f["compare.seeds"]) >= 1, "compare.seeds", "must not be empty")
+        for key in ("run.seeds", "compare.seeds", "compare.microbatch_grid", "compare.models",
+                    "compare.schedules", "placement.dc_nodes"):
+            require(len(f[key]) >= 1, key, "must not be empty")
         require(all(m >= 1 for m in f["compare.microbatch_grid"]),
                 "compare.microbatch_grid", "entries must be >= 1")
         require(all(s in ("gpipe", "1f1b") for s in f["compare.schedules"]),
                 "compare.schedules", "entries must be 'gpipe' or '1f1b'")
-        require(1 <= f["placement.n_dcs"] <= len(f["placement.dc_nodes"]),
-                "placement.n_dcs", "must be within the dc_nodes list")
         require(f["rsa.k"] >= 1, "rsa.k", "must be >= 1")
         require(f["rsa.ci_mode"] in ("literal", "window", "global"), "rsa.ci_mode",
                 "must be literal, window or global")
@@ -212,7 +224,7 @@ class RunConfig:
                 "must be in [1, topology.fs_total]")
         require(f["fs.base"] <= f["fs.max"], "fs.base", "must be <= fs.max")
         for key in ("latency.prop_s_per_km", "latency.per_hop_overhead_s",
-                    "latency.intra_dc_latency_s", "latency.queue_penalty_per_conflict_s"):
+                    "latency.intra_dc_latency_s"):
             require(f[key] >= 0, key, "must be nonnegative")
         for key in ("latency.fs_rate_bps", "latency.intra_dc_rate_bps"):
             require(f[key] > 0, key, "must be positive")
@@ -255,24 +267,20 @@ class RunConfig:
             for key in ("model.n_layers", "model.fwd_time_per_layer_s",
                         "model.bwd_time_per_layer_s", "model.msg_bytes_per_microbatch"):
                 require(f[key] is not None, key, "required for the custom model")
+        require(f["jobs"] is None or f["jobs"] >= 1, "jobs", "must be >= 1")
 
     # ------------------------------------------------------------------
     # constructed objects
 
     def build_network(self) -> topology.Network:
         f = self.flat
-        kwargs = dict(
-            fs_total=f["topology.fs_total"],
-            slot_width_ghz=f["topology.slot_width_ghz"],
-            per_direction=f["topology.per_direction"],
-        )
         if f["topology.path"]:
             try:
-                net = topology.load_topology_file(f["topology.path"], **kwargs)
+                net = topology.load_topology_file(f["topology.path"], f["topology.fs_total"])
             except (OSError, UnicodeDecodeError, topology.TopologyError) as exc:
                 raise ConfigError(f"topology.path: {exc}") from exc
         else:
-            net = topology.load_nsfnet(**kwargs)
+            net = topology.load_nsfnet(f["topology.fs_total"])
         dcs = self.dc_nodes()
         missing = [d for d in dcs if d not in net.graph]
         if missing:
@@ -280,8 +288,7 @@ class RunConfig:
         return net
 
     def dc_nodes(self) -> list[str]:
-        f = self.flat
-        return list(f["placement.dc_nodes"][: f["placement.n_dcs"]])
+        return list(self.flat["placement.dc_nodes"])
 
     def profile(self, name: str) -> workload.ModelProfile:
         if name != "custom":
@@ -303,7 +310,6 @@ class RunConfig:
             fs_rate_bps=f["latency.fs_rate_bps"],
             intra_dc_latency_s=f["latency.intra_dc_latency_s"],
             intra_dc_rate_bps=f["latency.intra_dc_rate_bps"],
-            queue_penalty_per_conflict_s=f["latency.queue_penalty_per_conflict_s"],
         )
 
     def policy(self, selector: str) -> engine.PolicyConfig:
@@ -318,7 +324,6 @@ class RunConfig:
             max_retries=f["engine.max_retries"],
             retry_backoff_s=f["engine.retry_backoff_s"],
             fallback_penalty=f["engine.fallback_penalty"],
-            boost_outgoing=f["cba.boost_outgoing"],
         )
 
     def orchestrator(self) -> cba.OrchestratorConfig:
@@ -467,8 +472,7 @@ def run_cell(
             net.attach_background(bg)
             topology.advance_network(net, cfg.prewarm_s())
         results = cba.orchestrate(
-            orch, net, stages, tasks, cfg.policy(policy_name), params,
-            msg_bits=msg_bits, bg=bg,
+            orch, net, stages, tasks, cfg.policy(policy_name), params, msg_bits=msg_bits,
         )
         policy_rows: list[list] = []
         policy_lines: list[str] = []
@@ -711,6 +715,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 overrides["run.policy"] = args.policy
             if args.seed is not None:
                 overrides["run.seeds"] = [args.seed]
+        elif args.jobs is not None:
+            overrides["jobs"] = args.jobs
         cfg = (
             RunConfig.from_file(args.config, overrides)
             if args.config
@@ -720,7 +726,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             paths = cmd_run(cfg, outdir)
         else:
-            paths = cmd_compare(cfg, outdir, jobs=args.jobs)
+            paths = cmd_compare(cfg, outdir)
         for kind, path in paths.items():
             print(f"{kind}: {path}")
         return 0

@@ -38,11 +38,10 @@ from .latency import (
     NORMAL,
     RequestLabel,
     beta,
-    queue_penalty,
     required_fs,
     transfer_time,
 )
-from .topology import BackgroundTrafficModel, Network, advance_network, allocate_spectrum
+from .topology import Network, advance_network, allocate_spectrum
 from .workload import Stage, Task
 
 SELECTORS = ("cba", "ksp_ff", "sd_ff")
@@ -61,7 +60,6 @@ class PolicyConfig:
     max_retries: int = 5
     retry_backoff_s: float = 1e-3
     fallback_penalty: float = 3.0
-    boost_outgoing: bool = False
 
     def __post_init__(self) -> None:
         if self.selector not in SELECTORS:
@@ -177,7 +175,6 @@ class _Sim:
         policy: PolicyConfig,
         params: LatencyParams,
         egress: EgressState,
-        bg: BackgroundTrafficModel | None,
         request_labels: dict[int, RequestLabel],
         msg_bits: float,
     ):
@@ -185,7 +182,6 @@ class _Sim:
         self.policy = policy
         self.params = params
         self.egress = egress
-        self.bg = bg
         self.labels = request_labels
         self.msg_bits = msg_bits
         self.tasks = list(tasks)
@@ -214,8 +210,6 @@ class _Sim:
         self.transfers: list[TransferRecord] = []
         self.blocking: list[BlockingEvent] = []
         self.req_counter = 0
-        # in-flight optical transfers, for the link-conflict penalty term
-        self.inflight: dict[int, tuple[frozenset[int], float]] = {}
 
     def push(self, time: float, task: Task, kind: str, payload: object = None) -> None:
         heapq.heappush(self.heap, (time, task.stage_id, task.id, self.seq, kind, payload))
@@ -239,7 +233,7 @@ class _Sim:
                 "(cyclic dependencies?)"
             )
         makespan = max((r.finish_time for r in self.records), default=0.0)
-        advance_network(self.net, makespan, self.bg)
+        advance_network(self.net, makespan)
         leaked = self.net.active_owners("tx-")
         if leaked:
             raise RuntimeError(f"training allocations leaked past iteration end: {leaked}")
@@ -320,7 +314,7 @@ class _Sim:
             )
             return
 
-        advance_network(self.net, now, self.bg)
+        advance_network(self.net, now)
         attempt = req.attempts
         req.attempts += 1
         n_fs = max(req.demand - attempt, 1)
@@ -328,7 +322,7 @@ class _Sim:
 
         if not sel.blocked:
             assert sel.path is not None and sel.block is not None
-            pen = self._penalty(req.producer.stage_id, now, sel.path)
+            pen = self.egress.pending(req.producer.stage_id, now)
             dt = transfer_time(self.params, sel.path, n_fs, req.bits, pen)
             complete = now + dt
             if dt > 0.0:
@@ -337,10 +331,6 @@ class _Sim:
                     (sel.block.f_start, sel.block.f_end),
                     f"tx-{req.request_id}", complete,
                 )
-                if self.params.queue_penalty_per_conflict_s > 0.0:
-                    self.inflight[req.request_id] = (
-                        frozenset(sel.path.link_indices), complete,
-                    )
             # the sender's transmitter is busy until the last bit is pushed
             # (queue + serialization); propagation happens in flight
             self.egress.occupy(
@@ -370,7 +360,7 @@ class _Sim:
         # retries exhausted: degraded fallback delivery, no spectrum held
         # (the penalty scales the route service time, not the local queue wait)
         path0 = self.net.paths.candidates(req.src, req.dst, self.policy.k)[0]
-        pen = self._penalty(req.producer.stage_id, now, path0)
+        pen = self.egress.pending(req.producer.stage_id, now)
         dt = self.policy.fallback_penalty * transfer_time(self.params, path0, 1, req.bits) + pen
         complete = now + dt
         self.egress.occupy(
@@ -388,15 +378,6 @@ class _Sim:
             ),
         )
 
-    def _penalty(self, stage: int, now: float, path) -> float:
-        inflight: Iterable[frozenset[int]] = ()
-        if self.params.queue_penalty_per_conflict_s > 0.0:
-            self.inflight = {
-                rid: v for rid, v in self.inflight.items() if v[1] > now
-            }
-            inflight = [links for links, _ in self.inflight.values()]
-        return queue_penalty(self.params, self.egress, stage, now, path, inflight)
-
     def _select(self, src: str, dst: str, width: int) -> rsa.SelectionResult:
         p = self.policy
         if p.selector == "cba":
@@ -413,7 +394,6 @@ def simulate_iteration(
     policy: PolicyConfig,
     params: LatencyParams,
     egress: EgressState | None = None,
-    bg: BackgroundTrafficModel | None = None,
     request_labels: dict[int, RequestLabel] | None = None,
     msg_bits: float = 0.0,
 ) -> Timeline:
@@ -421,12 +401,14 @@ def simulate_iteration(
 
     The network clock is first rebased so the iteration starts at t=0;
     background allocations persist from earlier iterations, shifted with the
-    clock.  Every training allocation is released by the time this returns.
+    clock, and the background stream attached to ``net`` (if any) keeps
+    drawing arrivals.  Every training allocation is released by the time
+    this returns.
     """
     sim = _Sim(
         net, stages, tasks, policy, params,
         egress if egress is not None else EgressState(),
-        bg, request_labels or {}, msg_bits,
+        request_labels or {}, msg_bits,
     )
     net.rebase(net.now)
     return sim.run()

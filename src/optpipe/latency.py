@@ -2,12 +2,16 @@
 
 Transfer completion time is a fixed propagation term, a serialization term
 proportional to message size and inversely proportional to the allocated
-slot count, and a queuing penalty for the sender's egress:
+slot count, and a queuing penalty:
 
     T = alpha(path) + bits * beta(n_fs) + penalty
 
-Transfers between stages hosted in the same datacenter bypass the optical
-network entirely and use a flat intra-DC latency plus an intra-DC rate.
+The penalty is egress-only: the time until the sending stage's previous
+outbound transfer has pushed its last bit (``EgressState.pending``).
+Transfers sharing a link do not delay each other; they hold disjoint slot
+blocks.  Transfers between stages hosted in the same datacenter bypass the
+optical network entirely and use a flat intra-DC latency plus an intra-DC
+rate.
 
 All default constants are stand-ins chosen for plausible orderings, not
 measured values; every one of them is a config key.  The per-slot rate
@@ -18,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol
 
 
 class _PathLike(Protocol):
     length_km: float
     hop_count: int
-    link_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -34,15 +37,9 @@ class LatencyParams:
     fs_rate_bps: float = 7.5e10
     intra_dc_latency_s: float = 5.0e-5
     intra_dc_rate_bps: float = 4.0e11
-    queue_penalty_per_conflict_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "prop_s_per_km",
-            "per_hop_overhead_s",
-            "intra_dc_latency_s",
-            "queue_penalty_per_conflict_s",
-        ):
+        for name in ("prop_s_per_km", "per_hop_overhead_s", "intra_dc_latency_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.fs_rate_bps <= 0 or self.intra_dc_rate_bps <= 0:
@@ -60,6 +57,7 @@ class EgressState:
     busy_until: dict[int, float] = field(default_factory=dict)
 
     def pending(self, stage: int, now: float) -> float:
+        """Queuing delay of a transfer the stage sends at ``now``."""
         return max(0.0, self.busy_until.get(stage, 0.0) - now)
 
     def occupy(self, stage: int, until: float) -> None:
@@ -77,29 +75,6 @@ def beta(params: LatencyParams, n_fs: int) -> float:
     if n_fs < 1:
         raise ValueError("n_fs must be >= 1")
     return 1.0 / (n_fs * params.fs_rate_bps)
-
-
-def queue_penalty(
-    params: LatencyParams,
-    egress: EgressState,
-    stage: int,
-    now: float,
-    path: _PathLike | None = None,
-    inflight: Iterable[Sequence[int]] = (),
-) -> float:
-    """Queuing delay: egress serialization plus optional link-conflict term.
-
-    With the default zero conflict weight this reduces to the time until the
-    stage's previous outbound transfer completes.  ``inflight`` holds the
-    link-index sets of transfers currently on the fiber.
-    """
-    penalty = egress.pending(stage, now)
-    kappa = params.queue_penalty_per_conflict_s
-    if kappa > 0.0 and path is not None:
-        mine = set(path.link_indices)
-        conflicts = sum(1 for links in inflight if mine.intersection(links))
-        penalty += kappa * conflicts
-    return penalty
 
 
 def transfer_time(

@@ -34,7 +34,6 @@ import numpy as np
 from .latency import LatencyParams, alpha
 
 DEFAULT_FS_TOTAL = 80
-DEFAULT_SLOT_WIDTH_GHZ = 12.5
 
 
 class TopologyError(ValueError):
@@ -73,13 +72,12 @@ class Link:
 
 @dataclass(frozen=True)
 class CandidatePath:
-    """A loopless route with its precomputed length and link indices."""
+    """A loopless route with its links and precomputed length."""
 
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
     length_km: float
     hop_count: int
-    link_indices: tuple[int, ...]
 
 
 class PathCatalog:
@@ -139,8 +137,7 @@ class PathCatalog:
 
     def _candidate(self, nodes: tuple[str, ...], length_km: float) -> CandidatePath:
         links = self._net.path_links(nodes)
-        return CandidatePath(nodes, links, length_km, len(links),
-                             tuple(link.index for link in links))
+        return CandidatePath(nodes, links, length_km, len(links))
 
     def delay_order(self, src: str, dst: str, k: int, params: LatencyParams) -> tuple[int, ...]:
         """Indices into ``candidates(src, dst, k)`` by ascending propagation delay.
@@ -250,43 +247,33 @@ class _BackgroundStream:
 
 
 class Network:
-    """Single-writer network state: topology plus live spectrum occupancy."""
+    """Single-writer network state: topology plus live spectrum occupancy.
+
+    Each link carries both directions: a slot it holds for one direction is
+    taken for the other as well.
+    """
 
     def __init__(
         self,
         nodes: Sequence[str],
         link_specs: Sequence[tuple[str, str, float]],
         fs_total: int = DEFAULT_FS_TOTAL,
-        slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-        per_direction: bool = False,
     ):
         if fs_total < 1:
             raise TopologyError("fs_total must be >= 1")
-        if slot_width_ghz <= 0:
-            raise TopologyError("slot_width_ghz must be positive")
         self.nodes = list(nodes)
         self.fs_total = int(fs_total)
-        self.slot_width_ghz = float(slot_width_ghz)
-        self.per_direction = per_direction
         self.now = 0.0
 
         self.graph = nx.Graph()
         self.graph.add_nodes_from(self.nodes)
-        oriented: list[tuple[str, str, float]] = []
-        for a, b, km in link_specs:
-            self.graph.add_edge(a, b, length_km=float(km))
-            oriented.append((a, b, float(km)))
-            if per_direction:
-                oriented.append((b, a, float(km)))
-
         self.links: list[Link] = []
         self._by_pair: dict[tuple[str, str], Link] = {}
-        for idx, (a, b, km) in enumerate(oriented):
-            link = Link(index=idx, a=a, b=b, length_km=km, fs_total=self.fs_total)
+        for idx, (a, b, km) in enumerate(link_specs):
+            self.graph.add_edge(a, b, length_km=float(km))
+            link = Link(index=idx, a=a, b=b, length_km=float(km), fs_total=self.fs_total)
             self.links.append(link)
-            self._by_pair[(a, b)] = link
-            if not per_direction:
-                self._by_pair[(b, a)] = link
+            self._by_pair[(a, b)] = self._by_pair[(b, a)] = link
 
         # the one allocation ledger: owner -> (links, f_start, f_end, release_time)
         self._active: dict[str, tuple[tuple[Link, ...], int, int, float]] = {}
@@ -331,19 +318,17 @@ class Network:
         if self._stream is not None:
             self._stream._next_time -= origin
 
-    def attach_background(self, model: BackgroundTrafficModel | None) -> None:
-        """Seed the arrival stream, based at the current clock.
+    def attach_background(self, model: BackgroundTrafficModel) -> None:
+        """Seed the network's one arrival stream, based at the current clock.
 
-        Harness code attaches at t=0 so that paired runs with the same seed
-        observe bit-identical arrival sequences.  Re-attaching the same model
-        is a no-op; attaching a different one is an error.
+        The network owns the stream from then on: ``advance_network`` draws
+        from it, and it carries over between iterations.  Harness code
+        attaches at t=0, before the prewarm, so that paired runs with the
+        same seed observe bit-identical arrival sequences.  A network takes
+        one stream; attaching a second raises.
         """
-        if model is None:
-            return
         if self._stream is not None:
-            if self._stream.model != model:
-                raise RuntimeError("a different background stream is already attached")
-            return
+            raise RuntimeError("a background stream is already attached")
         self._stream = _BackgroundStream(model, self.nodes, self.now)
 
     def _admit_background(self, t: float, src: str, dst: str, demand: int, hold: float) -> bool:
@@ -375,16 +360,11 @@ class Network:
             link.bits &= keep
 
 
-def load_topology(
-    text: str,
-    fs_total: int = DEFAULT_FS_TOTAL,
-    slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-    per_direction: bool = False,
-) -> Network:
+def load_topology(text: str, fs_total: int = DEFAULT_FS_TOTAL) -> Network:
     """Parse UTF-8 JSON topology content into a fresh all-free Network.
 
     Expected shape: ``{"nodes": [str], "links": [{"a", "b", "length_km"}]}``.
-    Slot count and width come from the run configuration, not the file.
+    The slot count comes from the run configuration, not the file.
     """
     try:
         doc = json.loads(text)
@@ -427,16 +407,15 @@ def load_topology(
         seen_pairs.add(pair)
         specs.append((a, b, km))
 
-    net = Network(nodes, specs, fs_total=fs_total, slot_width_ghz=slot_width_ghz,
-                  per_direction=per_direction)
+    net = Network(nodes, specs, fs_total=fs_total)
     if len(nodes) > 1 and not nx.is_connected(net.graph):
         raise TopologyError("topology graph is not connected")
     return net
 
 
-def load_topology_file(path: str, **kwargs) -> Network:
+def load_topology_file(path: str, fs_total: int = DEFAULT_FS_TOTAL) -> Network:
     with open(path, encoding="utf-8") as fh:
-        return load_topology(fh.read(), **kwargs)
+        return load_topology(fh.read(), fs_total)
 
 
 def nsfnet_text() -> str:
@@ -444,30 +423,25 @@ def nsfnet_text() -> str:
     return resources.files("optpipe.data").joinpath("nsfnet.json").read_text("utf-8")
 
 
-def load_nsfnet(
-    fs_total: int = DEFAULT_FS_TOTAL,
-    slot_width_ghz: float = DEFAULT_SLOT_WIDTH_GHZ,
-    per_direction: bool = False,
-) -> Network:
-    return load_topology(nsfnet_text(), fs_total, slot_width_ghz, per_direction)
+def load_nsfnet(fs_total: int = DEFAULT_FS_TOTAL) -> Network:
+    return load_topology(nsfnet_text(), fs_total)
 
 
 # ----------------------------------------------------------------------
 # operations
 
 
-def advance_network(net: Network, now: float, bg: BackgroundTrafficModel | None = None) -> int:
+def advance_network(net: Network, now: float) -> int:
     """Bring network state up to ``now``; returns the number of state changes.
 
     Releases every allocation whose release time has passed and admits
-    background arrivals drawn from the attached seeded stream, chronologically
+    background arrivals drawn from the stream attached to the network (none
+    when ``attach_background`` was never called), chronologically
     interleaved (releases first on ties).  Blocked arrivals drop silently.
     Idempotent: a second call at the same ``now`` reports zero changes.
     """
     if now < net.now - 1e-12:
         raise ValueError(f"time went backwards: {now} < {net.now}")
-    if bg is not None and net._stream is None:
-        net.attach_background(bg)
     stream = net._stream
     heap = net._release_heap
     # fast path: nothing can be due

@@ -305,7 +305,7 @@ def check_spectrum_audit() -> tuple[bool, str]:
     results = cba.orchestrate(
         cba.OrchestratorConfig(n_iterations=4), cfg_net, stages, tasks,
         engine.PolicyConfig(selector="cba"), LatencyParams(),
-        msg_bits=profile.msg_bytes_per_microbatch * 8, bg=bg,
+        msg_bits=profile.msg_bytes_per_microbatch * 8,
     )
     audited = 0
     for r in results:

@@ -130,15 +130,6 @@ class TestPlanRequests:
         labels, _ = plan_requests(ls, self.config, self.tasks, self.policy)
         assert labels[v.id] == RequestLabel(cb=False, blocked=True)
 
-    def test_boost_outgoing_flag(self):
-        v = self.consumers[0]
-        ls = LabelSet(cb_tasks={v.msg_pred})
-        labels, _ = plan_requests(ls, self.config, self.tasks, self.policy)
-        assert v.id not in labels
-        out_policy = PolicyConfig(boost_outgoing=True)
-        labels, _ = plan_requests(ls, self.config, self.tasks, out_policy)
-        assert labels[v.id].cb
-
 
 class TestOrchestrate:
     def test_iteration_count_and_warmup(self):
@@ -198,7 +189,7 @@ class TestOrchestrate:
             advance_network(net, 10.0)
             stages, tasks = build(4, ["IL", "PA", "NY", "DC"], 4)
             results = orchestrate(OrchestratorConfig(n_iterations=4), net, stages, tasks,
-                                  PolicyConfig(), LatencyParams(), msg_bits=16e6, bg=bg)
+                                  PolicyConfig(), LatencyParams(), msg_bits=16e6)
             return [line for r in results for line in r.timeline.event_log_lines()]
 
         assert run() == run()
@@ -225,7 +216,7 @@ def test_orchestrate_properties(p, m, dcs, kind, selector, bg_seed):
         stages, tasks = build(p, dcs[:p], m, kind)
         results = orchestrate(OrchestratorConfig(n_iterations=3), net, stages, tasks,
                               PolicyConfig(selector=selector), LatencyParams(),
-                              msg_bits=16 * 2**20 * 8, bg=bg)
+                              msg_bits=16 * 2**20 * 8)
         return net, tasks, results
 
     net, tasks, results = run()

@@ -63,6 +63,28 @@ class TestConfig:
         assert cfg.placement(3, 8) != cfg.placement(4, 8)
         assert set(cfg.placement(3, 8)) <= set(cfg.dc_nodes())
 
+    def test_placement_draws_from_the_whole_pool(self):
+        pool = [*cli.DEFAULT_DC_NODES, "GA"]
+        cfg = RunConfig.from_flat({"placement.dc_nodes": pool})
+        assert cfg.dc_nodes() == pool
+        assert any("GA" in cfg.placement(seed, 8) for seed in range(200))
+
+    @pytest.mark.parametrize("key, value", [
+        ("topology.slot_width_ghz", 12.5),
+        ("topology.per_direction", False),
+        ("placement.n_dcs", 6),
+        ("latency.queue_penalty_per_conflict_s", 0.0),
+        ("cba.boost_outgoing", False),
+    ])
+    def test_removed_keys_are_unknown(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            RunConfig.from_flat({key: value})
+
+    def test_integral_floats_are_accepted_for_int_keys(self):
+        cfg = RunConfig.from_flat({"rsa.k": 4.0, "model.n_layers": 32.0})
+        assert cfg["rsa.k"] == 4 and isinstance(cfg["rsa.k"], int)
+        assert cfg["model.n_layers"] == 32 and isinstance(cfg["model.n_layers"], int)
+
     def test_loaded_preset_prewarm_default(self):
         cfg = RunConfig.from_flat({"bg.preset": "loaded"})
         assert cfg.prewarm_s() == pytest.approx(30.0)
@@ -222,6 +244,20 @@ class TestMain:
         assert rc == 0
         assert (tmp_path / "run.csv").exists()
 
+    def test_run_with_a_three_name_pool_exit_zero(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "placement.dc_nodes": ["IL", "PA", "MI"]}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        body = read_csv(tmp_path / "run.csv")[1:]
+        assert len(body) == 3
+
+    def test_jobs_flag_is_checked_as_the_jobs_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        argv = ["compare", "--config", str(cfg), "--out", str(tmp_path), "--jobs"]
+        assert cli.main([*argv, "0"]) == 1
+        assert capsys.readouterr().err.startswith("config error: jobs: ")
+
     def test_config_error_exit_one(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pp.stages": -1}))
@@ -253,6 +289,18 @@ class TestMain:
              "bg.fs_demand_max"),
             ('{"bg.preset": "loaded", "topology.fs_total": 8, "fs.max": 8}',
              "bg.fs_demand_max"),
+            ('{"rsa.k": 2.5}', "rsa.k"),
+            ('{"cba.n_iterations": 3.9}', "cba.n_iterations"),
+            ('{"pp.stages": true}', "pp.stages"),
+            ('{"fs.boost_factor": true}', "fs.boost_factor"),
+            ('{"topology.fs_total": "80"}', "topology.fs_total"),
+            ('{"latency.fs_rate_bps": "7.5e10"}', "latency.fs_rate_bps"),
+            ('{"compare.microbatch_grid": []}', "compare.microbatch_grid"),
+            ('{"compare.models": []}', "compare.models"),
+            ('{"compare.schedules": []}', "compare.schedules"),
+            ('{"jobs": 0}', "jobs"),
+            ('{"jobs": -3}', "jobs"),
+            ('{"placement.dc_nodes": []}', "placement.dc_nodes"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):

@@ -31,10 +31,8 @@ from optpipe.topology import (
     set_link_occupancy,
 )
 from optpipe.workload import (
-    Direction,
     ScheduleKind,
     Stage,
-    Task,
     build_profile,
     build_schedule,
     partition_stages,
@@ -148,7 +146,7 @@ def test_tasks_start_when_their_last_dependency_is_met(
     ]
     tasks = build_schedule(kind, stages, m)
     tl = simulate_iteration(net, stages, tasks, PolicyConfig(selector=selector),
-                            LatencyParams(), bg=bg, msg_bits=16 * 2**20 * 8)
+                            LatencyParams(), msg_bits=16 * 2**20 * 8)
     consumed = {x.consumer_id: x for x in tl.transfers}
     assert len(consumed) == len(tl.transfers) == sum(t.msg_pred is not None for t in tasks)
     for task in tasks:
@@ -163,50 +161,6 @@ def test_tasks_start_when_their_last_dependency_is_met(
             met.append(x.complete_time)
         assert rec.ready_time == rec.start_time == max(met, default=0.0)
     audit_event_log(net, tl.event_log_lines(), tl.iteration_makespan)
-
-
-class TestLinkConflictPenalty:
-    """``latency.queue_penalty_per_conflict_s`` adds kappa per in-flight
-    optical transfer that shares a link with the new one."""
-
-    KAPPA = 2e-3
-    BITS = 1e6
-
-    def _check(self, producers, conflicts):
-        # each producer is (stage DC, compute seconds, consumer DC): one
-        # single-task stage sends one message to a single-task stage
-        net = Network(["A", "B", "C", "D"], [("A", "B", 2000.0), ("C", "D", 2000.0)])
-        stages, tasks = [], []
-        for src, compute, dst in producers:
-            s = len(stages)
-            stages += [Stage(s, src, 0, 1, compute, compute), Stage(s + 1, dst, 0, 1, 1e-3, 1e-3)]
-            tasks += [
-                Task(s, s, 0, Direction.FORWARD, compute),
-                Task(s + 1, s + 1, 0, Direction.FORWARD, 1e-3, msg_pred=s),
-            ]
-        params = LatencyParams(queue_penalty_per_conflict_s=self.KAPPA)
-        tl = simulate_iteration(net, stages, tasks, PolicyConfig(), params,
-                                msg_bits=self.BITS)
-        xfers = sorted(tl.transfers, key=lambda x: x.issue_time)
-        assert [x.issue_time for x in xfers] == [c for _, c, _ in producers]
-        for x, n in zip(xfers, conflicts, strict=True):
-            assert x.kind == "optical"
-            path = net.paths.candidates(x.src_dc, x.dst_dc, 1)[0]
-            assert x.complete_time == x.issue_time + transfer_time(
-                params, path, x.n_fs, self.BITS, n * self.KAPPA
-            )
-        return xfers
-
-    def test_overlap_on_a_shared_link_gains_exactly_kappa(self):
-        # the second message leaves while the first is still in flight on A-B;
-        # the third leaves after both completed, so the pruned set is empty
-        xfers = self._check([("A", 1e-3, "B"), ("A", 2e-3, "B"), ("A", 5e-2, "B")], [0, 1, 0])
-        assert xfers[1].issue_time < xfers[0].complete_time < xfers[2].issue_time
-        assert xfers[1].complete_time < xfers[2].issue_time
-
-    def test_overlap_on_disjoint_links_gains_nothing(self):
-        xfers = self._check([("A", 1e-3, "B"), ("C", 2e-3, "D")], [0, 0])
-        assert xfers[1].issue_time < xfers[0].complete_time
 
 
 class TestBubbleRatio:
@@ -290,7 +244,7 @@ class TestDeterminismAndInvariants:
         stages = toy_stages(4, ["IL", "PA", "NY", "DC"], fwd=2e-3, bwd=4e-3)
         tasks = build_schedule(ScheduleKind.ONE_F_ONE_B, stages, 8)
         tl = simulate_iteration(net, stages, tasks, PolicyConfig(), LatencyParams(),
-                                bg=bg, msg_bits=16e6)
+                                msg_bits=16e6)
         return net, tasks, tl
 
     def test_bit_identical_event_logs(self):

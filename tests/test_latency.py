@@ -9,7 +9,6 @@ from optpipe.latency import (
     RequestLabel,
     alpha,
     beta,
-    queue_penalty,
     required_fs,
     transfer_time,
 )
@@ -18,10 +17,9 @@ from optpipe.topology import Network
 
 
 class FakePath:
-    def __init__(self, km, hops, link_indices=()):
+    def __init__(self, km, hops):
         self.length_km = km
         self.hop_count = hops
-        self.link_indices = link_indices
 
 
 DEFAULTS = LatencyParams()
@@ -57,18 +55,11 @@ class TestBeta:
 
 class TestQueuePenalty:
     def test_idle_egress_zero(self):
-        assert queue_penalty(DEFAULTS, EgressState(), 0, now=1.0) == 0.0
+        assert EgressState().pending(0, now=1.0) == 0.0
 
     def test_pending_egress(self):
         egress = EgressState(busy_until={3: 1.002})
-        assert queue_penalty(DEFAULTS, egress, 3, now=1.0) == pytest.approx(0.002)
-
-    def test_conflict_term(self):
-        params = LatencyParams(queue_penalty_per_conflict_s=1e-4)
-        path = FakePath(10, 1, link_indices=(0, 1))
-        inflight = [frozenset({1, 5}), frozenset({0}), frozenset({1}), frozenset({9})]
-        got = queue_penalty(params, EgressState(), 0, 0.0, path, inflight)
-        assert got == pytest.approx(3e-4, abs=1e-15)
+        assert egress.pending(3, now=1.0) == pytest.approx(0.002)
 
 
 class TestTransferTime:

@@ -7,16 +7,20 @@
   ``topology``: no other module touches an underscore attribute that
   ``Network`` defines, or any underscore attribute of a network object
   (a name ``net``, ``*_net`` or ``*.net``).
+
+The README's Configuration section names every config key and no other.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
-from optpipe import topology
+from optpipe import cli, topology
 
 SRC = pathlib.Path(topology.__file__).parent
+README = pathlib.Path(__file__).parent.parent / "README.md"
 NUMPY_FREE = ("rsa.py", "engine.py", "cba.py", "latency.py", "workload.py")
 
 
@@ -70,3 +74,13 @@ def test_network_internals_stay_in_topology():
             ):
                 hits.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert hits == []
+
+
+def test_readme_config_table_lists_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    backticked = set(re.findall(r"`([^`]+)`", section))
+    dotted = {name for name in backticked
+              if re.fullmatch(r"[a-z_][a-z0-9_]*(\.[a-z_][a-z0-9_]*)+", name)}
+    assert dotted == {key for key in cli.KEY_TABLE if "." in key}
+    assert {key for key in cli.KEY_TABLE if "." not in key} <= backticked

@@ -38,7 +38,6 @@ class TestLoadTopology:
         assert len(net.nodes) == 14
         assert len(net.links) == 21
         assert net.fs_total == 80
-        assert net.slot_width_ghz == 12.5
         assert all(link.bits == 0 for link in net.links)
 
     def test_minimal_two_node_graph(self):
@@ -75,16 +74,6 @@ class TestLoadTopology:
     def test_parse_failure(self):
         with pytest.raises(TopologyError, match="not valid JSON"):
             load_topology("{nope")
-
-    def test_per_direction_links_do_not_share_spectrum(self):
-        net = load_topology(
-            json.dumps({"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": 1}]}),
-            fs_total=8, per_direction=True,
-        )
-        fwd, rev = net.link_between("A", "B"), net.link_between("B", "A")
-        assert fwd is not rev
-        allocate_spectrum(net, [fwd], (0, 3), "x", 10.0)
-        assert rev.occupancy.sum() == 0
 
 
 class TestSpectrumOps:
@@ -196,7 +185,6 @@ class TestPathCatalog:
     def test_candidates_carry_their_links(self, nsfnet):
         for path in nsfnet.paths.candidates("WA", "DC", 5):
             assert path.links == nsfnet.path_links(path.nodes)
-            assert path.link_indices == tuple(link.index for link in path.links)
             assert path.hop_count == len(path.nodes) - 1
             assert path.length_km == pytest.approx(sum(link.length_km for link in path.links))
 
@@ -293,6 +281,12 @@ class TestAdvanceNetwork:
     def test_zero_rate_draws_nothing(self, nsfnet):
         nsfnet.attach_background(BackgroundTrafficModel(0.0, 1.0, (1, 2), 0))
         assert advance_network(nsfnet, 100.0) == 0
+
+    def test_a_network_takes_one_stream(self, nsfnet):
+        bg = BackgroundTrafficModel(5.0, 0.5, (1, 4), rng_seed=7)
+        nsfnet.attach_background(bg)
+        with pytest.raises(RuntimeError, match="already attached"):
+            nsfnet.attach_background(bg)
 
 
 class TestInvariants:
