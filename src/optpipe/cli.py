@@ -282,7 +282,7 @@ class RunConfig:
         else:
             net = topology.load_nsfnet(f["topology.fs_total"])
         dcs = self.dc_nodes()
-        missing = [d for d in dcs if d not in net.graph]
+        missing = [d for d in dcs if d not in net.adjacency]
         if missing:
             raise ConfigError(f"placement.dc_nodes: not in topology: {missing}")
         return net
@@ -424,7 +424,8 @@ def run_cell(
     All policies observe the identical placement and background seed and
     share one immutable stage and task list; each gets its own fresh network
     so their spectrum evolution stays independent.  Every simulated
-    iteration's event log is replay-audited and its CB labels checked.
+    iteration's XFER lines are replay-audited and its CB labels checked;
+    the full event log is built only when ``collect_events`` asks for it.
 
     KSP-FF and SD-FF differ only in the order in which they try the same
     candidate paths, and the simulation is deterministic.  When the cell runs
@@ -477,7 +478,7 @@ def run_cell(
         policy_rows: list[list] = []
         policy_lines: list[str] = []
         for r in results:
-            lines = r.timeline.event_log_lines()
+            lines = r.timeline.event_log_lines() if collect_events else r.timeline.xfer_lines()
             audited += engine.audit_event_log(net, lines, r.timeline.iteration_makespan)
             label_checks += cba.verify_label_soundness(
                 r.timeline, tasks, r.labels, orch.epsilon_bubble_s

@@ -138,16 +138,22 @@ class Timeline:
                 f"TASK\t{r.task_id}\t{r.stage_id}\t{r.microbatch}\t{r.direction}"
                 f"\t{r.ready_time!r}\t{r.start_time!r}\t{r.finish_time!r}"
             )
+        lines.extend(self.xfer_lines())
+        for b in sorted(self.blocking_events, key=lambda b: b.request_id):
+            lines.append(
+                f"BLOCK\t{b.request_id}\t{b.task_id}\t{b.attempts}\t{b.final_outcome}"
+            )
+        return lines
+
+    def xfer_lines(self) -> list[str]:
+        """The XFER lines of ``event_log_lines``: all that ``audit_event_log`` reads."""
+        lines = []
         for x in sorted(self.transfers, key=lambda t: (t.issue_time, t.request_id)):
             path = ">".join(x.path_nodes) if x.path_nodes else "-"
             lines.append(
                 f"XFER\t{x.request_id}\t{x.task_id}\t{x.consumer_id}\t{x.src_dc}\t{x.dst_dc}"
                 f"\t{x.kind}\t{x.n_fs}\t{x.f_start}\t{x.f_end}\t{path}\t{x.retries}"
                 f"\t{x.issue_time!r}\t{x.hold_start!r}\t{x.complete_time!r}"
-            )
-        for b in sorted(self.blocking_events, key=lambda b: b.request_id):
-            lines.append(
-                f"BLOCK\t{b.request_id}\t{b.task_id}\t{b.attempts}\t{b.final_outcome}"
             )
         return lines
 
@@ -187,7 +193,7 @@ class _Sim:
         self.tasks = list(tasks)
         self.stage_dc = {s.stage_id: s.dc_node for s in stages}
         for dc in self.stage_dc.values():
-            if dc not in net.graph:
+            if dc not in net.adjacency:
                 raise ValueError(f"stage placed on unknown datacenter {dc!r}")
         if policy.fs_max > net.fs_total:
             raise ValueError("fs_max exceeds the network's slot count")

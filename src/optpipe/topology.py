@@ -8,7 +8,8 @@ state updates, and the synthetic background traffic that makes optical path
 availability vary over time.  It also owns the routes: each network's
 ``paths`` is a ``PathCatalog`` that memoises, per node pair, the candidate
 paths every selector tries, SD-FF's delay order over them, and the
-shortest path that background admission uses.
+shortest path that background admission uses.  Both routers are plain
+Python over ``Network.adjacency``.
 
 Spectrum state is one Python ``int`` per link, ``Link.bits``: bit f is set
 when slot f is occupied.  A path's aggregate is the OR of its links' ints
@@ -22,13 +23,13 @@ building test instances.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .latency import LatencyParams, alpha
@@ -85,10 +86,10 @@ class PathCatalog:
 
     ``candidates`` are the paths every selector tries and ``delay_order`` is
     SD-FF's order over them.  ``background`` is the path that background
-    admission uses: ``nx.dijkstra_path``, which breaks length ties its own
-    way and so differs from ``candidates(src, dst, 1)[0]`` on some pairs
-    (29 of the 182 ordered NSFNET pairs, PA->NJ among them).  Merging the two
-    would change every background allocation.
+    admission uses: the Dijkstra route of ``_dijkstra``, which breaks length
+    ties its own way and so differs from ``candidates(src, dst, 1)[0]`` on
+    some pairs (29 of the 182 ordered NSFNET pairs, PA->NJ among them).
+    Merging the two would change every background allocation.
     """
 
     def __init__(self, net: Network):
@@ -97,17 +98,22 @@ class PathCatalog:
         self._delay: dict[tuple[str, str, int, float, float], tuple[int, ...]] = {}
         self._background: dict[tuple[str, str], tuple[Link, ...]] = {}
 
-    def _length(self, nodes: Sequence[str]) -> float:
-        total = 0.0
-        for u, v in zip(nodes, nodes[1:]):
-            total += self._net.link_between(u, v).length_km
-        return total
+    def _check_nodes(self, *nodes: str) -> None:
+        for node in nodes:
+            if node not in self._net.adjacency:
+                raise TopologyError(f"unknown node {node!r}")
 
     def candidates(self, src: str, dst: str, k: int) -> tuple[CandidatePath, ...]:
         """Up to k loopless paths sorted by (length_km, hops, node sequence).
 
         Matches brute-force enumeration of all simple paths under the same
         key, truncated to k.  Empty when no path exists.
+
+        A best-first search over partial simple paths, keyed by length so
+        far plus the Dijkstra distance left to ``dst``.  Once k paths are
+        complete, nothing is expanded whose key exceeds the kth-best length
+        (with a 1e-12 tolerance for rounding in the keys), so every path that
+        ties for a place is found before the exact sort.
         """
         cached = self._candidates.get((src, dst, k))
         if cached is not None:
@@ -116,28 +122,34 @@ class PathCatalog:
             raise ValueError("src and dst must differ")
         if k < 1:
             raise ValueError("k must be >= 1")
-        collected: list[tuple[float, int, tuple[str, ...]]] = []
-        try:
-            gen = nx.shortest_simple_paths(self._net.graph, src, dst, weight="length_km")
-            for nodes in gen:
-                length = self._length(nodes)
-                collected.append((length, len(nodes) - 1, tuple(nodes)))
-                if len(collected) >= k:
-                    # paths arrive in nondecreasing length; once the newest one is
-                    # strictly longer than the kth-best we have every tie candidate
-                    kth = sorted(collected)[k - 1][0]
-                    if length > kth * (1 + 1e-12) + 1e-12:
-                        break
-        except nx.NetworkXNoPath:
-            pass
-        collected.sort()
-        result = tuple(self._candidate(nodes, length) for length, _, nodes in collected[:k])
+        self._check_nodes(src, dst)
+        adjacency = self._net.adjacency
+        to_dst = _dijkstra(adjacency, dst)[0]
+        found: list[tuple[float, int, tuple[str, ...]]] = []
+        cutoff = math.inf
+        heap = [(to_dst[src], 0.0, (src,))] if src in to_dst else []
+        while heap:
+            key, length, nodes = heapq.heappop(heap)
+            if key > cutoff:
+                break
+            node = nodes[-1]
+            if node == dst:
+                found.append((length, len(nodes) - 1, nodes))
+                if len(found) >= k:
+                    kth = sorted(found)[k - 1][0]
+                    cutoff = kth * (1 + 1e-12) + 1e-12
+                continue
+            for nbr, link in adjacency[node].items():
+                if nbr not in nodes:
+                    step = length + link.length_km
+                    heapq.heappush(heap, (step + to_dst[nbr], step, nodes + (nbr,)))
+        found.sort()
+        result = tuple(
+            CandidatePath(nodes, self._net.path_links(nodes), length, hops)
+            for length, hops, nodes in found[:k]
+        )
         self._candidates[(src, dst, k)] = result
         return result
-
-    def _candidate(self, nodes: tuple[str, ...], length_km: float) -> CandidatePath:
-        links = self._net.path_links(nodes)
-        return CandidatePath(nodes, links, length_km, len(links))
 
     def delay_order(self, src: str, dst: str, k: int, params: LatencyParams) -> tuple[int, ...]:
         """Indices into ``candidates(src, dst, k)`` by ascending propagation delay.
@@ -158,9 +170,46 @@ class PathCatalog:
         """Links of the Dijkstra shortest path by length_km."""
         links = self._background.get((src, dst))
         if links is None:
-            nodes = nx.dijkstra_path(self._net.graph, src, dst, weight="length_km")
-            links = self._background[(src, dst)] = self._net.path_links(nodes)
+            self._check_nodes(src, dst)
+            dist, pred = _dijkstra(self._net.adjacency, src, dst)
+            if dst not in dist:
+                raise TopologyError(f"no route between {src!r} and {dst!r}")
+            nodes = [dst]
+            while nodes[-1] != src:
+                nodes.append(pred[nodes[-1]])
+            links = self._background[(src, dst)] = self._net.path_links(nodes[::-1])
         return links
+
+
+def _dijkstra(adjacency: dict[str, dict[str, Link]], source: str, target: str | None = None,
+              ) -> tuple[dict[str, float], dict[str, str]]:
+    """Distances by length_km from ``source`` and each reached node's predecessor.
+
+    The tie-breaking is that of networkx's ``dijkstra_path``, and the golden
+    outputs depend on it: the heap holds (distance, push counter, node),
+    neighbours are scanned in ``adjacency`` order (link order), and a
+    predecessor changes only on a strict improvement.  Stops once ``target``
+    is settled; without one it settles every node that ``source`` reaches.
+    """
+    dist: dict[str, float] = {}
+    seen: dict[str, float] = {source: 0}
+    pred: dict[str, str] = {}
+    counter = itertools.count()
+    heap = [(0, next(counter), source)]
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node in dist:
+            continue
+        dist[node] = d
+        if node == target:
+            break
+        for nbr, link in adjacency[node].items():
+            step = d + link.length_km
+            if nbr not in dist and (nbr not in seen or step < seen[nbr]):
+                seen[nbr] = step
+                pred[nbr] = node
+                heapq.heappush(heap, (step, next(counter), nbr))
+    return dist, pred
 
 
 @dataclass(frozen=True)
@@ -265,15 +314,15 @@ class Network:
         self.fs_total = int(fs_total)
         self.now = 0.0
 
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(self.nodes)
         self.links: list[Link] = []
-        self._by_pair: dict[tuple[str, str], Link] = {}
+        # node -> {neighbour: link}, nodes in list order and neighbours in
+        # link order: the order in which both routers scan them
+        self.adjacency: dict[str, dict[str, Link]] = {n: {} for n in self.nodes}
         for idx, (a, b, km) in enumerate(link_specs):
-            self.graph.add_edge(a, b, length_km=float(km))
             link = Link(index=idx, a=a, b=b, length_km=float(km), fs_total=self.fs_total)
             self.links.append(link)
-            self._by_pair[(a, b)] = self._by_pair[(b, a)] = link
+            self.adjacency.setdefault(a, {})[b] = link
+            self.adjacency.setdefault(b, {})[a] = link
 
         # the one allocation ledger: owner -> (links, f_start, f_end, release_time)
         self._active: dict[str, tuple[tuple[Link, ...], int, int, float]] = {}
@@ -287,7 +336,7 @@ class Network:
 
     def link_between(self, a: str, b: str) -> Link:
         try:
-            return self._by_pair[(a, b)]
+            return self.adjacency[a][b]
         except KeyError:
             raise TopologyError(f"no link between {a!r} and {b!r}") from None
 
@@ -408,7 +457,7 @@ def load_topology(text: str, fs_total: int = DEFAULT_FS_TOTAL) -> Network:
         specs.append((a, b, km))
 
     net = Network(nodes, specs, fs_total=fs_total)
-    if len(nodes) > 1 and not nx.is_connected(net.graph):
+    if len(nodes) > 1 and len(_dijkstra(net.adjacency, nodes[0])[0]) < len(nodes):
         raise TopologyError("topology graph is not connected")
     return net
 

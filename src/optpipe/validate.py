@@ -12,6 +12,7 @@ The test suite imports the same ``ref_*`` functions, ``random_instance``,
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def ref_simple_paths(net: topology.Network, src: str, dst: str) -> list[tuple[st
         if node == dst:
             paths.append((_km(net, seen), len(seen) - 1, seen))
             return
-        for nbr in net.graph.neighbors(node):
+        for nbr in net.adjacency[node]:
             if nbr not in seen:
                 walk(nbr, seen + (nbr,))
 
@@ -270,10 +271,20 @@ def check_ksp_bruteforce(n_instances: int = 100) -> tuple[bool, str]:
         src, dst = names[int(src)], names[int(dst)]
         k = int(rng.choice([1, 2, 3, 10]))
         got = [p.nodes for p in rsa.k_shortest_paths(net, src, dst, k)]
-        want = ref_simple_paths(net, src, dst)[:k]
-        if got != want:
-            return False, f"instance {i}: got {got}, want {want}"
-    return True, f"{n_instances} random instances"
+        every = ref_simple_paths(net, src, dst)
+        if got != every[:k]:
+            return False, f"instance {i}: got {got}, want {every[:k]}"
+        # the background route: a src->dst walk of the brute-force minimum length
+        node, km = src, 0.0
+        for link in net.paths.background(src, dst):
+            if node not in (link.a, link.b):
+                return False, f"instance {i}: background route breaks at {link!r}"
+            node = link.b if node == link.a else link.a
+            km += link.length_km
+        if node != dst or not math.isclose(km, _km(net, every[0]), rel_tol=1e-12):
+            return False, (f"instance {i}: background route ends at {node} after {km} km; "
+                           f"want {dst} after {_km(net, every[0])} km")
+    return True, f"{n_instances} random instances, candidates and background route"
 
 
 def check_first_fit_lowest_block(n_instances: int = 100) -> tuple[bool, str]:

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from optpipe import cli, rsa, topology, validate
+from optpipe import cli, engine, rsa, topology, validate
 from optpipe.cli import ConfigError, RunConfig
 from optpipe.engine import SELECTORS
 
@@ -234,6 +234,31 @@ class TestFirstFitReuse:
         assert not both.first_fit_reused
         assert both.audited_transfers == sum(o.audited_transfers for o in solo.values())
         assert both.label_checks == sum(o.label_checks for o in solo.values())
+
+
+class TestLeanAudit:
+    def test_audit_reads_the_xfer_lines_of_the_full_log(self, monkeypatch):
+        cfg = RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 3})
+        policies = ["cba", "ksp_ff"]  # no first-fit reuse: every log is audited
+        full = cli.run_cell(cfg, policies, "llama3-8b-like", "gpipe", 4, 0,
+                            collect_events=True)
+
+        audited_lines = []
+        real_audit = engine.audit_event_log
+
+        def spy(net, lines, makespan):
+            audited_lines.extend(lines)
+            return real_audit(net, lines, makespan)
+
+        def full_log(self):
+            raise AssertionError("full event log built without collect_events")
+
+        monkeypatch.setattr(engine, "audit_event_log", spy)
+        monkeypatch.setattr(engine.Timeline, "event_log_lines", full_log)
+        lean = cli.run_cell(cfg, policies, "llama3-8b-like", "gpipe", 4, 0)
+        assert audited_lines == [x for x in full.event_lines if x.startswith("XFER\t")]
+        assert lean.audited_transfers == full.audited_transfers > 0
+        assert lean.rows == full.rows and lean.event_lines == []
 
 
 class TestMain:

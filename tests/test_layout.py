@@ -3,6 +3,8 @@
 * The simulation core (selection, engine, orchestrator, latency model and
   workload) works on Python ints and lists; numpy stays in the network's
   array views, the harness and the reference layer.
+* No module imports networkx: the routes are plain Python in ``topology``,
+  and networkx is a test-only reference.
 * ``Network`` state, routes included, is read and written only in
   ``topology``: no other module touches an underscore attribute that
   ``Network`` defines, or any underscore attribute of a network object
@@ -14,8 +16,11 @@ The README's Configuration section names every config key and no other.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from optpipe import cli, topology
 
@@ -58,6 +63,25 @@ def test_core_modules_import_no_numpy():
         if module.split(".")[0] == "numpy"
     ]
     assert hits == []
+
+
+def test_no_module_imports_networkx():
+    hits = [
+        f"{path.name} imports {module}"
+        for path in sorted(SRC.glob("*.py"))
+        for module in _imported_modules(_tree(path))
+        if module.split(".")[0] == "networkx"
+    ]
+    assert hits == []
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, optpipe.cli; print(sorted(m for m in sys.modules if 'networkx' in m))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_network_internals_stay_in_topology():

@@ -29,7 +29,34 @@ from optpipe.topology import (
     set_link_occupancy,
     unpack_bits,
 )
-from optpipe.validate import free_block_starts
+from optpipe.validate import free_block_starts, random_instance, ref_simple_paths
+
+
+def reference_graph(net: Network) -> nx.Graph:
+    """The network as an ``nx.Graph``: its nodes, then its links in order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(net.nodes)
+    for link in net.links:
+        graph.add_edge(link.a, link.b, length_km=link.length_km)
+    return graph
+
+
+def assert_routes_match_references(net: Network, ks=(1, 2, 3, 10)) -> None:
+    """Candidates equal the brute force; background equals ``nx.dijkstra_path``."""
+    graph = reference_graph(net)
+    for src in net.nodes:
+        for dst in net.nodes:
+            if src == dst:
+                continue
+            every = ref_simple_paths(net, src, dst)
+            for k in ks:
+                assert [p.nodes for p in net.paths.candidates(src, dst, k)] == every[:k]
+            if not every:
+                with pytest.raises(TopologyError):
+                    net.paths.background(src, dst)
+                continue
+            nodes = nx.dijkstra_path(graph, src, dst, weight="length_km")
+            assert net.paths.background(src, dst) == net.path_links(nodes)
 
 
 class TestLoadTopology:
@@ -189,12 +216,13 @@ class TestPathCatalog:
             assert path.length_km == pytest.approx(sum(link.length_km for link in path.links))
 
     def test_background_is_the_dijkstra_route(self, nsfnet):
+        graph = reference_graph(nsfnet)
         differ = 0
         for src in nsfnet.nodes:
             for dst in nsfnet.nodes:
                 if src == dst:
                     continue
-                nodes = nx.dijkstra_path(nsfnet.graph, src, dst, weight="length_km")
+                nodes = nx.dijkstra_path(graph, src, dst, weight="length_km")
                 assert nsfnet.paths.background(src, dst) == nsfnet.path_links(nodes)
                 differ += tuple(nodes) != nsfnet.paths.candidates(src, dst, 1)[0].nodes
         # length ties broken differently; see the PathCatalog docstring
@@ -221,6 +249,33 @@ class TestPathCatalog:
             net.paths.candidates("A", "A", 1)
         with pytest.raises(ValueError):
             net.paths.candidates("A", "B", 0)
+
+    def test_unknown_node(self, triangle):
+        with pytest.raises(TopologyError, match="unknown node 'Z'"):
+            triangle.paths.candidates("A", "Z", 3)
+        with pytest.raises(TopologyError, match="unknown node 'Z'"):
+            triangle.paths.background("Z", "A")
+
+    def test_background_between_components(self):
+        net = Network(["A", "B", "C", "D"], [("A", "B", 1.0), ("C", "D", 1.0)], fs_total=4)
+        with pytest.raises(TopologyError, match="no route between 'A' and 'D'"):
+            net.paths.background("A", "D")
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_routes_on_random_instances(self, seed):
+        assert_routes_match_references(random_instance(np.random.default_rng(seed)))
+
+    @given(data=st.data(), n=st.integers(2, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_routes_with_tied_lengths(self, data, n):
+        # lengths of 1-3 km make equal-length paths common; nodes and links
+        # come in a drawn order, and the graph may be disconnected
+        names = data.draw(st.permutations([f"N{i}" for i in range(n)]))
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        specs = [(a, b, float(data.draw(st.integers(1, 3)))) for a, b in chosen]
+        assert_routes_match_references(Network(names, specs, fs_total=4), ks=(1, 2, 4, 7))
 
 
 class TestAdvanceNetwork:
