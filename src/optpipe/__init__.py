@@ -38,6 +38,7 @@ from .rsa import (
     select_sd_ff,
 )
 from .topology import (
+    ArrivalTape,
     BackgroundTrafficModel,
     Link,
     Network,

@@ -39,6 +39,10 @@ from .latency import LatencyParams
 # routes, so route-and-spectrum choice (not raw propagation) dominates.
 DEFAULT_DC_NODES = ["IL", "PA", "MI", "NY", "NJ", "DC"]
 _PLACEMENT_STREAM = 101
+# Cap on the background arrivals one policy run may draw (see
+# RunConfig.expected_bg_arrivals), about 100x the largest shipped config: every
+# arrival costs draw and admission time and stays on the cell's arrival tape.
+MAX_BG_ARRIVALS = 1_000_000
 
 RESULT_COLUMNS = [
     "policy", "model", "schedule", "microbatches", "seed", "iteration",
@@ -267,7 +271,14 @@ class RunConfig:
             for key in ("model.n_layers", "model.fwd_time_per_layer_s",
                         "model.bwd_time_per_layer_s", "model.msg_bytes_per_microbatch"):
                 require(f[key] is not None, key, "required for the custom model")
+                require(f[key] > 0, key, "must be positive")
         require(f["jobs"] is None or f["jobs"] >= 1, "jobs", "must be >= 1")
+        if f["bg.preset"] != "off":
+            expected = self.expected_bg_arrivals()
+            require(expected <= MAX_BG_ARRIVALS, "bg.arrival_rate_per_s",
+                    f"expects about {expected:.3g} background arrivals per policy run "
+                    f"(rate x (prewarm + cba.n_iterations x zero-latency makespan of the "
+                    f"largest cell)); the cap is {MAX_BG_ARRIVALS}")
 
     # ------------------------------------------------------------------
     # constructed objects
@@ -368,6 +379,25 @@ class RunConfig:
             return 5.0 * self.background(0).mean_hold_s
         return 0.0
 
+    def expected_bg_arrivals(self) -> float:
+        """Background arrivals one policy run draws, estimated before the run.
+
+        The rate times the prewarm plus ``cba.n_iterations`` zero-latency
+        makespans of the largest configured cell, (m + p - 1) times the
+        slowest stage's forward plus backward time.  Communication only
+        stretches iterations, so a real run usually draws somewhat more.
+        """
+        f = self.flat
+        p = f["pp.stages"]
+        slowest_stage = max(
+            -(-prof.n_layers // p) * (prof.fwd_time_per_layer_s + prof.bwd_time_per_layer_s)
+            for prof in map(self.profile, {f["run.model"], *f["compare.models"]})
+        )
+        m = max(f["run.microbatches"], *f["compare.microbatch_grid"])
+        makespan = (m + p - 1) * slowest_stage
+        rate = self._bg("bg.arrival_rate_per_s")
+        return rate * (self.prewarm_s() + f["cba.n_iterations"] * makespan)
+
     def check_model_depth(self, models: Iterable[str]) -> None:
         p = self.flat["pp.stages"]
         for name in models:
@@ -421,9 +451,10 @@ def run_cell(
 ) -> CellOutcome:
     """Run one (model, schedule, m, seed) cell for the given policies.
 
-    All policies observe the identical placement and background seed and
-    share one immutable stage and task list; each gets its own fresh network
-    so their spectrum evolution stays independent.  Every simulated
+    All policies observe the identical placement and share one immutable
+    stage and task list and one background arrival tape, drawn once for the
+    cell; each gets its own fresh network, reading the tape through its own
+    cursor, so their spectrum evolution stays independent.  Every simulated
     iteration's XFER lines are replay-audited and its CB labels checked;
     the full event log is built only when ``collect_events`` asks for it.
 
@@ -450,6 +481,8 @@ def run_cell(
     event_lines: list[str] = []
     first_fit: dict[str, tuple[list[list], list[str]]] = {}
     reused = False
+    bg = cfg.background(seed)
+    tape: topology.ArrivalTape | None = None
     for policy_name in policy_names:
         head = f"RUN\tpolicy={policy_name}\t"
         twin = _FIRST_FIT_TWIN.get(policy_name)
@@ -468,9 +501,10 @@ def run_cell(
             reused = True
             continue
         net = cfg.build_network()
-        bg = cfg.background(seed)
         if bg is not None:
-            net.attach_background(bg)
+            if tape is None:
+                tape = topology.ArrivalTape(bg, net.nodes)
+            net.attach_background(tape)
             topology.advance_network(net, cfg.prewarm_s())
         results = cba.orchestrate(
             orch, net, stages, tasks, cfg.policy(policy_name), params, msg_bits=msg_bits,
@@ -574,7 +608,9 @@ def compare_grid(
 
     ``audited`` and ``label_checks`` count what was simulated and checked;
     ``reused_cells`` is the number of cells whose SD-FF rows were copied from
-    KSP-FF (see ``run_cell``)."""
+    KSP-FF (see ``run_cell``).  Cells are dispatched largest first by task
+    count (a stable sort) and collected by key, so the output keeps grid
+    order."""
     cfg.check_model_depth(cfg["compare.models"])
     grid = [
         (model, schedule, m, seed)
@@ -589,7 +625,11 @@ def compare_grid(
         jobs = min(os.cpu_count() or 1, 8)
 
     outcomes: dict[tuple, CellOutcome] = {}
-    work = [(cfg.flat, policies, *cell, collect_events) for cell in grid]
+    # largest cells (2*p*m tasks) first, so no worker is left with a long
+    # cell at the end; outcomes are still emitted in grid order
+    p = cfg["pp.stages"]
+    largest_first = sorted(grid, key=lambda cell: -2 * p * cell[2])
+    work = [(cfg.flat, policies, *cell, collect_events) for cell in largest_first]
     parallel = jobs > 1 and len(work) > 1
     with ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext() as pool:
         cell_map = pool.map if pool else map

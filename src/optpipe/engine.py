@@ -41,7 +41,7 @@ from .latency import (
     required_fs,
     transfer_time,
 )
-from .topology import Network, advance_network, allocate_spectrum
+from .topology import Link, Network, advance_network, allocate_spectrum
 from .workload import Stage, Task
 
 SELECTORS = ("cba", "ksp_ff", "sd_ff")
@@ -451,7 +451,8 @@ def audit_event_log(net: Network, lines: Iterable[str], makespan: float) -> int:
     (no leaked allocations).  Returns the number of transfers audited;
     raises RuntimeError on the first violation.
     """
-    per_link: dict[int, list[tuple[float, float, int, int, int]]] = {}
+    # path string -> (its links, resolved on first sight; its intervals)
+    by_path: dict[str, tuple[tuple[Link, ...], list[tuple[float, float, int, int, int]]]] = {}
     audited = 0
     for line in lines:
         parts = line.rstrip("\n").split("\t")
@@ -459,16 +460,21 @@ def audit_event_log(net: Network, lines: Iterable[str], makespan: float) -> int:
             continue
         rid = int(parts[1])
         n_fs, f0, f1 = int(parts[7]), int(parts[8]), int(parts[9])
-        nodes = parts[10].split(">")
         hold_start, complete = float(parts[13]), float(parts[14])
         if f1 - f0 + 1 != n_fs:
             raise RuntimeError(f"request {rid}: block width disagrees with n_fs")
         if complete > makespan + 1e-9:
             raise RuntimeError(f"request {rid}: allocation leaks past iteration end")
-        for link in net.path_links(nodes):
-            per_link.setdefault(link.index, []).append((hold_start, complete, f0, f1, rid))
+        group = by_path.get(parts[10])
+        if group is None:
+            group = by_path[parts[10]] = (net.path_links(parts[10].split(">")), [])
+        group[1].append((hold_start, complete, f0, f1, rid))
         audited += 1
 
+    per_link: dict[int, list[tuple[float, float, int, int, int]]] = {}
+    for links, path_intervals in by_path.values():
+        for link in links:
+            per_link.setdefault(link.index, []).extend(path_intervals)
     for intervals in per_link.values():
         intervals.sort()
         active: list[tuple[float, int, int, int]] = []

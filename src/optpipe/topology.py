@@ -11,6 +11,11 @@ paths every selector tries, SD-FF's delay order over them, and the
 shortest path that background admission uses.  Both routers are plain
 Python over ``Network.adjacency``.
 
+Background arrivals come from an ``ArrivalTape``, which holds the draw-order
+contract: the seeded draws of one traffic model over one node list, made
+once, on demand, and kept.  Each network reads a tape through its own
+cursor, so the policies of one cell can replay a single tape.
+
 Spectrum state is one Python ``int`` per link, ``Link.bits``: bit f is set
 when slot f is occupied.  A path's aggregate is the OR of its links' ints
 (``path_bits``), the starts of free runs come from shift-AND folding
@@ -26,6 +31,7 @@ import heapq
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
@@ -254,45 +260,85 @@ def loaded_background(seed: int) -> BackgroundTrafficModel:
     )
 
 
-class _BackgroundStream:
-    """Stateful seeded arrival stream for one simulation run.
+def _small_int_array(largest: int) -> array:
+    """An empty typed array whose items hold 0..largest in the fewest bytes."""
+    return array(next(c for c in "BHIQ" if largest < 1 << 8 * array(c).itemsize))
 
+
+class ArrivalTape:
+    """The seeded background arrivals of one model over one node list, drawn once.
+
+    Arrival k is drawn when a reader first needs it and kept, so every
+    network that reads the tape sees the same arrivals however it advances.
     The per-arrival draw order is part of the replay contract (tests replay
     it independently): inter-arrival gap, source index, destination offset,
-    FS demand, holding time.
+    FS demand, holding time.  The arrivals are stored in typed arrays; the
+    destination is kept as a node index with the offset applied.
     """
 
-    def __init__(self, model: BackgroundTrafficModel, nodes: Sequence[str], base_time: float):
+    def __init__(self, model: BackgroundTrafficModel, nodes: Sequence[str]):
         self.model = model
-        self.nodes = list(nodes)
-        self.rng = np.random.default_rng(model.rng_seed)
-        self._next_time = math.inf
-        self._pending: tuple[str, str, int, float] | None = None
-        if model.arrival_rate_per_s > 0 and len(self.nodes) >= 2:
-            self._next_time = base_time
-            self._advance_draw()
+        self.nodes = tuple(nodes)
+        self.active = model.arrival_rate_per_s > 0 and len(self.nodes) >= 2
+        self._rng = np.random.default_rng(model.rng_seed)
+        self.gaps = array("d")
+        self.src = _small_int_array(len(self.nodes))
+        self.dst = _small_int_array(len(self.nodes))
+        self.demand = _small_int_array(model.fs_demand_range[1])
+        self.hold = array("d")
 
-    def _advance_draw(self) -> None:
-        rng = self.rng
+    def __len__(self) -> int:
+        return len(self.gaps)
+
+    def draw(self) -> None:
+        """Append the next arrival."""
+        rng = self._rng
         n = len(self.nodes)
         lo, hi = self.model.fs_demand_range
-        self._next_time += rng.exponential(1.0 / self.model.arrival_rate_per_s)
+        self.gaps.append(rng.exponential(1.0 / self.model.arrival_rate_per_s))
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n - 1))
-        if j >= i:
-            j += 1
-        demand = int(rng.integers(lo, hi + 1))
-        hold = float(rng.exponential(self.model.mean_hold_s))
-        self._pending = (self.nodes[i], self.nodes[j], demand, hold)
+        self.src.append(i)
+        self.dst.append(j + 1 if j >= i else j)
+        self.demand.append(int(rng.integers(lo, hi + 1)))
+        self.hold.append(rng.exponential(self.model.mean_hold_s))
+
+
+class _BackgroundStream:
+    """One network's cursor over an arrival tape.
+
+    ``pos`` counts the arrivals read from the tape, the pending one (due at
+    ``peek()``) included.  The stream keeps its own clock: it adds the
+    tape's gaps to its own ``_next_time``, which ``Network.rebase`` shifts,
+    so each reader's arithmetic is what it would be with the draws made in
+    place.
+    """
+
+    def __init__(self, tape: ArrivalTape, base_time: float):
+        self.tape = tape
+        self.pos = 0
+        self._next_time = math.inf
+        if tape.active:
+            self._next_time = base_time
+            self._advance()
+
+    def _advance(self) -> None:
+        tape, k = self.tape, self.pos
+        if k == len(tape):
+            tape.draw()
+        self.pos = k + 1
+        self._next_time += tape.gaps[k]
 
     def peek(self) -> float:
         return self._next_time
 
     def pop(self) -> tuple[float, str, str, int, float]:
-        t = self._next_time
-        src, dst, demand, hold = self._pending  # type: ignore[misc]
-        self._advance_draw()
-        return t, src, dst, demand, hold
+        tape, k = self.tape, self.pos - 1
+        nodes = tape.nodes
+        arrival = (self._next_time, nodes[tape.src[k]], nodes[tape.dst[k]],
+                   tape.demand[k], tape.hold[k])
+        self._advance()
+        return arrival
 
 
 class Network:
@@ -367,18 +413,23 @@ class Network:
         if self._stream is not None:
             self._stream._next_time -= origin
 
-    def attach_background(self, model: BackgroundTrafficModel) -> None:
-        """Seed the network's one arrival stream, based at the current clock.
+    def attach_background(self, source: BackgroundTrafficModel | ArrivalTape) -> None:
+        """Attach the network's one arrival stream, based at the current clock.
 
-        The network owns the stream from then on: ``advance_network`` draws
-        from it, and it carries over between iterations.  Harness code
-        attaches at t=0, before the prewarm, so that paired runs with the
-        same seed observe bit-identical arrival sequences.  A network takes
-        one stream; attaching a second raises.
+        ``source`` is a tape, which other networks may read too, or a model,
+        for which the network draws a tape of its own.  The network owns its
+        cursor from then on: ``advance_network`` reads from it, and it carries
+        over between iterations.  Harness code attaches at t=0, before the
+        prewarm, so that paired runs with the same seed observe bit-identical
+        arrival sequences.  A network takes one stream; attaching a second
+        raises, and so does a tape drawn over a different node list.
         """
         if self._stream is not None:
             raise RuntimeError("a background stream is already attached")
-        self._stream = _BackgroundStream(model, self.nodes, self.now)
+        tape = source if isinstance(source, ArrivalTape) else ArrivalTape(source, self.nodes)
+        if tape.nodes != tuple(self.nodes):
+            raise ValueError("the arrival tape was drawn over a different node list")
+        self._stream = _BackgroundStream(tape, self.now)
 
     def _admit_background(self, t: float, src: str, dst: str, demand: int, hold: float) -> bool:
         if demand > self.fs_total:

@@ -103,6 +103,13 @@ class TestConfig:
         assert RunConfig.from_flat({"bg.preset": "loaded"}).background(5) == (
             topology.loaded_background(5))
 
+    def test_background_work_estimate(self):
+        # loaded preset: 30 arrivals/s over a 30 s prewarm plus 11 iterations of the
+        # largest default cell, 70B with 10 layers per stage at m=128: 135 x 0.18 s
+        cfg = RunConfig.from_flat({"bg.preset": "loaded"})
+        assert cfg.expected_bg_arrivals() == pytest.approx(30 * (30 + 11 * 135 * 0.18))
+        assert cfg.expected_bg_arrivals() < cli.MAX_BG_ARRIVALS / 100
+
     def test_shipped_loaded_config_parses(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json")
         cfg = RunConfig.from_file(root)
@@ -195,6 +202,24 @@ class TestCmdCompare:
         for key in ("results", "summary", "events"):
             assert open(a[key], "rb").read() == open(b[key], "rb").read()
 
+    def test_largest_cells_dispatched_first(self, monkeypatch):
+        flat = {**SMALL, "compare.microbatch_grid": [2, 4, 3], "compare.seeds": [0]}
+        dispatched = []
+        real_job = cli._run_cell_job
+
+        def spy(args):
+            dispatched.append(args[4])
+            return real_job(args)
+
+        monkeypatch.setattr(cli, "_run_cell_job", spy)
+        rows, *_ = cli.compare_grid(RunConfig.from_flat(flat), verbose=False)
+        assert dispatched == [4, 3, 2]
+        unsorted = {m: cli.run_cell(RunConfig.from_flat(flat), SELECTORS, "llama3-8b-like",
+                                    "gpipe", m, 0).rows
+                    for m in (2, 3, 4)}
+        assert rows == sorted((r for m in (2, 3, 4) for r in unsorted[m]),
+                              key=lambda r: (r[0], int(r[3])))
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg_serial = RunConfig.from_flat(SMALL)
         cfg_par = RunConfig.from_flat({**SMALL, "jobs": 2})
@@ -227,11 +252,22 @@ class TestFirstFitReuse:
             solo["cba"].audited_transfers + solo["ksp_ff"].audited_transfers)
         assert both.label_checks == solo["cba"].label_checks + solo["ksp_ff"].label_checks
 
-    def test_reordering_latency_simulates_sd_ff(self):
+    def test_reordering_latency_simulates_sd_ff(self, monkeypatch):
+        tapes = []
+
+        class CountedTape(topology.ArrivalTape):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tapes.append(self)
+
+        monkeypatch.setattr(topology, "ArrivalTape", CountedTape)
         # a 10 ms per-hop overhead puts fewer-hop routes first on some pool pairs
         both, solo = self._cell({**self.LOADED, "latency.per_hop_overhead_s": 0.01},
                                 "llama3-8b-like", "gpipe")
         assert not both.first_fit_reused
+        # one tape for the three simulated policies of the cell, one per solo run
+        assert len(tapes) == 1 + len(SELECTORS)
+        assert len(tapes[0]) == max(len(t) for t in tapes[1:]) > 0
         assert both.audited_transfers == sum(o.audited_transfers for o in solo.values())
         assert both.label_checks == sum(o.label_checks for o in solo.values())
 
@@ -326,6 +362,15 @@ class TestMain:
             ('{"jobs": 0}', "jobs"),
             ('{"jobs": -3}', "jobs"),
             ('{"placement.dc_nodes": []}', "placement.dc_nodes"),
+            ('{"bg.preset": "loaded", "bg.arrival_rate_per_s": 1e9}', "bg.arrival_rate_per_s"),
+            ('{"bg.preset": "loaded", "bg.prewarm_s": 1e9}', "bg.arrival_rate_per_s"),
+            ('{"bg.preset": "loaded", "bg.mean_hold_s": 1e6}', "bg.arrival_rate_per_s"),
+            ('{"bg.preset": "loaded", "cba.n_iterations": 100000}', "bg.arrival_rate_per_s"),
+            ('{"bg.preset": "loaded", "compare.microbatch_grid": [1000000]}',
+             "bg.arrival_rate_per_s"),
+            ('{"run.model": "custom", "model.n_layers": 0, "model.fwd_time_per_layer_s": 1e-3,'
+             ' "model.bwd_time_per_layer_s": 2e-3, "model.msg_bytes_per_microbatch": 8}',
+             "model.n_layers"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):

@@ -311,6 +311,20 @@ class TestAuditCatchesViolations:
         with pytest.raises(RuntimeError, match="leak"):
             audit_event_log(net, lines, 2.0)
 
+    def test_overlap_on_a_link_that_two_paths_share(self):
+        # A>B>C and D>B>C differ but share link B-C
+        net = Network(["A", "B", "C", "D"], [("A", "B", 1.0), ("B", "C", 1.0), ("D", "B", 1.0)],
+                      fs_total=8)
+        lines = [
+            "XFER\t1\t0\t1\tA\tC\toptical\t4\t0\t3\tA>B>C\t0\t0.0\t0.0\t1.0",
+            "XFER\t2\t2\t3\tD\tC\toptical\t4\t2\t5\tD>B>C\t0\t0.5\t0.5\t1.5",
+        ]
+        with pytest.raises(RuntimeError, match="requests 1 and 2 overlap"):
+            audit_event_log(net, lines, 2.0)
+        # the same window and slots on a path that shares no link pass
+        lines[1] = lines[1].replace("D>B>C", "D>B")
+        assert audit_event_log(net, lines, 2.0) == 2
+
     def test_disjoint_slots_pass(self):
         net = Network(["A", "B"], [("A", "B", 1.0)], fs_total=8)
         lines = [
