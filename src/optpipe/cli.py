@@ -43,6 +43,11 @@ _PLACEMENT_STREAM = 101
 # RunConfig.expected_bg_arrivals), about 100x the largest shipped config: every
 # arrival costs draw and admission time and stays on the cell's arrival tape.
 MAX_BG_ARRIVALS = 1_000_000
+# Caps on the work of a run with or without background, about 100x the
+# largest shipped config (11 x 2 x 8 x 128 tasks; 320 compare cells): every
+# iteration adds rows, and every task is simulated or held in memory.
+MAX_RUN_TASKS = 2_000_000
+MAX_CELLS = 30_000
 
 RESULT_COLUMNS = [
     "policy", "model", "schedule", "microbatches", "seed", "iteration",
@@ -279,6 +284,19 @@ class RunConfig:
                     f"expects about {expected:.3g} background arrivals per policy run "
                     f"(rate x (prewarm + cba.n_iterations x zero-latency makespan of the "
                     f"largest cell)); the cap is {MAX_BG_ARRIVALS}")
+        tasks = self.tasks_per_policy_run()
+        require(tasks <= MAX_RUN_TASKS, "cba.n_iterations",
+                f"expects {tasks} tasks per policy run (cba.n_iterations x 2 x pp.stages "
+                f"x the largest microbatch count); the cap is {MAX_RUN_TASKS}")
+        # the seed lists are too long to echo back
+        cells = self.compare_cells()
+        if cells > MAX_CELLS:
+            raise ConfigError(
+                f"compare.seeds: {len(f['compare.seeds'])} seeds make {cells} compare cells "
+                f"(models x schedules x microbatch counts x seeds); the cap is {MAX_CELLS}")
+        if len(f["run.seeds"]) > MAX_CELLS:
+            raise ConfigError(
+                f"run.seeds: {len(f['run.seeds'])} seeds; the cap is {MAX_CELLS}")
 
     # ------------------------------------------------------------------
     # constructed objects
@@ -398,6 +416,19 @@ class RunConfig:
         rate = self._bg("bg.arrival_rate_per_s")
         return rate * (self.prewarm_s() + f["cba.n_iterations"] * makespan)
 
+    def tasks_per_policy_run(self) -> int:
+        """Tasks one policy run simulates at most: ``cba.n_iterations`` x 2·p·m,
+        with the largest m of ``run.microbatches`` and the compare grid."""
+        f = self.flat
+        m = max(f["run.microbatches"], *f["compare.microbatch_grid"])
+        return f["cba.n_iterations"] * 2 * f["pp.stages"] * m
+
+    def compare_cells(self) -> int:
+        """Cells of the compare grid: models x schedules x microbatch counts x seeds."""
+        f = self.flat
+        return (len(f["compare.models"]) * len(f["compare.schedules"])
+                * len(f["compare.microbatch_grid"]) * len(f["compare.seeds"]))
+
     def check_model_depth(self, models: Iterable[str]) -> None:
         p = self.flat["pp.stages"]
         for name in models:
@@ -420,6 +451,7 @@ class CellOutcome:
     label_checks: int
     event_lines: list[str]
     first_fit_reused: bool = False  # the second first-fit baseline was copied
+    reused_iterations: int = 0      # iterations that repeated a simulated timeline
 
 
 # The two first-fit baselines: same candidates, possibly different trial order.
@@ -457,6 +489,10 @@ def run_cell(
     cursor, so their spectrum evolution stays independent.  Every simulated
     iteration's XFER lines are replay-audited and its CB labels checked;
     the full event log is built only when ``collect_events`` asks for it.
+    An iteration that ``orchestrate`` reused (no background, a repeated
+    request plan) shares the lines of the iteration it repeats and adds
+    nothing to the audit and label counts; the event log still carries its
+    header and lines, and ``reused_iterations`` counts it.
 
     KSP-FF and SD-FF differ only in the order in which they try the same
     candidate paths, and the simulation is deterministic.  When the cell runs
@@ -481,6 +517,7 @@ def run_cell(
     event_lines: list[str] = []
     first_fit: dict[str, tuple[list[list], list[str]]] = {}
     reused = False
+    reused_iterations = 0
     bg = cfg.background(seed)
     tape: topology.ArrivalTape | None = None
     for policy_name in policy_names:
@@ -511,12 +548,22 @@ def run_cell(
         )
         policy_rows: list[list] = []
         policy_lines: list[str] = []
+        # the checked lines of each simulated iteration that a later one reuses
+        reused_from = {r.reused_from for r in results}
+        lines_of: dict[int, list[str]] = {}
         for r in results:
-            lines = r.timeline.event_log_lines() if collect_events else r.timeline.xfer_lines()
-            audited += engine.audit_event_log(net, lines, r.timeline.iteration_makespan)
-            label_checks += cba.verify_label_soundness(
-                r.timeline, tasks, r.labels, orch.epsilon_bubble_s
-            )
+            if r.reused_from is not None:
+                lines = lines_of[r.reused_from]
+                reused_iterations += 1
+            else:
+                lines = (r.timeline.event_log_lines() if collect_events
+                         else r.timeline.xfer_lines())
+                audited += engine.audit_event_log(net, lines, r.timeline.iteration_makespan)
+                label_checks += cba.verify_label_soundness(
+                    r.timeline, tasks, r.labels, orch.epsilon_bubble_s
+                )
+                if r.iteration in reused_from:
+                    lines_of[r.iteration] = lines
             if collect_events:
                 policy_lines.append(
                     f"{head}model={model}\tschedule={schedule}"
@@ -533,7 +580,7 @@ def run_cell(
         event_lines.extend(policy_lines)
         if twin is not None:
             first_fit[policy_name] = (policy_rows, policy_lines)
-    return CellOutcome(rows, audited, label_checks, event_lines, reused)
+    return CellOutcome(rows, audited, label_checks, event_lines, reused, reused_iterations)
 
 
 def _run_cell_job(args: tuple) -> tuple[tuple, CellOutcome]:
@@ -602,15 +649,16 @@ def cmd_run(cfg: RunConfig, outdir: str, verbose: bool = True) -> dict[str, str]
 def compare_grid(
     cfg: RunConfig, jobs: int | None = None, verbose: bool = True,
     collect_events: bool = False,
-) -> tuple[list[list], list[list], list[str], int, int, int]:
+) -> tuple[list[list], list[list], list[str], int, int, int, int]:
     """Run the full paired grid; returns (rows, summary_rows, events, audited,
-    label_checks, reused_cells).
+    label_checks, reused_cells, reused_iterations).
 
     ``audited`` and ``label_checks`` count what was simulated and checked;
     ``reused_cells`` is the number of cells whose SD-FF rows were copied from
-    KSP-FF (see ``run_cell``).  Cells are dispatched largest first by task
-    count (a stable sort) and collected by key, so the output keeps grid
-    order."""
+    KSP-FF, and ``reused_iterations`` the number of policy iterations that
+    repeated an earlier iteration's timeline (see ``run_cell``).  Cells are
+    dispatched largest first by task count (a stable sort) and collected by
+    key, so the output keeps grid order."""
     cfg.check_model_depth(cfg["compare.models"])
     grid = [
         (model, schedule, m, seed)
@@ -644,6 +692,7 @@ def compare_grid(
     audited = 0
     label_checks = 0
     reused_cells = 0
+    reused_iterations = 0
     order = lambda r: (r[0], r[1], r[2], int(r[3]), int(r[4]), int(r[5]))
     for cell in grid:
         out = outcomes[tuple(cell)]
@@ -652,10 +701,11 @@ def compare_grid(
         audited += out.audited_transfers
         label_checks += out.label_checks
         reused_cells += out.first_fit_reused
+        reused_iterations += out.reused_iterations
     rows.sort(key=order)
 
     summary_rows = _summarize(cfg, rows)
-    return rows, summary_rows, events, audited, label_checks, reused_cells
+    return rows, summary_rows, events, audited, label_checks, reused_cells, reused_iterations
 
 
 def _summarize(cfg: RunConfig, rows: list[list]) -> list[list]:
@@ -692,7 +742,7 @@ def _summarize(cfg: RunConfig, rows: list[list]) -> list[list]:
 def cmd_compare(cfg: RunConfig, outdir: str, jobs: int | None = None,
                 verbose: bool = True) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
-    rows, summary_rows, events, audited, _, reused_cells = compare_grid(
+    rows, summary_rows, events, audited, _, reused_cells, reused_iterations = compare_grid(
         cfg, jobs=jobs, verbose=verbose, collect_events=cfg["output.event_log"],
     )
     paths = {
@@ -708,6 +758,7 @@ def cmd_compare(cfg: RunConfig, outdir: str, jobs: int | None = None,
     if verbose:
         print(f"compare: replayed and audited {audited} transfers; "
               f"{reused_cells} cells reused the KSP-FF trajectory for SD-FF; "
+              f"{reused_iterations} iterations reused an earlier iteration's timeline; "
               f"wrote {paths['results']}", file=sys.stderr, flush=True)
     return paths
 

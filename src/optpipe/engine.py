@@ -201,13 +201,6 @@ class _Sim:
         self.records = [
             TaskRecord(t.id, t.stage_id, t.microbatch, t.direction.value) for t in self.tasks
         ]
-        self.chain_next: dict[int, int] = {}
-        self.consumer_of: dict[int, int] = {}
-        for t in self.tasks:
-            if t.chain_pred is not None:
-                self.chain_next[t.chain_pred] = t.id
-            if t.msg_pred is not None:
-                self.consumer_of[t.msg_pred] = t.id
         self.unmet = [len(t.deps) for t in self.tasks]
         self.finished = 0
 
@@ -276,10 +269,9 @@ class _Sim:
 
     def _on_finish(self, task: Task, now: float) -> None:
         self.finished += 1
-        nxt = self.chain_next.get(task.id)
-        if nxt is not None:
-            self._met(nxt, now)
-        cons = self.consumer_of.get(task.id)
+        if task.chain_next is not None:
+            self._met(task.chain_next, now)
+        cons = task.msg_next
         if cons is not None:
             consumer = self.tasks[cons]
             self.req_counter += 1

@@ -392,6 +392,11 @@ class Network:
     def active_owners(self, prefix: str = "") -> list[str]:
         return [o for o in self._active if o.startswith(prefix)]
 
+    @property
+    def has_background(self) -> bool:
+        """True once ``attach_background`` has given the network a stream."""
+        return self._stream is not None
+
     # ------------------------------------------------------------------
     # background traffic
 

@@ -11,6 +11,7 @@ The test suite imports the same ``ref_*`` functions, ``random_instance``,
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -165,6 +166,59 @@ def random_instance(rng: np.random.Generator) -> topology.Network:
         # write occupancy directly; these nets are never advanced in time
         topology.set_link_occupancy(net, link.index, bits.astype(np.uint8))
     return net
+
+
+def ref_orchestrate(
+    config: cba.OrchestratorConfig,
+    net: topology.Network,
+    stages,
+    tasks,
+    policy: engine.PolicyConfig,
+    params: LatencyParams,
+    msg_bits: float,
+) -> list[cba.IterationResult]:
+    """``cba.orchestrate`` the plain way: every iteration is simulated."""
+    labels = None
+    boost = policy.boost_factor
+    results = []
+    for it in range(config.n_iterations):
+        if policy.selector == "cba":
+            req_labels, boost = cba.plan_requests(labels, config, tasks, policy, boost)
+            eff_policy = dataclasses.replace(policy, boost_factor=boost)
+        else:
+            req_labels, eff_policy = {}, policy
+        timeline = engine.simulate_iteration(
+            net, stages, tasks, eff_policy, params,
+            request_labels=req_labels, msg_bits=msg_bits,
+        )
+        labels = cba.label_cb_tasks(timeline, tasks, config.epsilon_bubble_s)
+        results.append(cba.IterationResult(
+            iteration=it,
+            runtime_s=timeline.iteration_makespan,
+            bubble_ratio=engine.bubble_ratio(timeline, len(stages)),
+            requests=timeline.cross_dc_requests,
+            blocked=timeline.blocked_requests,
+            blocking_prob=engine.blocking_probability(timeline),
+            labels=labels,
+            timeline=timeline,
+        ))
+    return results
+
+
+def orchestrate_mismatch(got: list[cba.IterationResult],
+                         want: list[cba.IterationResult]) -> str | None:
+    """The first iteration where ``got`` and ``want`` differ in runtime,
+    bubble, requests, blocking, labels or event-log lines; None if none."""
+    def view(r: cba.IterationResult) -> tuple:
+        return (r.iteration, r.runtime_s, r.bubble_ratio, r.requests, r.blocked,
+                r.blocking_prob, r.labels, r.timeline.event_log_lines())
+
+    if len(got) != len(want):
+        return f"{len(got)} iterations, want {len(want)}"
+    for g, w in zip(got, want):
+        if view(g) != view(w):
+            return f"iteration {w.iteration} differs from the plain loop"
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +412,30 @@ def check_labeling_soundness() -> tuple[bool, str]:
     return checked > 0, f"verified {checked} CB labels; zero-latency run labeled none"
 
 
+def check_iteration_reuse() -> tuple[bool, str]:
+    """``orchestrate`` against the plain loop on a small cell without background."""
+    profile = workload.build_profile("llama3-8b-like")
+    placement = ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"]
+    stages = workload.partition_stages(profile, 8, placement)
+    tasks = workload.build_schedule(workload.ScheduleKind.ONE_F_ONE_B, stages, 8)
+    config = cba.OrchestratorConfig(n_iterations=8)
+    reused = 0
+    for selector in engine.SELECTORS:
+        # eight slots per link: the pipeline's own transfers block, and two of
+        # CBA's plans share their labels but not their boost
+        policy = engine.PolicyConfig(selector=selector, fs_max=8)
+        args = (stages, tasks, policy, LatencyParams(), profile.msg_bytes_per_microbatch * 8)
+        got = cba.orchestrate(config, topology.load_nsfnet(fs_total=8), *args)
+        mismatch = orchestrate_mismatch(
+            got, ref_orchestrate(config, topology.load_nsfnet(fs_total=8), *args))
+        if mismatch is not None:
+            return False, f"{selector}: {mismatch}"
+        reused += sum(r.reused_from is not None for r in got)
+    total = config.n_iterations * len(engine.SELECTORS)
+    return reused > 0, (f"{total} iterations of 3 policies equal the plain loop; "
+                        f"{reused} of them reused a timeline")
+
+
 def check_required_fs_bounds() -> tuple[bool, str]:
     for base in range(1, 20):
         for boost in (1.0, 1.5, 2.0, 4.0):
@@ -406,6 +484,7 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("first-fit-lowest-block", check_first_fit_lowest_block),
         ("spectrum-audit", check_spectrum_audit),
         ("labeling-soundness", check_labeling_soundness),
+        ("iteration-reuse", check_iteration_reuse),
         ("required-fs-bounds", check_required_fs_bounds),
         ("occupancy-rebuild", check_occupancy_rebuild),
     ]

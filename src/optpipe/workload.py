@@ -146,7 +146,9 @@ class Task:
 
     ``chain_pred`` is the intra-stage predecessor (schedule order);
     ``msg_pred`` is the producer of the cross-stage message this task
-    consumes, if any.  Tasks are immutable, so one task list serves every
+    consumes, if any.  ``chain_next`` and ``msg_next`` are the inverse
+    edges: the intra-stage successor and the consumer of this task's
+    outgoing message.  Tasks are immutable, so one task list serves every
     iteration and every policy of a cell; per-iteration labels live in
     ``cba.LabelSet``.
     """
@@ -158,6 +160,8 @@ class Task:
     compute_s: float
     chain_pred: int | None = None
     msg_pred: int | None = None
+    chain_next: int | None = None
+    msg_next: int | None = None
 
     @property
     def deps(self) -> tuple[int, ...]:
@@ -192,6 +196,10 @@ def build_schedule(kind: ScheduleKind, stages: Sequence[Stage], m: int) -> list[
     for tid, (stage, direction, mb) in enumerate(order):
         s = stage.stage_id
         forward = direction is Direction.FORWARD
+        # forwards flow to the next stage, backwards to the previous one
+        upstream, downstream = (s - 1, s + 1) if forward else (s + 1, s - 1)
+        # every stage runs its 2*m tasks back to back, in id order
+        pos = tid % (2 * m)
         tasks.append(
             Task(
                 id=tid,
@@ -199,8 +207,10 @@ def build_schedule(kind: ScheduleKind, stages: Sequence[Stage], m: int) -> list[
                 microbatch=mb,
                 direction=direction,
                 compute_s=stage.fwd_compute_s if forward else stage.bwd_compute_s,
-                chain_pred=tid - 1 if tid and order[tid - 1][0] is stage else None,
-                msg_pred=ids.get((s - 1 if forward else s + 1, direction, mb)),
+                chain_pred=tid - 1 if pos > 0 else None,
+                msg_pred=ids.get((upstream, direction, mb)),
+                chain_next=tid + 1 if pos < 2 * m - 1 else None,
+                msg_next=ids.get((downstream, direction, mb)),
             )
         )
     return tasks

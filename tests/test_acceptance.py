@@ -151,7 +151,7 @@ def default_grid() -> GridOutcome:
                                    "engine.retry_backoff_s": 0.005,
                                    "cba.blocking_prob_threshold": 0.02})
     t0 = time.time()
-    rows, summary, _, audited, label_checks, _ = cli.compare_grid(cfg, jobs=2, verbose=False)
+    rows, summary, _, audited, label_checks, *_ = cli.compare_grid(cfg, jobs=2, verbose=False)
     return GridOutcome(rows, summary, audited, label_checks, time.time() - t0)
 
 
@@ -161,7 +161,7 @@ def loaded_grid() -> GridOutcome:
     cfg = cli.RunConfig.from_file(LOADED_CONFIG)
     assert len(cfg["compare.seeds"]) >= 20
     t0 = time.time()
-    rows, summary, _, audited, label_checks, _ = cli.compare_grid(cfg, jobs=2, verbose=False)
+    rows, summary, _, audited, label_checks, *_ = cli.compare_grid(cfg, jobs=2, verbose=False)
     return GridOutcome(rows, summary, audited, label_checks, time.time() - t0)
 
 

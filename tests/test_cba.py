@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optpipe import cba
 from optpipe.cba import (
     IterationResult,
     LabelSet,
@@ -20,9 +21,12 @@ from optpipe.topology import (
     BackgroundTrafficModel,
     Network,
     advance_network,
+    allocate_spectrum,
     load_nsfnet,
     loaded_background,
+    set_link_occupancy,
 )
+from optpipe.validate import orchestrate_mismatch, random_instance, ref_orchestrate
 from optpipe.workload import ScheduleKind, build_profile, build_schedule, partition_stages
 
 ZERO_COMM = LatencyParams(intra_dc_latency_s=0.0)
@@ -227,6 +231,107 @@ def test_orchestrate_properties(p, m, dcs, kind, selector, bg_seed):
         verify_label_soundness(r.timeline, tasks, r.labels)
         assert r.runtime_s >= max(r.timeline.stage_busy.values())
         assert 0.0 <= r.bubble_ratio < 1.0
+
+
+class TestIterationReuse:
+    """When ``orchestrate`` simulates an iteration and when it reuses one."""
+
+    N = 8
+
+    def count_simulations(self, monkeypatch, net, stages, tasks, policy):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return simulate_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(cba, "simulate_iteration", counting)
+        results = orchestrate(OrchestratorConfig(n_iterations=self.N), net, stages, tasks,
+                              policy, LatencyParams(), msg_bits=16 * 2**20 * 8)
+        return len(calls), results
+
+    def test_background_stream_simulates_every_iteration(self, monkeypatch):
+        # 1 ms holds and no prewarm: no allocation is left at any iteration
+        # start, yet the arrivals make the iterations differ
+        net = load_nsfnet()
+        net.attach_background(BackgroundTrafficModel(200.0, 1e-3, (1, 8), 5))
+        stages, tasks = build(4, ["IL", "PA", "NY", "DC"], 4)
+        calls, results = self.count_simulations(monkeypatch, net, stages, tasks,
+                                                PolicyConfig(selector="ksp_ff"))
+        assert calls == self.N
+        assert all(r.reused_from is None for r in results)
+        assert len({tuple(r.timeline.event_log_lines()) for r in results}) > 1
+
+    def test_held_allocation_simulates_every_iteration(self, monkeypatch):
+        net = load_nsfnet()
+        allocate_spectrum(net, net.path_links(["IL", "PA"]), (0, 3), "held", 1e9)
+        stages, tasks = build(4, ["IL", "PA", "NY", "DC"], 4)
+        calls, _ = self.count_simulations(monkeypatch, net, stages, tasks,
+                                          PolicyConfig(selector="ksp_ff"))
+        assert calls == self.N
+
+    def test_first_fit_without_background_simulates_once(self, monkeypatch):
+        net = load_nsfnet()
+        stages, tasks = build(4, ["IL", "PA", "NY", "DC"], 4)
+        calls, results = self.count_simulations(monkeypatch, net, stages, tasks,
+                                                PolicyConfig(selector="ksp_ff"))
+        assert calls == 1
+        assert [r.reused_from for r in results] == [None] + [0] * (self.N - 1)
+        assert all(r.timeline is results[0].timeline for r in results)
+
+    def test_cba_without_background_simulates_each_distinct_plan_once(self, monkeypatch):
+        # eight slots per link: the pipeline's own transfers block, so the boost
+        # halves and recovers while the labels cycle
+        stages, tasks = build(4, ["WA", "CA1", "TX", "IL"], 3)
+        policy = PolicyConfig(selector="cba", fs_max=8)
+        config = OrchestratorConfig(n_iterations=self.N)
+        plain = ref_orchestrate(config, load_nsfnet(fs_total=8), stages, tasks, policy,
+                                LatencyParams(), msg_bits=16 * 2**20 * 8)
+        plans, labels, boost = [], None, policy.boost_factor
+        for r in plain:
+            req, boost = plan_requests(labels, config, tasks, policy, boost)
+            plans.append((frozenset(req.items()), boost))
+            labels = r.labels
+        distinct = len(set(plans))
+        # the plans repeat, and two of them differ in the boost alone
+        assert 1 < distinct < self.N
+        assert len({req for req, _ in plans}) < distinct
+
+        calls, results = self.count_simulations(monkeypatch, load_nsfnet(fs_total=8),
+                                                stages, tasks, policy)
+        assert calls == distinct
+        assert orchestrate_mismatch(results, plain) is None
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 4),
+    m=st.integers(1, 4),
+    kind=st.sampled_from(list(ScheduleKind)),
+    selector=st.sampled_from(SELECTORS),
+    base_fs=st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_reuse_matches_plain_loop_on_random_networks(seed, p, m, kind, selector, base_fs):
+    # random topology and slot count, no background: each iteration must
+    # equal the plain loop's, reused or not
+    def network():
+        net = random_instance(np.random.default_rng(seed))
+        # free every slot: occupancy without an owner fails audit_occupancy
+        for link in net.links:
+            set_link_occupancy(net, link.index, [0] * net.fs_total)
+        return net
+
+    net = network()
+    rng = np.random.default_rng([seed, 1])
+    placement = [net.nodes[int(i)] for i in rng.integers(0, len(net.nodes), size=p)]
+    stages, tasks = build(p, placement, m, kind)
+    policy = PolicyConfig(selector=selector, base_fs=min(base_fs, net.fs_total),
+                          fs_max=net.fs_total)
+    config = OrchestratorConfig(n_iterations=6)
+    args = (stages, tasks, policy, LatencyParams(), 16 * 2**20 * 8)
+    assert orchestrate_mismatch(orchestrate(config, net, *args),
+                                ref_orchestrate(config, network(), *args)) is None
 
 
 class TestVerifySoundness:

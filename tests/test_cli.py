@@ -110,6 +110,16 @@ class TestConfig:
         assert cfg.expected_bg_arrivals() == pytest.approx(30 * (30 + 11 * 135 * 0.18))
         assert cfg.expected_bg_arrivals() < cli.MAX_BG_ARRIVALS / 100
 
+    def test_work_estimate(self):
+        # 11 iterations of 2 x 8 stages x 128 micro-batches; 2 x 2 x 4 x 3 cells
+        cfg = RunConfig.from_flat({"run.microbatches": 200})
+        assert cfg.tasks_per_policy_run() == 11 * 2 * 8 * 200
+        assert cfg.compare_cells() == 48
+        shipped = RunConfig.from_file(
+            os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json"))
+        assert shipped.tasks_per_policy_run() < cli.MAX_RUN_TASKS / 80
+        assert shipped.compare_cells() < cli.MAX_CELLS / 80
+
     def test_shipped_loaded_config_parses(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json")
         cfg = RunConfig.from_file(root)
@@ -272,6 +282,44 @@ class TestFirstFitReuse:
         assert both.label_checks == sum(o.label_checks for o in solo.values())
 
 
+class TestIterationReuse:
+    QUIET = {"cba.n_iterations": 6}
+
+    def test_reused_iterations_keep_their_log_and_skip_the_audit(self, monkeypatch):
+        cfg = RunConfig.from_flat(self.QUIET)
+        audits = []
+        real_audit = engine.audit_event_log
+
+        def spy(net, lines, makespan):
+            audits.append(lines)
+            return real_audit(net, lines, makespan)
+
+        monkeypatch.setattr(engine, "audit_event_log", spy)
+        reuse = cli.run_cell(cfg, SELECTORS, "llama3-8b-like", "gpipe", 4, 0,
+                             collect_events=True)
+        reuse_audits = len(audits)
+        monkeypatch.setattr(cli.cba, "orchestrate", validate.ref_orchestrate)
+        plain = cli.run_cell(cfg, SELECTORS, "llama3-8b-like", "gpipe", 4, 0,
+                             collect_events=True)
+        # every iteration's header and lines, as if each were simulated
+        assert reuse.rows == plain.rows and reuse.event_lines == plain.event_lines
+        assert sum(line.startswith("RUN\t") for line in reuse.event_lines) == 3 * 6
+        # KSP-FF simulates once; SD-FF is copied from it and adds nothing
+        assert plain.reused_iterations == 0 and reuse.reused_iterations >= 5
+        assert reuse_audits == 2 * 6 - reuse.reused_iterations
+        assert len(audits) - reuse_audits == 2 * 6
+        assert 0 < reuse.audited_transfers < plain.audited_transfers
+        assert reuse.label_checks <= plain.label_checks
+
+    def test_compare_reports_reused_iterations(self, tmp_path, capsys):
+        cfg = RunConfig.from_flat({**SMALL, **self.QUIET})
+        *_, reused_iterations = cli.compare_grid(cfg, verbose=False)
+        assert reused_iterations >= 2 * 5  # KSP-FF's at each of two seeds
+        cli.cmd_compare(cfg, str(tmp_path))
+        assert (f"{reused_iterations} iterations reused an earlier iteration's timeline"
+                in capsys.readouterr().err)
+
+
 class TestLeanAudit:
     def test_audit_reads_the_xfer_lines_of_the_full_log(self, monkeypatch):
         cfg = RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 3})
@@ -371,6 +419,13 @@ class TestMain:
             ('{"run.model": "custom", "model.n_layers": 0, "model.fwd_time_per_layer_s": 1e-3,'
              ' "model.bwd_time_per_layer_s": 2e-3, "model.msg_bytes_per_microbatch": 8}',
              "model.n_layers"),
+            # work caps without background: tasks per policy run, cells per command
+            ('{"cba.n_iterations": 100000000, "run.microbatches": 2}', "cba.n_iterations"),
+            ('{"cba.n_iterations": 1000}', "cba.n_iterations"),
+            ('{"compare.microbatch_grid": [1000000]}', "cba.n_iterations"),
+            ('{"run.microbatches": 20000}', "cba.n_iterations"),
+            (json.dumps({"compare.seeds": list(range(2000))}), "compare.seeds"),
+            (json.dumps({"run.seeds": list(range(30001))}), "run.seeds"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):
@@ -404,7 +459,7 @@ class TestMain:
     def test_validate_passes_and_catches_a_planted_fault(self, capsys, monkeypatch):
         assert cli.main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 9 and all(": PASS" in line for line in lines)
+        assert len(lines) == 10 and all(": PASS" in line for line in lines)
 
         real = rsa.select_ksp_ff
 

@@ -5,10 +5,13 @@
   array views, the harness and the reference layer.
 * No module imports networkx: the routes are plain Python in ``topology``,
   and networkx is a test-only reference.
-* ``Network`` state, routes included, is read and written only in
-  ``topology``: no other module touches an underscore attribute that
-  ``Network`` defines, or any underscore attribute of a network object
-  (a name ``net``, ``*_net`` or ``*.net``).
+* ``Network`` state, routes and the background stream included, is read
+  and written only in ``topology``: no other module touches an underscore
+  attribute that a network or an object it holds defines, or any
+  underscore attribute of a network object (a name ``net``, ``*_net`` or
+  ``*.net``), by attribute access, ``getattr`` and its kin, or ``vars``.
+  Other modules ask a network through its public methods, such as
+  ``has_background`` and ``active_owners``.
 
 The README's Configuration section names every config key and no other.
 """
@@ -84,19 +87,50 @@ def test_cli_import_leaves_networkx_unloaded():
     assert out.strip() == "[]"
 
 
+def _network_private_names() -> set[str]:
+    """Underscore attributes of a network with a background stream, and of
+    every ``topology`` object it holds: the route catalog, the stream, the tape."""
+    net = topology.load_nsfnet()
+    net.attach_background(topology.loaded_background(0))
+    names: set[str] = set()
+    seen: set[int] = set()
+    todo: list[object] = [net]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or type(obj).__module__ != topology.__name__:
+            continue
+        seen.add(id(obj))
+        names |= {n for n in (*vars(obj), *vars(type(obj))) if _is_private(n)}
+        todo.extend(vars(obj).values())
+    return names
+
+
 def test_network_internals_stay_in_topology():
-    private = {n for n in (*vars(topology.load_nsfnet()), *vars(topology.Network))
-               if _is_private(n)}
-    assert {"_active", "_commit"} <= private
+    private = _network_private_names()
+    assert {"_active", "_commit", "_stream", "_next_time", "_candidates"} <= private
     hits = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "topology.py":
             continue
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Attribute) and _is_private(node.attr) and (
-                node.attr in private or _names_a_network(node.value)
+            if isinstance(node, ast.Attribute) and (
+                (_is_private(node.attr) and (
+                    node.attr in private or _names_a_network(node.value)))
+                or (node.attr == "__dict__" and _names_a_network(node.value))
             ):
                 hits.append(f"{path.name}:{node.lineno} .{node.attr}")
+            # getattr(net, "_stream") and friends, vars(net)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args:
+                target, names = node.args[0], node.args[1:2]
+                if node.func.id == "vars" and _names_a_network(target):
+                    hits.append(f"{path.name}:{node.lineno} vars()")
+                if node.func.id in ("getattr", "setattr", "hasattr", "delattr") and any(
+                    isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and _is_private(n.value)
+                    and (n.value in private or _names_a_network(target))
+                    for n in names
+                ):
+                    hits.append(f"{path.name}:{node.lineno} {node.func.id}()")
     assert hits == []
 
 

@@ -179,3 +179,8 @@ def test_dag_acyclic_and_counts(kind, p, m):
     assert topological_order_exists(tasks)
     # every task id appears once, ids dense
     assert sorted(t.id for t in tasks) == list(range(2 * p * m))
+    # the successor fields are the predecessor edges reversed
+    for pred, succ in (("chain_pred", "chain_next"), ("msg_pred", "msg_next")):
+        forward = {(getattr(t, pred), t.id) for t in tasks if getattr(t, pred) is not None}
+        backward = {(t.id, getattr(t, succ)) for t in tasks if getattr(t, succ) is not None}
+        assert forward == backward
