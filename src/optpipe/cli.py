@@ -45,9 +45,13 @@ _PLACEMENT_STREAM = 101
 MAX_BG_ARRIVALS = 1_000_000
 # Caps on the work of a run with or without background, about 100x the
 # largest shipped config (11 x 2 x 8 x 128 tasks; 320 compare cells): every
-# iteration adds rows, and every task is simulated or held in memory.
+# iteration adds rows, and every task is simulated or held in memory.  The
+# first two bound one factor each; the third bounds their product, the tasks
+# of one policy over a whole compare grid or every run seed (about 7.2x10^6
+# for the shipped config).
 MAX_RUN_TASKS = 2_000_000
 MAX_CELLS = 30_000
+MAX_GRID_TASKS = 720_000_000
 
 RESULT_COLUMNS = [
     "policy", "model", "schedule", "microbatches", "seed", "iteration",
@@ -297,6 +301,12 @@ class RunConfig:
         if len(f["run.seeds"]) > MAX_CELLS:
             raise ConfigError(
                 f"run.seeds: {len(f['run.seeds'])} seeds; the cap is {MAX_CELLS}")
+        for key, runs, what in (("compare.seeds", cells, "compare cells"),
+                                ("run.seeds", len(f["run.seeds"]), "run seeds")):
+            if runs * tasks > MAX_GRID_TASKS:
+                raise ConfigError(
+                    f"{key}: {runs} {what} of up to {tasks} tasks per policy run make "
+                    f"{runs * tasks} tasks per policy; the cap is {MAX_GRID_TASKS}")
 
     # ------------------------------------------------------------------
     # constructed objects
@@ -487,12 +497,15 @@ def run_cell(
     stage and task list and one background arrival tape, drawn once for the
     cell; each gets its own fresh network, reading the tape through its own
     cursor, so their spectrum evolution stays independent.  Every simulated
-    iteration's XFER lines are replay-audited and its CB labels checked;
-    the full event log is built only when ``collect_events`` asks for it.
-    An iteration that ``orchestrate`` reused (no background, a repeated
-    request plan) shares the lines of the iteration it repeats and adds
+    iteration is audited for spectrum discipline and its CB labels checked.
+    The event log is built only when ``collect_events`` asks for it; the
+    audit then replays its lines (``engine.audit_event_log``), and otherwise
+    it reads the timeline's transfer records (``engine.audit_transfers``),
+    with the same checks on the same values.  An iteration that
+    ``orchestrate`` reused (no background, a repeated request plan) adds
     nothing to the audit and label counts; the event log still carries its
-    header and lines, and ``reused_iterations`` counts it.
+    header and the lines of the iteration it repeats, and
+    ``reused_iterations`` counts it.
 
     KSP-FF and SD-FF differ only in the order in which they try the same
     candidate paths, and the simulation is deterministic.  When the cell runs
@@ -548,22 +561,25 @@ def run_cell(
         )
         policy_rows: list[list] = []
         policy_lines: list[str] = []
-        # the checked lines of each simulated iteration that a later one reuses
+        # the logged lines of each simulated iteration that a later one reuses
         reused_from = {r.reused_from for r in results}
         lines_of: dict[int, list[str]] = {}
         for r in results:
+            tl = r.timeline
             if r.reused_from is not None:
-                lines = lines_of[r.reused_from]
+                lines = lines_of[r.reused_from] if collect_events else []
                 reused_iterations += 1
             else:
-                lines = (r.timeline.event_log_lines() if collect_events
-                         else r.timeline.xfer_lines())
-                audited += engine.audit_event_log(net, lines, r.timeline.iteration_makespan)
+                if collect_events:
+                    lines = tl.event_log_lines()
+                    audited += engine.audit_event_log(net, lines, tl.iteration_makespan)
+                    if r.iteration in reused_from:
+                        lines_of[r.iteration] = lines
+                else:
+                    audited += engine.audit_transfers(net, tl.transfers, tl.iteration_makespan)
                 label_checks += cba.verify_label_soundness(
-                    r.timeline, tasks, r.labels, orch.epsilon_bubble_s
+                    tl, tasks, r.labels, orch.epsilon_bubble_s
                 )
-                if r.iteration in reused_from:
-                    lines_of[r.iteration] = lines
             if collect_events:
                 policy_lines.append(
                     f"{head}model={model}\tschedule={schedule}"
@@ -756,7 +772,7 @@ def cmd_compare(cfg: RunConfig, outdir: str, jobs: int | None = None,
         with open(paths["events"], "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(events) + "\n")
     if verbose:
-        print(f"compare: replayed and audited {audited} transfers; "
+        print(f"compare: audited {audited} transfers; "
               f"{reused_cells} cells reused the KSP-FF trajectory for SD-FF; "
               f"{reused_iterations} iterations reused an earlier iteration's timeline; "
               f"wrote {paths['results']}", file=sys.stderr, flush=True)

@@ -22,14 +22,28 @@ Each iteration starts by rebasing the network clock to zero, so timeline
 records need no rewrite and every iteration runs with the same arithmetic;
 background allocations and the arrival stream shift with the clock and carry
 over between iterations.
+
+The slot demand of a request is sized once per distinct label in an
+iteration, not once per request.  The selectors (``rsa.select_*``) and the
+network operations (``advance_network``, ``allocate_spectrum``) are looked
+up by name on every call and never bound ahead of it, so a wrapper that is
+installed on the module namespaces (a tracer, a test spy) sees every call.
+
+The spectrum audit has one set of checks and two readers: ``audit_transfers``
+reads a timeline's transfer records, and ``audit_event_log`` parses the XFER
+lines of a written log (``repr`` round-trips every float, so both see the
+same values).  The checks are that every block is ``n_fs`` slots wide, that
+every holding ends by the iteration end, and that no two holdings overlap in
+both time and slots on a shared link.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import rsa
 from .latency import (
@@ -74,7 +88,7 @@ class PolicyConfig:
             raise ValueError("fallback_penalty must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     task_id: int
     stage_id: int
@@ -86,7 +100,7 @@ class TaskRecord:
     msg_cross_dc: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
     request_id: int
     task_id: int          # producer of the message
@@ -104,7 +118,7 @@ class TransferRecord:
     complete_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockingEvent:
     request_id: int
     task_id: int
@@ -138,16 +152,6 @@ class Timeline:
                 f"TASK\t{r.task_id}\t{r.stage_id}\t{r.microbatch}\t{r.direction}"
                 f"\t{r.ready_time!r}\t{r.start_time!r}\t{r.finish_time!r}"
             )
-        lines.extend(self.xfer_lines())
-        for b in sorted(self.blocking_events, key=lambda b: b.request_id):
-            lines.append(
-                f"BLOCK\t{b.request_id}\t{b.task_id}\t{b.attempts}\t{b.final_outcome}"
-            )
-        return lines
-
-    def xfer_lines(self) -> list[str]:
-        """The XFER lines of ``event_log_lines``: all that ``audit_event_log`` reads."""
-        lines = []
         for x in sorted(self.transfers, key=lambda t: (t.issue_time, t.request_id)):
             path = ">".join(x.path_nodes) if x.path_nodes else "-"
             lines.append(
@@ -155,21 +159,29 @@ class Timeline:
                 f"\t{x.kind}\t{x.n_fs}\t{x.f_start}\t{x.f_end}\t{path}\t{x.retries}"
                 f"\t{x.issue_time!r}\t{x.hold_start!r}\t{x.complete_time!r}"
             )
+        for b in sorted(self.blocking_events, key=lambda b: b.request_id):
+            lines.append(
+                f"BLOCK\t{b.request_id}\t{b.task_id}\t{b.attempts}\t{b.final_outcome}"
+            )
         return lines
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
     request_id: int
     producer: Task
     consumer: Task
     src: str
     dst: str
-    bits: float
     demand: int           # label-sized demand at first attempt
     issue_time: float
     attempts: int = 0
     first_blocked: bool = False
+
+
+# Event kinds.  They never decide the order: the heap orders events by
+# (time, stage, task id, push sequence), and the sequence is unique.
+_FINISH, _ARRIVAL, _RETRY = 0, 1, 2
 
 
 class _Sim:
@@ -188,9 +200,8 @@ class _Sim:
         self.policy = policy
         self.params = params
         self.egress = egress
-        self.labels = request_labels
         self.msg_bits = msg_bits
-        self.tasks = list(tasks)
+        self.tasks = tasks
         self.stage_dc = {s.stage_id: s.dc_node for s in stages}
         for dc in self.stage_dc.values():
             if dc not in net.adjacency:
@@ -198,37 +209,64 @@ class _Sim:
         if policy.fs_max > net.fs_total:
             raise ValueError("fs_max exceeds the network's slot count")
 
-        self.records = [
-            TaskRecord(t.id, t.stage_id, t.microbatch, t.direction.value) for t in self.tasks
-        ]
-        self.unmet = [len(t.deps) for t in self.tasks]
-        self.finished = 0
+        # slot demand at first attempt: sized once per distinct label, then
+        # looked up by the consumer of each labeled request
+        fs_of: dict[RequestLabel, int] = {}
+        for label in (NORMAL, *request_labels.values()):
+            if label not in fs_of:
+                fs_of[label] = required_fs(
+                    policy.base_fs, label, policy.boost_factor, policy.fs_max
+                )
+        self.base_demand = fs_of[NORMAL]
+        self.demand = {cons: fs_of[label] for cons, label in request_labels.items()}
 
-        self.heap: list[tuple[float, int, int, int, str, object]] = []
-        self.seq = 0
+        self.records = [
+            TaskRecord(t.id, t.stage_id, t.microbatch, t.direction.value) for t in tasks
+        ]
+        self.unmet = [(t.chain_pred is not None) + (t.msg_pred is not None) for t in tasks]
+
+        self.heap: list[tuple[float, int, int, int, int, _Request | None]] = []
+        self.seq = itertools.count()
         self.transfers: list[TransferRecord] = []
         self.blocking: list[BlockingEvent] = []
         self.req_counter = 0
 
-    def push(self, time: float, task: Task, kind: str, payload: object = None) -> None:
-        heapq.heappush(self.heap, (time, task.stage_id, task.id, self.seq, kind, payload))
-        self.seq += 1
+    def push(self, time: float, task: Task, kind: int, req: _Request | None = None) -> None:
+        heapq.heappush(self.heap, (time, task.stage_id, task.id, next(self.seq), kind, req))
 
     def run(self) -> Timeline:
-        for t in self.tasks:
-            if not self.unmet[t.id]:
-                self._start(t, 0.0)
-        while self.heap:
-            time, _, _, _, kind, payload = heapq.heappop(self.heap)
-            if kind == "finish":
-                self._on_finish(payload, time)  # type: ignore[arg-type]
-            elif kind == "arrival":
-                self._met(payload.id, time)  # type: ignore[attr-defined]
-            else:
-                self._attempt(payload, time)  # type: ignore[arg-type]
-        if self.finished != len(self.tasks):
+        tasks, unmet, heap = self.tasks, self.unmet, self.heap
+        start, issue, attempt = self._start, self._issue, self._attempt
+        pop = heapq.heappop
+        for t in tasks:
+            if not unmet[t.id]:
+                start(t, 0.0)
+        finished = 0
+        while heap:
+            now, _, tid, _, kind, req = pop(heap)
+            if kind == _RETRY:
+                attempt(req, now)
+                continue
+            if kind == _FINISH:
+                finished += 1
+                task = tasks[tid]
+                nxt = task.chain_next
+                if nxt is not None:
+                    unmet[nxt] -= 1
+                    if not unmet[nxt]:
+                        start(tasks[nxt], now)
+                if task.msg_next is not None:
+                    issue(task, now)
+                continue
+            # _ARRIVAL: one dependency of task ``tid`` is met at ``now``.
+            # Events pop in nondecreasing time, so the event that meets the
+            # last one is the latest and ``now`` is the task's ready time.
+            unmet[tid] -= 1
+            if not unmet[tid]:
+                start(tasks[tid], now)
+        if finished != len(tasks):
             raise RuntimeError(
-                f"deadlock: {len(self.tasks) - self.finished} tasks never became ready "
+                f"deadlock: {len(tasks) - finished} tasks never became ready "
                 "(cyclic dependencies?)"
             )
         makespan = max((r.finish_time for r in self.records), default=0.0)
@@ -238,7 +276,7 @@ class _Sim:
             raise RuntimeError(f"training allocations leaked past iteration end: {leaked}")
 
         stage_busy: dict[int, float] = {s: 0.0 for s in self.stage_dc}
-        for t in self.tasks:
+        for t in tasks:
             stage_busy[t.stage_id] += t.compute_s
         return Timeline(
             tasks=self.records,
@@ -252,137 +290,95 @@ class _Sim:
 
     def _start(self, task: Task, ready: float) -> None:
         rec = self.records[task.id]
-        rec.ready_time = ready
-        rec.start_time = ready
-        rec.finish_time = ready + task.compute_s
-        self.push(rec.finish_time, task, "finish", task)
+        rec.ready_time = rec.start_time = ready
+        rec.finish_time = finish = ready + task.compute_s
+        self.push(finish, task, _FINISH)
 
-    def _met(self, tid: int, now: float) -> None:
-        """One dependency of task ``tid`` is met at ``now``.
+    def _issue(self, task: Task, now: float) -> None:
+        """Send the message of ``task``, which has just finished, at ``now``."""
+        consumer = self.tasks[task.msg_next]  # type: ignore[index]
+        self.req_counter += 1
+        rid = self.req_counter
+        src = self.stage_dc[task.stage_id]
+        dst = self.stage_dc[consumer.stage_id]
+        if src == dst:
+            complete = now + transfer_time(self.params, None, 1, self.msg_bits)
+            self._deliver(consumer, complete, TransferRecord(
+                rid, task.id, consumer.id, src, dst, "intra", 0, -1, -1, None, 0,
+                now, now, complete,
+            ))
+            return
+        demand = self.demand.get(consumer.id, self.base_demand)
+        self._attempt(_Request(rid, task, consumer, src, dst, demand, now), now)
 
-        Events pop in nondecreasing time, so the event that meets the last
-        dependency is the latest one and ``now`` is the task's ready time.
-        """
-        self.unmet[tid] -= 1
-        if not self.unmet[tid]:
-            self._start(self.tasks[tid], now)
-
-    def _on_finish(self, task: Task, now: float) -> None:
-        self.finished += 1
-        if task.chain_next is not None:
-            self._met(task.chain_next, now)
-        cons = task.msg_next
-        if cons is not None:
-            consumer = self.tasks[cons]
-            self.req_counter += 1
-            req = _Request(
-                request_id=self.req_counter,
-                producer=task,
-                consumer=consumer,
-                src=self.stage_dc[task.stage_id],
-                dst=self.stage_dc[consumer.stage_id],
-                bits=self.msg_bits,
-                demand=required_fs(
-                    self.policy.base_fs,
-                    self.labels.get(cons, NORMAL),
-                    self.policy.boost_factor,
-                    self.policy.fs_max,
-                ),
-                issue_time=now,
-            )
-            self._attempt(req, now)
-
-    # ----------------------------------------------------------------
-
-    def _deliver(self, req: _Request, complete: float, record: TransferRecord) -> None:
+    def _deliver(self, consumer: Task, complete: float, record: TransferRecord) -> None:
         self.transfers.append(record)
-        self.push(complete, req.consumer, "arrival", req.consumer)
-        self.records[req.consumer.id].msg_cross_dc = record.kind != "intra"
+        self.push(complete, consumer, _ARRIVAL)
+        self.records[consumer.id].msg_cross_dc = record.kind != "intra"
 
     def _attempt(self, req: _Request, now: float) -> None:
-        if req.src == req.dst:
-            dt = transfer_time(self.params, None, 1, req.bits)
-            self._deliver(
-                req,
-                now + dt,
-                TransferRecord(
-                    req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
-                    "intra", 0, -1, -1, None, 0, now, now, now + dt,
-                ),
-            )
-            return
-
         advance_network(self.net, now)
         attempt = req.attempts
         req.attempts += 1
         n_fs = max(req.demand - attempt, 1)
-        sel = self._select(req.src, req.dst, n_fs)
+        p = self.policy
+        if p.selector == "cba":
+            sel = rsa.select_cba(self.net, req.src, req.dst, n_fs, p.k, p.ci_mode)
+        elif p.selector == "ksp_ff":
+            sel = rsa.select_ksp_ff(self.net, req.src, req.dst, n_fs, p.k)
+        else:
+            sel = rsa.select_sd_ff(self.net, req.src, req.dst, n_fs, p.k, self.params)
+        bits = self.msg_bits
+        stage = req.producer.stage_id
 
-        if not sel.blocked:
-            assert sel.path is not None and sel.block is not None
-            pen = self.egress.pending(req.producer.stage_id, now)
-            dt = transfer_time(self.params, sel.path, n_fs, req.bits, pen)
+        path, block = sel.path, sel.block
+        if path is not None:
+            assert block is not None
+            pen = self.egress.pending(stage, now)
+            dt = transfer_time(self.params, path, n_fs, bits, pen)
             complete = now + dt
             if dt > 0.0:
                 allocate_spectrum(
-                    self.net, sel.path.links,
-                    (sel.block.f_start, sel.block.f_end),
+                    self.net, path.links, (block.f_start, block.f_end),
                     f"tx-{req.request_id}", complete,
                 )
             # the sender's transmitter is busy until the last bit is pushed
             # (queue + serialization); propagation happens in flight
-            self.egress.occupy(
-                req.producer.stage_id, now + pen + req.bits * beta(self.params, n_fs)
-            )
+            self.egress.occupy(stage, now + pen + bits * beta(self.params, n_fs))
             if req.first_blocked:
                 self.blocking.append(
                     BlockingEvent(req.request_id, req.producer.id, req.attempts,
                                   "eventually_sent")
                 )
-            self._deliver(
-                req, complete,
-                TransferRecord(
-                    req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
-                    "optical", n_fs, sel.block.f_start, sel.block.f_end,
-                    sel.path.nodes, attempt, req.issue_time, now, complete,
-                ),
-            )
+            self._deliver(req.consumer, complete, TransferRecord(
+                req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
+                "optical", n_fs, block.f_start, block.f_end,
+                path.nodes, attempt, req.issue_time, now, complete,
+            ))
             return
 
         if attempt == 0:
             req.first_blocked = True
-        if attempt < self.policy.max_retries:
-            self.push(now + self.policy.retry_backoff_s, req.producer, "retry", req)
+        if attempt < p.max_retries:
+            self.push(now + p.retry_backoff_s, req.producer, _RETRY, req)
             return
 
         # retries exhausted: degraded fallback delivery, no spectrum held
         # (the penalty scales the route service time, not the local queue wait)
-        path0 = self.net.paths.candidates(req.src, req.dst, self.policy.k)[0]
-        pen = self.egress.pending(req.producer.stage_id, now)
-        dt = self.policy.fallback_penalty * transfer_time(self.params, path0, 1, req.bits) + pen
+        path0 = self.net.paths.candidates(req.src, req.dst, p.k)[0]
+        pen = self.egress.pending(stage, now)
+        dt = p.fallback_penalty * transfer_time(self.params, path0, 1, bits) + pen
         complete = now + dt
         self.egress.occupy(
-            req.producer.stage_id,
-            now + pen + self.policy.fallback_penalty * req.bits * beta(self.params, 1),
+            stage, now + pen + p.fallback_penalty * bits * beta(self.params, 1),
         )
         self.blocking.append(
             BlockingEvent(req.request_id, req.producer.id, req.attempts, "dropped_never")
         )
-        self._deliver(
-            req, complete,
-            TransferRecord(
-                req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
-                "fallback", 1, -1, -1, None, attempt, req.issue_time, now, complete,
-            ),
-        )
-
-    def _select(self, src: str, dst: str, width: int) -> rsa.SelectionResult:
-        p = self.policy
-        if p.selector == "cba":
-            return rsa.select_cba(self.net, src, dst, width, p.k, p.ci_mode)
-        if p.selector == "ksp_ff":
-            return rsa.select_ksp_ff(self.net, src, dst, width, p.k)
-        return rsa.select_sd_ff(self.net, src, dst, width, p.k, self.params)
+        self._deliver(req.consumer, complete, TransferRecord(
+            req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
+            "fallback", 1, -1, -1, None, attempt, req.issue_time, now, complete,
+        ))
 
 
 def simulate_iteration(
@@ -432,34 +428,64 @@ def blocking_probability(timeline: Timeline) -> float:
 
 
 # ----------------------------------------------------------------------
-# event-log replay audit
+# spectrum-discipline audit: of the transfer records, or of the event log
+
+
+def audit_transfers(net: Network, transfers: Iterable[TransferRecord], makespan: float) -> int:
+    """Verify spectrum discipline from an iteration's transfer records.
+
+    The same checks as ``audit_event_log``, on the values the XFER lines
+    would carry (``repr`` round-trips every float): each path is resolved
+    from its recorded node sequence, not from the simulation's links.
+    Returns the number of optical transfers audited; raises RuntimeError
+    on the first violation.
+    """
+    return _audit_holds(
+        ((x.request_id, x.n_fs, x.f_start, x.f_end, x.path_nodes, x.hold_start, x.complete_time)
+         for x in transfers if x.kind == "optical"),
+        makespan, net.path_links,
+    )
 
 
 def audit_event_log(net: Network, lines: Iterable[str], makespan: float) -> int:
     """Replay XFER lines and verify spectrum discipline from the log alone.
 
-    Checks that no two optical transfers overlap in both time and slots on a
-    shared link and that every holding window closes by the iteration end
-    (no leaked allocations).  Returns the number of transfers audited;
-    raises RuntimeError on the first violation.
+    Parses the optical XFER lines and runs the checks of ``audit_transfers``
+    on them; every other line is skipped.  Returns the number of transfers
+    audited; raises RuntimeError on the first violation.
     """
-    # path string -> (its links, resolved on first sight; its intervals)
-    by_path: dict[str, tuple[tuple[Link, ...], list[tuple[float, float, int, int, int]]]] = {}
+    def holds():
+        for line in lines:
+            parts = line.rstrip("\n").split("\t")
+            if parts[0] == "XFER" and parts[6] == "optical":
+                yield (int(parts[1]), int(parts[7]), int(parts[8]), int(parts[9]), parts[10],
+                       float(parts[13]), float(parts[14]))
+
+    return _audit_holds(holds(), makespan, lambda path: net.path_links(path.split(">")))
+
+
+def _audit_holds(
+    holds: Iterable[tuple], makespan: float, links_of: Callable[[Any], Sequence[Link]],
+) -> int:
+    """The checks shared by both audits, over optical holdings.
+
+    A holding is (request id, n_fs, f_start, f_end, path, hold_start,
+    complete); ``links_of`` resolves a path to its links, once per distinct
+    path.  Checks that every block is ``n_fs`` slots wide, that every holding
+    window closes by the iteration end (no leaked allocations) and that no
+    two holdings overlap in both time and slots on a shared link.
+    """
+    # path -> (its links, resolved on first sight; its intervals)
+    by_path: dict[Any, tuple[Sequence[Link], list[tuple[float, float, int, int, int]]]] = {}
     audited = 0
-    for line in lines:
-        parts = line.rstrip("\n").split("\t")
-        if parts[0] != "XFER" or parts[6] != "optical":
-            continue
-        rid = int(parts[1])
-        n_fs, f0, f1 = int(parts[7]), int(parts[8]), int(parts[9])
-        hold_start, complete = float(parts[13]), float(parts[14])
+    for rid, n_fs, f0, f1, path, hold_start, complete in holds:
         if f1 - f0 + 1 != n_fs:
             raise RuntimeError(f"request {rid}: block width disagrees with n_fs")
         if complete > makespan + 1e-9:
             raise RuntimeError(f"request {rid}: allocation leaks past iteration end")
-        group = by_path.get(parts[10])
+        group = by_path.get(path)
         if group is None:
-            group = by_path[parts[10]] = (net.path_links(parts[10].split(">")), [])
+            group = by_path[path] = (links_of(path), [])
         group[1].append((hold_start, complete, f0, f1, rid))
         audited += 1
 

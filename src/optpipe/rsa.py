@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .latency import LatencyParams
-from .topology import CandidatePath, Network, free_run_starts, lowest_bit, path_bits
+from .topology import CandidatePath, Network, free_run_starts, lowest_bit
 
 
 class CiMode(enum.Enum):
@@ -69,14 +69,23 @@ class CiMode(enum.Enum):
 # reorders paths with nonzero scores.
 CI_FLOOR = 1e-9
 
+# the modes that the scoring loop tests, bound once: a member lookup on the
+# enum class costs more than the comparison
+_WINDOW, _GLOBAL = CiMode.WINDOW, CiMode.GLOBAL
 
-@dataclass(frozen=True)
+
+# The two result records are slotted, not frozen: every selection builds one
+# of each, and a frozen dataclass's constructor costs about three times as
+# much.  Selectors return a fresh pair per call and nothing writes to them.
+
+
+@dataclass(slots=True)
 class CandidateBlock:
     f_start: int
     f_end: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SelectionResult:
     """Outcome of one route-and-spectrum selection.
 
@@ -112,43 +121,41 @@ def _rises(agg: int, fs_total: int) -> int:
     return (~agg & (agg >> 1) & ((1 << (fs_total - 1)) - 1)).bit_count()
 
 
-def _gamma(
-    path: CandidatePath, agg: int, starts: int, width: int, mode: CiMode, fs_total: int
-) -> float:
-    """Fitness of a path given its bitmask and free-run starts; 0 when none fit.
+def _score(path: CandidatePath, width: int, mode: CiMode, fs_total: int) -> tuple[float, int, int]:
+    """(gamma, path bitmask, free-run starts) of one path at the current occupancy.
 
-    The availability divisor is the mean per-link free fraction.  It is
-    positive whenever a block fits, since a free slot is free on every link.
+    Gamma is 0 when no block fits.  One pass over the links gives both the
+    bitmask (their OR) and the occupied slot count (their popcounts).  The
+    availability divisor is the mean per-link free fraction.  It is positive
+    whenever a block fits, since a free slot is free on every link.
     """
+    agg = occupied = 0
+    for link in path.links:
+        bits = link.bits
+        agg |= bits
+        occupied += bits.bit_count()
+    starts = free_run_starts(agg, width, fs_total)
     nfree = starts.bit_count()
     if nfree == 0:
-        return 0.0
-    occupied = 0
-    for link in path.links:
-        occupied += link.bits.bit_count()
+        return 0.0, agg, starts
     delta = 1.0 - occupied / (len(path.links) * fs_total)
-    denom = max(width - 1, 1)
-    if mode is CiMode.WINDOW:
+    denom = width - 1 if width > 1 else 1
+    if mode is _WINDOW:
         S = (starts & (agg >> width)).bit_count()
-    elif mode is CiMode.GLOBAL:
+    elif mode is _GLOBAL:
         S = nfree * min(_rises(agg, fs_total), denom)
     else:
         S = 0
     nd = nfree * denom
     mean_ci = (nd - S) / nd
-    return max(mean_ci, CI_FLOOR) / (path.length_km * delta)
-
-
-def _score(path: CandidatePath, width: int, mode: CiMode, fs_total: int) -> tuple[float, int, int]:
-    """(gamma, path bitmask, free-run starts) of one path at the current occupancy."""
-    agg = path_bits(path.links)
-    starts = free_run_starts(agg, width, fs_total)
-    return _gamma(path, agg, starts, width, mode, fs_total), agg, starts
+    if mean_ci < CI_FLOOR:
+        mean_ci = CI_FLOOR
+    return mean_ci / (path.length_km * delta), agg, starts
 
 
 def _best_start(agg: int, starts: int, width: int, mode: CiMode) -> int:
     """Lowest free start among those with the fewest transitions (max CI)."""
-    if mode is CiMode.WINDOW:
+    if mode is _WINDOW:
         clean = starts & ~(agg >> width)
         if clean:
             return lowest_bit(clean)
@@ -188,19 +195,19 @@ def select_cba(
         raise ValueError("width must be >= 1")
     paths = net.paths.candidates(src, dst, k)
     F = net.fs_total
+    # candidates come in (length, hops, node sequence) order, so the first
+    # path with the highest gamma wins every tie
     best = None
-    for i, p in enumerate(paths):
+    best_gamma = 0.0
+    for p in paths:
         gamma, agg, starts = _score(p, width, mode, F)
-        if gamma <= 0.0:
-            continue
-        key = (-gamma, p.length_km, p.hop_count, i)
-        if best is None or key < best[0]:
-            best = (key, gamma, p, agg, starts)
+        if gamma > best_gamma:
+            best, best_gamma = (p, agg, starts), gamma
     if best is None:
         return SelectionResult(None, None, 0.0, len(paths))
-    _, gamma, p, agg, starts = best
+    p, agg, starts = best
     f0 = _best_start(agg, starts, width, mode)
-    return SelectionResult(p, CandidateBlock(f0, f0 + width - 1), gamma, len(paths))
+    return SelectionResult(p, CandidateBlock(f0, f0 + width - 1), best_gamma, len(paths))
 
 
 def _first_fit_over(
@@ -209,11 +216,9 @@ def _first_fit_over(
     F = net.fs_total
     for examined, i in enumerate(order, start=1):
         path = paths[i]
-        agg = path_bits(path.links)
-        starts = free_run_starts(agg, width, F)
+        gamma, _, starts = _score(path, width, _WINDOW, F)
         if starts:
             f0 = lowest_bit(starts)
-            gamma = _gamma(path, agg, starts, width, CiMode.WINDOW, F)
             return SelectionResult(path, CandidateBlock(f0, f0 + width - 1), gamma, examined)
     return SelectionResult(None, None, 0.0, len(paths))
 

@@ -549,32 +549,29 @@ def advance_network(net: Network, now: float) -> int:
         raise ValueError(f"time went backwards: {now} < {net.now}")
     stream = net._stream
     heap = net._release_heap
-    # fast path: nothing can be due
-    if (not heap or heap[0][0] > now) and (stream is None or stream.peek() > now):
-        if now > net.now:
-            net.now = now
-        return 0
+    active = net._active
+    t_arr = stream._next_time if stream is not None else math.inf
     changes = 0
     while True:
-        t_rel = math.inf
         while heap:
-            t, owner = heap[0]
-            rec = net._active.get(owner)
-            if rec is None or rec[3] != t:
-                heapq.heappop(heap)  # stale entry (manually released)
-                continue
-            t_rel = t
-            break
-        t_arr = stream.peek() if stream is not None else math.inf
-        t_next = min(t_rel, t_arr)
-        if t_next > now:
-            break
+            t_rel, owner = heap[0]
+            rec = active.get(owner)
+            if rec is not None and rec[3] == t_rel:
+                break
+            heapq.heappop(heap)  # stale entry (manually released)
+        else:  # no live release is pending
+            t_rel = math.inf
         if t_rel <= t_arr:
-            _, owner = heapq.heappop(heap)
+            if t_rel > now:
+                break
+            heapq.heappop(heap)
             net._release_owner(owner)
             changes += 1
         else:
+            if t_arr > now:
+                break
             t, src, dst, demand, hold = stream.pop()  # type: ignore[union-attr]
+            t_arr = stream._next_time  # type: ignore[union-attr]
             if net._admit_background(t, src, dst, demand, hold):
                 changes += 1
     if now > net.now:
@@ -691,16 +688,6 @@ def first_free_run(agg: int, width: int, fs_total: int) -> int | None:
     """Lowest start of a free run of ``width`` slots in ``agg``, or None."""
     run = free_run_starts(agg, width, fs_total)
     return lowest_bit(run) if run else None
-
-
-def bit_positions(bits: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def audit_occupancy(net: Network) -> None:

@@ -6,7 +6,8 @@ path/block enumeration, direct transition-count loops, and log replay.
 A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
 The test suite imports the same ``ref_*`` functions, ``random_instance``,
-``free_block_starts`` and ``one_link_exhaustive``; there is no second copy.
+``free_block_starts``, ``bit_positions`` and ``one_link_exhaustive``; there is
+no second copy.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ def free_block_starts(occupancy: np.ndarray, width: int) -> np.ndarray:
     np.cumsum(occupancy, out=ext[1:])
     window = ext[width:] - ext[: F - width + 1]
     return np.flatnonzero(window == 0)
+
+
+def bit_positions(bits: int) -> list[int]:
+    """Indices of the set bits of an int, ascending: a bitmask as a list of slots."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def ref_blocks(net: topology.Network, nodes: tuple[str, ...], width: int) -> list[int]:
@@ -374,13 +385,15 @@ def check_spectrum_audit() -> tuple[bool, str]:
     )
     audited = 0
     for r in results:
-        audited += engine.audit_event_log(
-            cfg_net, r.timeline.event_log_lines(), r.timeline.iteration_makespan
-        )
+        tl = r.timeline
+        from_log = engine.audit_event_log(cfg_net, tl.event_log_lines(), tl.iteration_makespan)
+        if engine.audit_transfers(cfg_net, tl.transfers, tl.iteration_makespan) != from_log:
+            return False, f"iteration {r.iteration}: the record and log audits disagree"
+        audited += from_log
         if cfg_net.active_owners("tx-"):
             return False, "training allocation leaked past an iteration boundary"
     topology.audit_occupancy(cfg_net)
-    return True, f"replayed {audited} transfers over 4 iterations"
+    return True, f"audited {audited} transfers over 4 iterations, from the log and the records"
 
 
 def check_labeling_soundness() -> tuple[bool, str]:

@@ -170,7 +170,7 @@ def loaded_grid() -> GridOutcome:
 
 
 def test_4_spectrum_audit_over_full_grid(default_grid):
-    # run_cell replays every iteration's event log and raises on any
+    # run_cell audits every simulated iteration's transfers and raises on any
     # overlapping or leaked allocation, so reaching here means zero
     # violations; assert the audit actually saw the whole grid
     expected_rows = 3 * 16 * 3 * 10  # policies x cells x seeds x measured iterations

@@ -119,6 +119,8 @@ class TestConfig:
             os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json"))
         assert shipped.tasks_per_policy_run() < cli.MAX_RUN_TASKS / 80
         assert shipped.compare_cells() < cli.MAX_CELLS / 80
+        grid_tasks = shipped.compare_cells() * shipped.tasks_per_policy_run()
+        assert grid_tasks == 320 * 11 * 2 * 8 * 128 < cli.MAX_GRID_TASKS / 80
 
     def test_shipped_loaded_config_parses(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json")
@@ -321,12 +323,41 @@ class TestIterationReuse:
 
 
 class TestLeanAudit:
-    def test_audit_reads_the_xfer_lines_of_the_full_log(self, monkeypatch):
-        cfg = RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 3})
-        policies = ["cba", "ksp_ff"]  # no first-fit reuse: every log is audited
-        full = cli.run_cell(cfg, policies, "llama3-8b-like", "gpipe", 4, 0,
-                            collect_events=True)
+    CFG = {"bg.preset": "loaded", "cba.n_iterations": 3}
+    POLICIES = ["cba", "ksp_ff"]  # no first-fit reuse: every iteration is audited
 
+    def _cell(self, collect_events=False):
+        return cli.run_cell(RunConfig.from_flat(self.CFG), self.POLICIES, "llama3-8b-like",
+                            "gpipe", 4, 0, collect_events=collect_events)
+
+    def test_audit_reads_the_records_without_the_log(self, monkeypatch):
+        full = self._cell(collect_events=True)
+        audited = []
+        real_audit = engine.audit_transfers
+
+        def spy(net, transfers, makespan):
+            audited.append(list(transfers))
+            return real_audit(net, transfers, makespan)
+
+        def no_log(*args):
+            raise AssertionError("event log built or parsed without collect_events")
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "audit_transfers", spy)
+            m.setattr(engine, "audit_event_log", no_log)
+            m.setattr(engine.Timeline, "event_log_lines", no_log)
+            lean = self._cell()
+        # one record list per simulated iteration, and serialised they are
+        # the XFER lines of the full log, byte for byte
+        assert len(audited) == len(self.POLICIES) * self.CFG["cba.n_iterations"]
+        xfer = [line for records in audited
+                for line in engine.Timeline([], records, [], 0.0, {}).event_log_lines()]
+        assert xfer == [x for x in full.event_lines if x.startswith("XFER\t")]
+        assert lean.audited_transfers == full.audited_transfers > 0
+        assert lean.label_checks == full.label_checks
+        assert lean.rows == full.rows and lean.event_lines == []
+
+    def test_written_log_is_audited_from_its_lines(self, monkeypatch):
         audited_lines = []
         real_audit = engine.audit_event_log
 
@@ -334,15 +365,14 @@ class TestLeanAudit:
             audited_lines.extend(lines)
             return real_audit(net, lines, makespan)
 
-        def full_log(self):
-            raise AssertionError("full event log built without collect_events")
+        def no_records(*args):
+            raise AssertionError("records audited although the log is written")
 
         monkeypatch.setattr(engine, "audit_event_log", spy)
-        monkeypatch.setattr(engine.Timeline, "event_log_lines", full_log)
-        lean = cli.run_cell(cfg, policies, "llama3-8b-like", "gpipe", 4, 0)
-        assert audited_lines == [x for x in full.event_lines if x.startswith("XFER\t")]
-        assert lean.audited_transfers == full.audited_transfers > 0
-        assert lean.rows == full.rows and lean.event_lines == []
+        monkeypatch.setattr(engine, "audit_transfers", no_records)
+        full = self._cell(collect_events=True)
+        assert audited_lines == [x for x in full.event_lines if not x.startswith("RUN\t")]
+        assert full.audited_transfers > 0
 
 
 class TestMain:
@@ -426,6 +456,11 @@ class TestMain:
             ('{"run.microbatches": 20000}', "cba.n_iterations"),
             (json.dumps({"compare.seeds": list(range(2000))}), "compare.seeds"),
             (json.dumps({"run.seeds": list(range(30001))}), "run.seeds"),
+            # ... and their product: each factor is under its own cap
+            (json.dumps({"compare.seeds": list(range(1800)), "cba.n_iterations": 900}),
+             "compare.seeds"),
+            (json.dumps({"run.seeds": list(range(20000)), "cba.n_iterations": 900}),
+             "run.seeds"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optpipe.cli import DEFAULT_DC_NODES
+from optpipe import cba
+from optpipe.cli import DEFAULT_DC_NODES, RunConfig
 from optpipe.engine import (
     SELECTORS,
     BlockingEvent,
@@ -15,6 +16,7 @@ from optpipe.engine import (
     Timeline,
     TransferRecord,
     audit_event_log,
+    audit_transfers,
     blocking_probability,
     bubble_ratio,
     simulate_iteration,
@@ -332,3 +334,71 @@ class TestAuditCatchesViolations:
             "XFER\t2\t2\t3\tA\tB\toptical\t4\t4\t7\tA>B\t0\t0.5\t0.5\t1.5",
         ]
         assert audit_event_log(net, lines, 2.0) == 2
+
+
+def _xfer(rid, path, f0, f1, n_fs, hold, complete):
+    return TransferRecord(rid, 2 * rid, 2 * rid + 1, path[0], path[-1], "optical", n_fs,
+                          f0, f1, path, 0, hold, hold, complete)
+
+
+# each planted fault: (records, makespan, message)
+FAULTS = {
+    # A>B>C and D>B>C differ but share link B-C
+    "overlap on a shared link": (
+        [_xfer(1, ("A", "B", "C"), 0, 3, 4, 0.0, 1.0),
+         _xfer(2, ("D", "B", "C"), 2, 5, 4, 0.5, 1.5)],
+        2.0, "requests 1 and 2 overlap"),
+    "block width differs from n_fs": (
+        [_xfer(1, ("A", "B"), 0, 2, 4, 0.0, 1.0)], 2.0, "block width disagrees"),
+    "hold past the makespan": (
+        [_xfer(1, ("A", "B"), 0, 3, 4, 0.0, 5.0)], 2.0, "leaks past iteration end"),
+}
+
+
+class TestRecordAudit:
+    """``audit_transfers`` against ``audit_event_log``: one set of checks."""
+
+    @staticmethod
+    def _net():
+        return Network(["A", "B", "C", "D"],
+                       [("A", "B", 1.0), ("B", "C", 1.0), ("D", "B", 1.0)], fs_total=8)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("reader", ["records", "log"])
+    def test_planted_fault_raises(self, fault, reader):
+        records, makespan, message = FAULTS[fault]
+        with pytest.raises(RuntimeError, match=message):
+            if reader == "records":
+                audit_transfers(self._net(), records, makespan)
+            else:
+                lines = Timeline([], records, [], makespan, {}).event_log_lines()
+                audit_event_log(self._net(), lines, makespan)
+
+    def test_only_optical_records_count(self):
+        records = [
+            _xfer(1, ("A", "B"), 0, 3, 4, 0.0, 1.0),
+            TransferRecord(2, 4, 5, "A", "A", "intra", 0, -1, -1, None, 0, 0.0, 0.0, 0.1),
+            TransferRecord(3, 6, 7, "A", "C", "fallback", 1, -1, -1, None, 5, 0.0, 0.3, 9.0),
+        ]
+        assert audit_transfers(self._net(), records, 2.0) == 1
+
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_counts_agree_on_every_iteration_of_a_loaded_cell(self, selector):
+        cfg = RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 4})
+        profile = cfg.profile("llama3-8b-like")
+        stages = partition_stages(profile, 8, cfg.placement(0, 8))
+        tasks = build_schedule(ScheduleKind.ONE_F_ONE_B, stages, 8)
+        net = cfg.build_network()
+        net.attach_background(cfg.background(0))
+        advance_network(net, cfg.prewarm_s())
+        results = cba.orchestrate(cfg.orchestrator(), net, stages, tasks, cfg.policy(selector),
+                                  cfg.latency_params(),
+                                  msg_bits=profile.msg_bytes_per_microbatch * 8)
+        assert len(results) == 4 and all(r.reused_from is None for r in results)
+        for r in results:
+            tl = r.timeline
+            optical = sum(1 for x in tl.transfers if x.kind == "optical")
+            assert optical > 0
+            assert (audit_transfers(net, tl.transfers, tl.iteration_makespan)
+                    == audit_event_log(net, tl.event_log_lines(), tl.iteration_makespan)
+                    == optical)

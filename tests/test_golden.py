@@ -4,10 +4,11 @@ reproduce pinned bytes.
 The compare grid covers both models and both schedules at m=4 for one seed,
 with the loaded background and event logging on, so every selector, the
 background churn and the event-log serialisation feed the hashed files.  The
-run cell covers ``optpipe run`` with no background: its per-seed rows, its
-summary row and its event log.  A change that is meant to alter behaviour
-must say so and re-pin these hashes; a performance change must leave them
-alone.
+same grid with the log off must write the same results and summary; it is
+audited from the transfer records instead of the log lines.  The run cell
+covers ``optpipe run`` with no background: its per-seed rows, its summary row
+and its event log.  A change that is meant to alter behaviour must say so and
+re-pin these hashes; a performance change must leave them alone.
 """
 
 from __future__ import annotations
@@ -44,6 +45,18 @@ def test_reduced_compare_matches_golden_hashes(tmp_path):
         for key in GOLDEN_SHA256
     }
     assert got == GOLDEN_SHA256
+
+
+def test_reduced_compare_without_the_log_matches_golden_hashes(tmp_path):
+    # without the log every iteration is audited from its transfer records
+    config = {**GOLDEN_CONFIG, "output.event_log": False}
+    paths = cli.cmd_compare(RunConfig.from_flat(config), str(tmp_path), verbose=False)
+    assert "events" not in paths
+    got = {
+        key: hashlib.sha256(open(paths[key], "rb").read()).hexdigest()
+        for key in ("results", "summary")
+    }
+    assert got == {key: GOLDEN_SHA256[key] for key in ("results", "summary")}
 
 
 GOLDEN_RUN_CONFIG = {

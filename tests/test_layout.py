@@ -14,21 +14,29 @@
   ``has_background`` and ``active_owners``.
 
 The README's Configuration section names every config key and no other.
+
+Every hook that ``perfbench/tracer.py`` lists in ``HOOKS`` still resolves in
+``optpipe``, and a small loaded cell reaches each one through the module
+namespaces that the tracer patches.  A hot path that inlined a hook, or bound
+it before the tracer could patch it, would turn that layer's metrics to null.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
+import importlib
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
-from optpipe import cli, topology
+from optpipe import cli, engine, topology
 
 SRC = pathlib.Path(topology.__file__).parent
 README = pathlib.Path(__file__).parent.parent / "README.md"
+TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
 NUMPY_FREE = ("rsa.py", "engine.py", "cba.py", "latency.py", "workload.py")
 
 
@@ -142,3 +150,61 @@ def test_readme_config_table_lists_every_key():
               if re.fullmatch(r"[a-z_][a-z0-9_]*(\.[a-z_][a-z0-9_]*)+", name)}
     assert dotted == {key for key in cli.KEY_TABLE if "." in key}
     assert {key for key in cli.KEY_TABLE if "." not in key} <= backticked
+
+
+def _tracer_hooks() -> list[tuple[str, str, str]]:
+    """``HOOKS`` of the benchmark's tracer, read from its source without importing it."""
+    for node in _tree(TRACER).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "HOOKS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER.name} assigns no HOOKS")
+
+
+def _resolve(module: str, attr: str):
+    owner = importlib.import_module(module)
+    for name in attr.split("."):
+        owner = getattr(owner, name)
+    return owner
+
+
+def test_tracer_hooks_resolve():
+    hooks = _tracer_hooks()
+    assert len(hooks) >= 10
+    missing = []
+    for module, attr, span in hooks:
+        try:
+            target = _resolve(module, attr)
+        except (ImportError, AttributeError):
+            missing.append(span)
+            continue
+        if not callable(target):
+            missing.append(span)
+    assert missing == []
+
+
+def test_tracer_hooks_are_reached(monkeypatch):
+    # patch the way the tracer does: a method on its class, a function in
+    # every optpipe namespace that holds it
+    calls: collections.Counter[str] = collections.Counter()
+    for module, attr, span in _tracer_hooks():
+        original = _resolve(module, attr)
+
+        def counted(*args, _fn=original, _span=span, **kwargs):
+            calls[_span] += 1
+            return _fn(*args, **kwargs)
+
+        if "." in attr:
+            cls_name, leaf = attr.split(".")
+            monkeypatch.setattr(getattr(importlib.import_module(module), cls_name), leaf, counted)
+            continue
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("optpipe"):
+                for name, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, name, counted)
+    cfg = cli.RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 2})
+    for policy in engine.SELECTORS:
+        cli.run_cell(cfg, [policy], "llama3-8b-like", "1f1b", 4, 0, collect_events=True)
+    assert [span for *_, span in _tracer_hooks() if not calls[span]] == []

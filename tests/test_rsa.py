@@ -17,7 +17,6 @@ from optpipe.rsa import (
 from optpipe.topology import (
     Network,
     allocate_spectrum,
-    bit_positions,
     free_run_starts,
     path_bits,
     set_link_occupancy,
@@ -67,7 +66,7 @@ class TestKShortestPaths:
 
 
 def free_starts(net: Network, path, width: int) -> list[int]:
-    return bit_positions(free_run_starts(path_bits(path.links), width, net.fs_total))
+    return validate.bit_positions(free_run_starts(path_bits(path.links), width, net.fs_total))
 
 
 class TestCandidateBlocks:

@@ -20,7 +20,6 @@ from optpipe.topology import (
     advance_network,
     allocate_spectrum,
     audit_occupancy,
-    bit_positions,
     first_free_run,
     free_run_starts,
     load_nsfnet,
@@ -31,7 +30,12 @@ from optpipe.topology import (
     set_link_occupancy,
     unpack_bits,
 )
-from optpipe.validate import free_block_starts, random_instance, ref_simple_paths
+from optpipe.validate import (
+    bit_positions,
+    free_block_starts,
+    random_instance,
+    ref_simple_paths,
+)
 
 
 def reference_graph(net: Network) -> nx.Graph:
