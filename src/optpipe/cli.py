@@ -26,14 +26,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from . import cba, engine, rsa, topology, workload
 from .latency import LatencyParams
+from .rng import default_rng
 
 # Densest NSFNET region: every inter-DC pair has several near-equal-length
 # routes, so route-and-spectrum choice (not raw propagation) dominates.
@@ -224,6 +222,10 @@ class RunConfig:
         for key in ("run.seeds", "compare.seeds", "compare.microbatch_grid", "compare.models",
                     "compare.schedules", "placement.dc_nodes"):
             require(len(f[key]) >= 1, key, "must not be empty")
+        for key in ("run.seeds", "compare.seeds"):
+            negative = [seed for seed in f[key] if seed < 0]
+            if negative:  # the seed lists are too long to echo back
+                raise ConfigError(f"{key}: seeds must be >= 0 (got {negative[0]})")
         require(all(m >= 1 for m in f["compare.microbatch_grid"]),
                 "compare.microbatch_grid", "entries must be >= 1")
         require(all(s in ("gpipe", "1f1b") for s in f["compare.schedules"]),
@@ -389,9 +391,11 @@ class RunConfig:
         )
 
     def placement(self, seed: int, p: int) -> list[str]:
+        """p names drawn uniformly, with replacement, from the placement pool:
+        ``numpy.random.default_rng([seed, 101]).integers(0, len(pool), size=p)``."""
         dcs = self.dc_nodes()
-        rng = np.random.default_rng([seed, _PLACEMENT_STREAM])
-        return [dcs[int(i)] for i in rng.integers(0, len(dcs), size=p)]
+        rng = default_rng([seed, _PLACEMENT_STREAM])
+        return [dcs[i] for i in rng.integers(0, len(dcs), size=p)]
 
     def prewarm_s(self) -> float:
         """Seconds of background evolution before iteration 0.
@@ -695,6 +699,8 @@ def compare_grid(
     largest_first = sorted(grid, key=lambda cell: -2 * p * cell[2])
     work = [(cfg.flat, policies, *cell, collect_events) for cell in largest_first]
     parallel = jobs > 1 and len(work) > 1
+    if parallel:  # imported here, so a serial run does not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext() as pool:
         cell_map = pool.map if pool else map
         for i, (key, out) in enumerate(cell_map(_run_cell_job, work)):

@@ -13,16 +13,20 @@ Python over ``Network.adjacency``.
 
 Background arrivals come from an ``ArrivalTape``, which holds the draw-order
 contract: the seeded draws of one traffic model over one node list, made
-once, on demand, and kept.  Each network reads a tape through its own
-cursor, so the policies of one cell can replay a single tape.
+once, on demand, and kept.  The draws are those of
+``numpy.random.default_rng(rng_seed)``, made by the plain-Python port in
+``optpipe.rng``, so a run never imports numpy.  Each network reads a tape
+through its own cursor, so the policies of one cell can replay a single tape.
 
 Spectrum state is one Python ``int`` per link, ``Link.bits``: bit f is set
 when slot f is occupied.  A path's aggregate is the OR of its links' ints
 (``path_bits``), the starts of free runs come from shift-AND folding
 (``free_run_starts``) and the lowest one from ``x & -x``.
-``Link.occupancy`` is a read-only uint8 array derived from the int on each
-access; ``set_link_occupancy`` overwrites a link's slots directly, for
-building test instances.
+``Link.occupancy`` is a read-only numpy uint8 array derived from the int on
+each access; ``set_link_occupancy`` overwrites a link's slots directly, for
+building test instances.  These array helpers, with ``pack_bits`` and
+``unpack_bits``, serve the reference layer, the tests and the benchmark's
+tracer; they import numpy on first use.
 """
 
 from __future__ import annotations
@@ -34,11 +38,13 @@ import math
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .latency import LatencyParams, alpha
+from .rng import default_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_FS_TOTAL = 80
 
@@ -271,16 +277,21 @@ class ArrivalTape:
     Arrival k is drawn when a reader first needs it and kept, so every
     network that reads the tape sees the same arrivals however it advances.
     The per-arrival draw order is part of the replay contract (tests replay
-    it independently): inter-arrival gap, source index, destination offset,
-    FS demand, holding time.  The arrivals are stored in typed arrays; the
-    destination is kept as a node index with the offset applied.
+    it independently with numpy's ``default_rng(rng_seed)``): inter-arrival
+    gap, source index, destination offset, FS demand, holding time, as
+    ``Generator.arrival`` draws them.  The arrivals are stored in typed
+    arrays; the destination is kept as a node index with the offset applied.
     """
 
     def __init__(self, model: BackgroundTrafficModel, nodes: Sequence[str]):
         self.model = model
         self.nodes = tuple(nodes)
         self.active = model.arrival_rate_per_s > 0 and len(self.nodes) >= 2
-        self._rng = np.random.default_rng(model.rng_seed)
+        self._rng = default_rng(model.rng_seed)
+        if self.active:
+            lo, hi = model.fs_demand_range
+            self._draw_args = (1.0 / model.arrival_rate_per_s, len(self.nodes), lo, hi,
+                               model.mean_hold_s)
         self.gaps = array("d")
         self.src = _small_int_array(len(self.nodes))
         self.dst = _small_int_array(len(self.nodes))
@@ -292,23 +303,19 @@ class ArrivalTape:
 
     def draw(self) -> None:
         """Append the next arrival."""
-        rng = self._rng
-        n = len(self.nodes)
-        lo, hi = self.model.fs_demand_range
-        self.gaps.append(rng.exponential(1.0 / self.model.arrival_rate_per_s))
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n - 1))
+        gap, i, j, demand, hold = self._rng.arrival(*self._draw_args)
+        self.gaps.append(gap)
         self.src.append(i)
         self.dst.append(j + 1 if j >= i else j)
-        self.demand.append(int(rng.integers(lo, hi + 1)))
-        self.hold.append(rng.exponential(self.model.mean_hold_s))
+        self.demand.append(demand)
+        self.hold.append(hold)
 
 
 class _BackgroundStream:
     """One network's cursor over an arrival tape.
 
     ``pos`` counts the arrivals read from the tape, the pending one (due at
-    ``peek()``) included.  The stream keeps its own clock: it adds the
+    ``_next_time``) included.  The stream keeps its own clock: it adds the
     tape's gaps to its own ``_next_time``, which ``Network.rebase`` shifts,
     so each reader's arithmetic is what it would be with the draws made in
     place.
@@ -328,9 +335,6 @@ class _BackgroundStream:
             tape.draw()
         self.pos = k + 1
         self._next_time += tape.gaps[k]
-
-    def peek(self) -> float:
-        return self._next_time
 
     def pop(self) -> tuple[float, str, str, int, float]:
         tape, k = self.tape, self.pos - 1
@@ -623,6 +627,8 @@ def set_link_occupancy(net: Network, link_index: int, slots: Sequence[int] | np.
     network fails ``audit_occupancy``.  A link that an active owner uses is
     refused, because releasing it would then clear slots set here.
     """
+    import numpy as np
+
     link = net.links[link_index]
     if any(link in links for links, _, _, _ in net._active.values()):
         raise SpectrumConflictError(f"{link!r} carries allocations; release them first")
@@ -643,12 +649,16 @@ def block_mask(f0: int, f1: int) -> int:
 
 def pack_bits(occupancy: Sequence[int] | np.ndarray) -> int:
     """0/1 slot vector to int, bit f = slot f."""
+    import numpy as np
+
     arr = np.asarray(occupancy, dtype=np.uint8)
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
 def unpack_bits(bits: int, n: int) -> np.ndarray:
     """Int to a fresh length-n uint8 slot vector, slot f = bit f."""
+    import numpy as np
+
     raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=n, bitorder="little")
 

@@ -7,7 +7,8 @@ A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
 The test suite imports the same ``ref_*`` functions, ``random_instance``,
 ``free_block_starts``, ``bit_positions`` and ``one_link_exhaustive``; there is
-no second copy.
+no second copy.  ``ref_arrivals`` draws a background tape with numpy itself,
+the reference for the plain-Python draws of ``optpipe.rng``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 from . import cba, engine, rsa, topology, workload
+from . import rng as rng_port
 from .latency import LatencyParams, RequestLabel, required_fs
 
 
@@ -155,6 +157,23 @@ def ref_select(net: topology.Network, src: str, dst: str, width: int, k: int,
     if best is None:
         return None, None, None
     return best[1], best[2], best[3]
+
+
+def ref_arrivals(model: topology.BackgroundTrafficModel, n_nodes: int,
+                 count: int) -> list[tuple[float, int, int, int, float]]:
+    """The first ``count`` arrivals of a model's tape over ``n_nodes`` nodes,
+    drawn with numpy in the documented order: (gap, source, destination,
+    demand, hold), the destination index with its offset applied."""
+    gen = np.random.default_rng(model.rng_seed)
+    lo, hi = model.fs_demand_range
+    out = []
+    for _ in range(count):
+        gap = gen.exponential(1.0 / model.arrival_rate_per_s)
+        i = int(gen.integers(0, n_nodes))
+        j = int(gen.integers(0, n_nodes - 1))
+        demand = int(gen.integers(lo, hi + 1))
+        out.append((gap, i, j + 1 if j >= i else j, demand, gen.exponential(model.mean_hold_s)))
+    return out
 
 
 def random_instance(rng: np.random.Generator) -> topology.Network:
@@ -488,6 +507,28 @@ def check_occupancy_rebuild() -> tuple[bool, str]:
     return True, "300 random allocate/release steps kept the invariant"
 
 
+def check_rng_port() -> tuple[bool, str]:
+    """The run's draws equal numpy's: background tapes, placements, and a long
+    exponential stream that takes the ziggurat's slow paths."""
+    nodes = topology.load_nsfnet().nodes
+    for seed in (0, 31, 2**32 + 7):
+        tape = topology.ArrivalTape(topology.loaded_background(seed), nodes)
+        for _ in range(500):
+            tape.draw()
+        got = list(zip(tape.gaps, tape.src, tape.dst, tape.demand, tape.hold))
+        for k, want in enumerate(ref_arrivals(tape.model, len(nodes), 500)):
+            if got[k] != want:
+                return False, f"seed {seed}: arrival {k} is {got[k]}, numpy draws {want}"
+        placement = np.random.default_rng([seed, 101]).integers(0, 6, size=8).tolist()
+        if rng_port.default_rng([seed, 101]).integers(0, 6, size=8) != placement:
+            return False, f"seed {seed}: placement indices differ from numpy's {placement}"
+    got, want = rng_port.default_rng(5), np.random.default_rng(5)
+    if [got.standard_exponential() for _ in range(20_000)] != \
+            want.standard_exponential(20_000).tolist():
+        return False, "20000 standard exponentials of seed 5 differ from numpy's"
+    return True, "1500 arrivals, 3 placements and 20000 exponentials equal numpy's"
+
+
 def run_all() -> list[tuple[str, bool, str]]:
     checks = [
         ("bubble-closed-form", check_bubble_closed_form),
@@ -500,6 +541,7 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("iteration-reuse", check_iteration_reuse),
         ("required-fs-bounds", check_required_fs_bounds),
         ("occupancy-rebuild", check_occupancy_rebuild),
+        ("rng-port", check_rng_port),
     ]
     report = []
     for name, fn in checks:

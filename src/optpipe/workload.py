@@ -163,10 +163,6 @@ class Task:
     chain_next: int | None = None
     msg_next: int | None = None
 
-    @property
-    def deps(self) -> tuple[int, ...]:
-        return tuple(d for d in (self.chain_pred, self.msg_pred) if d is not None)
-
 
 def _stage_order(kind: ScheduleKind, stage: int, p: int, m: int) -> list[tuple[Direction, int]]:
     F, B = Direction.FORWARD, Direction.BACKWARD

@@ -461,6 +461,9 @@ class TestMain:
              "compare.seeds"),
             (json.dumps({"run.seeds": list(range(20000)), "cba.n_iterations": 900}),
              "run.seeds"),
+            # the seeded draws take non-negative entropy only
+            ('{"compare.seeds": [-1]}', "compare.seeds"),
+            ('{"run.seeds": [-3]}', "run.seeds"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):
@@ -494,7 +497,7 @@ class TestMain:
     def test_validate_passes_and_catches_a_planted_fault(self, capsys, monkeypatch):
         assert cli.main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 10 and all(": PASS" in line for line in lines)
+        assert len(lines) == 11 and all(": PASS" in line for line in lines)
 
         real = rsa.select_ksp_ff
 

@@ -1,8 +1,10 @@
 """Layering rules of the production modules, checked on their source with ``ast``.
 
 * The simulation core (selection, engine, orchestrator, latency model and
-  workload) works on Python ints and lists; numpy stays in the network's
-  array views, the harness and the reference layer.
+  workload), the harness and the seeded draws work on Python ints and lists;
+  numpy stays in the reference layer and in the network's array helpers,
+  which import it on first use.  ``optpipe run`` and ``optpipe compare``
+  never load numpy, and a serial ``compare`` never loads the process pool.
 * No module imports networkx: the routes are plain Python in ``topology``,
   and networkx is a test-only reference.
 * ``Network`` state, routes and the background stream included, is read
@@ -26,6 +28,7 @@ from __future__ import annotations
 import ast
 import collections
 import importlib
+import json
 import os
 import pathlib
 import re
@@ -37,7 +40,9 @@ from optpipe import cli, engine, topology
 SRC = pathlib.Path(topology.__file__).parent
 README = pathlib.Path(__file__).parent.parent / "README.md"
 TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
-NUMPY_FREE = ("rsa.py", "engine.py", "cba.py", "latency.py", "workload.py")
+NUMPY_FREE = ("rsa.py", "engine.py", "cba.py", "latency.py", "workload.py", "cli.py", "rng.py")
+# modules that neither importing the CLI nor a serial run may load
+RUN_UNLOADED = ("numpy", "networkx", "concurrent.futures.process")
 
 
 def _tree(path: pathlib.Path) -> ast.AST:
@@ -86,13 +91,36 @@ def test_no_module_imports_networkx():
     assert hits == []
 
 
-def test_cli_import_leaves_networkx_unloaded():
+def _loaded_after(code: str) -> list[str]:
+    """The ``RUN_UNLOADED`` modules in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, optpipe.cli; print(sorted(m for m in sys.modules if 'networkx' in m))"
+    probe = (f"import sys\n{code}\nprint(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {RUN_UNLOADED!r} or m in {RUN_UNLOADED!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    assert _loaded_after("import optpipe.cli") == []
+
+
+def test_run_and_compare_never_load_numpy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "bg.preset": "loaded", "bg.prewarm_s": 2.0, "cba.n_iterations": 2, "jobs": 1,
+        "run.microbatches": 2, "run.seeds": [0, 2**40],
+        "compare.models": ["llama3-8b-like"], "compare.schedules": ["1f1b"],
+        "compare.microbatch_grid": [2], "compare.seeds": [3],
+    }))
+    for command in ("run", "compare"):
+        code = ("from optpipe import cli\n"
+                f"assert cli.main([{command!r}, '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path)!r}]) == 0")
+        assert _loaded_after(code) == []
+    assert (tmp_path / "run.csv").exists() and (tmp_path / "compare.csv").exists()
 
 
 def _network_private_names() -> set[str]:

@@ -123,8 +123,9 @@ class TestBuildSchedule:
         stages = partition_stages(toy_profile(), 4, list("WXYZ"))
         a = build_schedule(ScheduleKind.GPIPE, stages, 1)
         b = build_schedule(ScheduleKind.ONE_F_ONE_B, stages, 1)
-        assert [(t.stage_id, t.direction, t.microbatch, t.deps) for t in a] == [
-            (t.stage_id, t.direction, t.microbatch, t.deps) for t in b
+        assert [(t.stage_id, t.direction, t.microbatch, t.chain_pred, t.msg_pred)
+                for t in a] == [
+            (t.stage_id, t.direction, t.microbatch, t.chain_pred, t.msg_pred) for t in b
         ]
 
     def test_counts(self):
@@ -143,11 +144,15 @@ class TestBuildSchedule:
             assert t.compute_s == expect
 
 
+def deps(task):
+    return [d for d in (task.chain_pred, task.msg_pred) if d is not None]
+
+
 def topological_order_exists(tasks):
-    indeg = {t.id: len(t.deps) for t in tasks}
+    indeg = {t.id: len(deps(t)) for t in tasks}
     succ = {}
     for t in tasks:
-        for d in t.deps:
+        for d in deps(t):
             succ.setdefault(d, []).append(t.id)
     frontier = [tid for tid, d in indeg.items() if d == 0]
     seen = 0
