@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -50,6 +51,12 @@ MAX_BG_ARRIVALS = 1_000_000
 MAX_RUN_TASKS = 2_000_000
 MAX_CELLS = 30_000
 MAX_GRID_TASKS = 720_000_000
+# Cap on the slots per link: every spectrum operation costs time linear in it,
+# and a C-band at 6.25 GHz spacing has 768.
+MAX_FS_TOTAL = 4096
+# Prewarmed start states one process keeps (see prewarmed_start): compare
+# dispatches the cells of one size seed by seed, so a worker needs one or two.
+START_STATES = 4
 
 RESULT_COLUMNS = [
     "policy", "model", "schedule", "microbatches", "seed", "iteration",
@@ -212,7 +219,8 @@ class RunConfig:
 
         require(not f["topology.path"] or os.path.isfile(f["topology.path"]),
                 "topology.path", "no such file")
-        require(f["topology.fs_total"] >= 1, "topology.fs_total", "must be >= 1")
+        require(1 <= f["topology.fs_total"] <= MAX_FS_TOTAL, "topology.fs_total",
+                f"must be in [1, {MAX_FS_TOTAL}]")
         require(f["pp.stages"] >= 1, "pp.stages", "must be >= 1")
         require(f["run.microbatches"] >= 1, "run.microbatches", "must be >= 1")
         require(f["run.policy"] in engine.SELECTORS, "run.policy",
@@ -314,19 +322,28 @@ class RunConfig:
     # constructed objects
 
     def build_network(self) -> topology.Network:
+        """A fresh, all-free network of the configured topology."""
+        net = _load_network(self.flat["topology.path"], self.flat["topology.fs_total"])
+        self._check_dc_nodes(net)
+        return net
+
+    def start_state(self, seed: int) -> topology.NetworkSnapshot:
+        """The prewarmed start state of every policy run with background ``seed``.
+
+        The process's memo (``prewarmed_start``) holds it; restore it onto its
+        network (``snapshot.network.restore(snapshot)``) before each run.
+        """
         f = self.flat
-        if f["topology.path"]:
-            try:
-                net = topology.load_topology_file(f["topology.path"], f["topology.fs_total"])
-            except (OSError, UnicodeDecodeError, topology.TopologyError) as exc:
-                raise ConfigError(f"topology.path: {exc}") from exc
-        else:
-            net = topology.load_nsfnet(f["topology.fs_total"])
-        dcs = self.dc_nodes()
-        missing = [d for d in dcs if d not in net.adjacency]
+        bg = self.background(seed)
+        state = prewarmed_start(f["topology.path"], f["topology.fs_total"], bg,
+                                self.prewarm_s() if bg is not None else 0.0)
+        self._check_dc_nodes(state.network)
+        return state
+
+    def _check_dc_nodes(self, net: topology.Network) -> None:
+        missing = [d for d in self.dc_nodes() if d not in net.adjacency]
         if missing:
             raise ConfigError(f"placement.dc_nodes: not in topology: {missing}")
-        return net
 
     def dc_nodes(self) -> list[str]:
         return list(self.flat["placement.dc_nodes"])
@@ -454,6 +471,36 @@ class RunConfig:
                 )
 
 
+def _load_network(path: str | None, fs_total: int) -> topology.Network:
+    """A fresh network of the topology file at ``path``, or of NSFNET."""
+    if not path:
+        return topology.load_nsfnet(fs_total)
+    try:
+        return topology.load_topology_file(path, fs_total)
+    except (OSError, UnicodeDecodeError, topology.TopologyError) as exc:
+        raise ConfigError(f"topology.path: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=START_STATES)
+def prewarmed_start(path: str | None, fs_total: int,
+                    bg: topology.BackgroundTrafficModel | None,
+                    prewarm_s: float) -> topology.NetworkSnapshot:
+    """One network, its routes and arrival tape, prewarmed once per process.
+
+    The arguments are the immutable config values a start state depends on.
+    The snapshot is the state ``prewarm_s`` seconds into the background;
+    every policy run of every cell with these values restores it onto its
+    network and then extends the same tape.  Routes accumulate in the
+    network's catalog as cells ask for them.  The memo is bounded
+    (``START_STATES``); ``prewarmed_start.cache_clear()`` empties it.
+    """
+    net = _load_network(path, fs_total)
+    if bg is not None:
+        net.attach_background(topology.ArrivalTape(bg, net.nodes))
+        topology.advance_network(net, prewarm_s)
+    return net.snapshot()
+
+
 # ----------------------------------------------------------------------
 # single-cell execution (shared by run, compare, and the test suite)
 
@@ -498,10 +545,13 @@ def run_cell(
     """Run one (model, schedule, m, seed) cell for the given policies.
 
     All policies observe the identical placement and share one immutable
-    stage and task list and one background arrival tape, drawn once for the
-    cell; each gets its own fresh network, reading the tape through its own
-    cursor, so their spectrum evolution stays independent.  Every simulated
-    iteration is audited for spectrum discipline and its CB labels checked.
+    stage and task list.  Each simulated policy starts from the same
+    prewarmed state, ``RunConfig.start_state(seed)``: the process builds one
+    network per background seed, with its routes and arrival tape, prewarms
+    it once and restores that snapshot before every run, so the policies'
+    spectrum evolution stays independent and every cell of the seed extends
+    the one tape.  Every simulated iteration is audited for spectrum
+    discipline and its CB labels checked.
     The event log is built only when ``collect_events`` asks for it; the
     audit then replays its lines (``engine.audit_event_log``), and otherwise
     it reads the timeline's transfer records (``engine.audit_transfers``),
@@ -528,6 +578,8 @@ def run_cell(
     stages = workload.partition_stages(profile, p, placement)
     tasks = workload.build_schedule(workload.ScheduleKind(schedule), stages, m)
 
+    start = cfg.start_state(seed)
+    net = start.network
     rows: list[list] = []
     audited = 0
     label_checks = 0
@@ -535,13 +587,9 @@ def run_cell(
     first_fit: dict[str, tuple[list[list], list[str]]] = {}
     reused = False
     reused_iterations = 0
-    bg = cfg.background(seed)
-    tape: topology.ArrivalTape | None = None
     for policy_name in policy_names:
         head = f"RUN\tpolicy={policy_name}\t"
         twin = _FIRST_FIT_TWIN.get(policy_name)
-        # ``net`` is the previous policy's network; the route orders depend
-        # only on the topology, which every policy's network shares
         if twin in first_fit and _sd_ff_order_is_ksp_ff(
             net, _routed_pairs(stages, tasks), k, params
         ):
@@ -554,12 +602,7 @@ def run_cell(
             )
             reused = True
             continue
-        net = cfg.build_network()
-        if bg is not None:
-            if tape is None:
-                tape = topology.ArrivalTape(bg, net.nodes)
-            net.attach_background(tape)
-            topology.advance_network(net, cfg.prewarm_s())
+        net.restore(start)
         results = cba.orchestrate(
             orch, net, stages, tasks, cfg.policy(policy_name), params, msg_bits=msg_bits,
         )
@@ -677,8 +720,10 @@ def compare_grid(
     ``reused_cells`` is the number of cells whose SD-FF rows were copied from
     KSP-FF, and ``reused_iterations`` the number of policy iterations that
     repeated an earlier iteration's timeline (see ``run_cell``).  Cells are
-    dispatched largest first by task count (a stable sort) and collected by
-    key, so the output keeps grid order."""
+    dispatched largest first by task count and, within one size, by seed, so
+    a worker's consecutive cells share a prewarmed start state
+    (``prewarmed_start``); outcomes are collected by key, so the output keeps
+    grid order."""
     cfg.check_model_depth(cfg["compare.models"])
     grid = [
         (model, schedule, m, seed)
@@ -696,7 +741,7 @@ def compare_grid(
     # largest cells (2*p*m tasks) first, so no worker is left with a long
     # cell at the end; outcomes are still emitted in grid order
     p = cfg["pp.stages"]
-    largest_first = sorted(grid, key=lambda cell: -2 * p * cell[2])
+    largest_first = sorted(grid, key=lambda cell: (-2 * p * cell[2], cell[3]))
     work = [(cfg.flat, policies, *cell, collect_events) for cell in largest_first]
     parallel = jobs > 1 and len(work) > 1
     if parallel:  # imported here, so a serial run does not load the pool machinery

@@ -56,7 +56,7 @@ from .latency import (
     transfer_time,
 )
 from .topology import Link, Network, advance_network, allocate_spectrum
-from .workload import Stage, Task
+from .workload import Direction, Stage, Task
 
 SELECTORS = ("cba", "ksp_ff", "sd_ff")
 
@@ -220,8 +220,12 @@ class _Sim:
         self.base_demand = fs_of[NORMAL]
         self.demand = {cons: fs_of[label] for cons, label in request_labels.items()}
 
+        # the direction strings, read once: an enum's ``value`` is a descriptor call
+        forward = Direction.FORWARD
+        fwd, bwd = forward.value, Direction.BACKWARD.value
         self.records = [
-            TaskRecord(t.id, t.stage_id, t.microbatch, t.direction.value) for t in tasks
+            TaskRecord(t.id, t.stage_id, t.microbatch, fwd if t.direction is forward else bwd)
+            for t in tasks
         ]
         self.unmet = [(t.chain_pred is not None) + (t.msg_pred is not None) for t in tasks]
 

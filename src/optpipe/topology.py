@@ -18,6 +18,11 @@ once, on demand, and kept.  The draws are those of
 ``optpipe.rng``, so a run never imports numpy.  Each network reads a tape
 through its own cursor, so the policies of one cell can replay a single tape.
 
+``Network.snapshot`` records a network's mutable state (spectrum, allocation
+ledger, clock and stream cursor) and ``Network.restore`` brings it back, so
+one prewarmed network can serve as the start state of many runs: its routes
+and its tape stay, and each run begins from the same instant.
+
 Spectrum state is one Python ``int`` per link, ``Link.bits``: bit f is set
 when slot f is occupied.  A path's aggregate is the OR of its links' ints
 (``path_bits``), the starts of free runs come from shift-AND folding
@@ -321,13 +326,19 @@ class _BackgroundStream:
     place.
     """
 
-    def __init__(self, tape: ArrivalTape, base_time: float):
+    def __init__(self, tape: ArrivalTape, pos: int = 0, next_time: float = math.inf):
         self.tape = tape
-        self.pos = 0
-        self._next_time = math.inf
+        self.pos = pos
+        self._next_time = next_time
+
+    @classmethod
+    def based_at(cls, tape: ArrivalTape, base_time: float) -> _BackgroundStream:
+        """A cursor at the tape's start whose first arrival is due a gap after ``base_time``."""
+        stream = cls(tape)
         if tape.active:
-            self._next_time = base_time
-            self._advance()
+            stream._next_time = base_time
+            stream._advance()
+        return stream
 
     def _advance(self) -> None:
         tape, k = self.tape, self.pos
@@ -343,6 +354,27 @@ class _BackgroundStream:
                    tape.demand[k], tape.hold[k])
         self._advance()
         return arrival
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkSnapshot:
+    """The mutable state of one network at one instant, for ``Network.restore``.
+
+    Everything in it is immutable: the clock, each link's spectrum int, the
+    allocation ledger and release heap as tuples, the background owner
+    counter and the stream cursor (tape, position, next arrival time).  The
+    tape is shared, not copied; it is append-only, so a restored cursor reads
+    the arrivals it would have read.  A snapshot restores only onto the
+    network it was taken of, whose links its ledger names.
+    """
+
+    network: Network
+    now: float
+    bits: tuple[int, ...]
+    active: tuple[tuple[str, tuple[tuple[Link, ...], int, int, float]], ...]
+    release_heap: tuple[tuple[float, str], ...]
+    bg_counter: int
+    stream: tuple[ArrivalTape, int, float] | None
 
 
 class Network:
@@ -402,6 +434,39 @@ class Network:
         return self._stream is not None
 
     # ------------------------------------------------------------------
+    # start states
+
+    def snapshot(self) -> NetworkSnapshot:
+        """The network's current state; ``restore`` brings it back any number of times."""
+        stream = self._stream
+        return NetworkSnapshot(
+            network=self,
+            now=self.now,
+            bits=tuple(link.bits for link in self.links),
+            active=tuple(self._active.items()),
+            release_heap=tuple(self._release_heap),
+            bg_counter=self._bg_counter,
+            stream=None if stream is None else (stream.tape, stream.pos, stream._next_time),
+        )
+
+    def restore(self, snapshot: NetworkSnapshot) -> None:
+        """Return to the state of ``snapshot``, taken earlier of this network.
+
+        The routes are kept: they depend on the topology alone.  Whatever ran
+        since the snapshot (allocations, releases, the clock, the stream
+        cursor) is undone, and the snapshot itself never changes.
+        """
+        if snapshot.network is not self:
+            raise ValueError("the snapshot was taken of another network")
+        self.now = snapshot.now
+        for link, bits in zip(self.links, snapshot.bits):
+            link.bits = bits
+        self._active = dict(snapshot.active)
+        self._release_heap = list(snapshot.release_heap)
+        self._bg_counter = snapshot.bg_counter
+        self._stream = None if snapshot.stream is None else _BackgroundStream(*snapshot.stream)
+
+    # ------------------------------------------------------------------
     # background traffic
 
     def rebase(self, origin: float) -> None:
@@ -438,7 +503,7 @@ class Network:
         tape = source if isinstance(source, ArrivalTape) else ArrivalTape(source, self.nodes)
         if tape.nodes != tuple(self.nodes):
             raise ValueError("the arrival tape was drawn over a different node list")
-        self._stream = _BackgroundStream(tape, self.now)
+        self._stream = _BackgroundStream.based_at(tape, self.now)
 
     def _admit_background(self, t: float, src: str, dst: str, demand: int, hold: float) -> bool:
         if demand > self.fs_total:

@@ -529,6 +529,34 @@ def check_rng_port() -> tuple[bool, str]:
     return True, "1500 arrivals, 3 placements and 20000 exponentials equal numpy's"
 
 
+def check_start_state() -> tuple[bool, str]:
+    """A network restored from the harness's start-state memo replays the
+    background admissions of a freshly prewarmed one, after every run."""
+    from . import cli
+
+    cfg = cli.RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 2})
+    steps = [0.1 * i for i in range(1, 31)]
+    for seed in (0, 31):
+        fresh = cfg.build_network()
+        fresh.attach_background(cfg.background(seed))
+        topology.advance_network(fresh, cfg.prewarm_s())
+        want = [(topology.advance_network(fresh, cfg.prewarm_s() + dt), fresh.active_owners(),
+                 [link.bits for link in fresh.links]) for dt in steps]
+        start = cfg.start_state(seed)
+        net = start.network
+        for run in range(3):
+            net.restore(start)
+            got = [(topology.advance_network(net, cfg.prewarm_s() + dt), net.active_owners(),
+                    [link.bits for link in net.links]) for dt in steps]
+            if got != want:
+                bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+                return False, (f"seed {seed}, restore {run + 1}: the state after "
+                               f"{steps[bad]:.1f} s differs from a fresh prewarm's")
+            # a policy run of the cell, before the next restore
+            cli.run_cell(cfg, ["ksp_ff"], "llama3-8b-like", "gpipe", 2, seed)
+    return True, "3 restores of 2 seeds replay 3 s of background like a fresh prewarm"
+
+
 def run_all() -> list[tuple[str, bool, str]]:
     checks = [
         ("bubble-closed-form", check_bubble_closed_form),
@@ -542,6 +570,7 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("required-fs-bounds", check_required_fs_bounds),
         ("occupancy-rebuild", check_occupancy_rebuild),
         ("rng-port", check_rng_port),
+        ("start-state", check_start_state),
     ]
     report = []
     for name, fn in checks:

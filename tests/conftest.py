@@ -2,7 +2,17 @@ from __future__ import annotations
 
 import pytest
 
+from optpipe import cli
 from optpipe.topology import Network, load_nsfnet
+
+
+@pytest.fixture(autouse=True)
+def cold_start_states():
+    """Empty the process's start-state memo around every test, so no test sees
+    networks, tapes or routes that an earlier one built."""
+    cli.prewarmed_start.cache_clear()
+    yield
+    cli.prewarmed_start.cache_clear()
 
 
 @pytest.fixture

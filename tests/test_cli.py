@@ -277,11 +277,66 @@ class TestFirstFitReuse:
         both, solo = self._cell({**self.LOADED, "latency.per_hop_overhead_s": 0.01},
                                 "llama3-8b-like", "gpipe")
         assert not both.first_fit_reused
-        # one tape for the three simulated policies of the cell, one per solo run
-        assert len(tapes) == 1 + len(SELECTORS)
-        assert len(tapes[0]) == max(len(t) for t in tapes[1:]) > 0
+        # one tape per background seed per process: the cell's three policies
+        # and the three solo runs all read it
+        assert len(tapes) == 1 and len(tapes[0]) > 0
         assert both.audited_transfers == sum(o.audited_transfers for o in solo.values())
         assert both.label_checks == sum(o.label_checks for o in solo.values())
+
+
+class TestStartStates:
+    """Outputs never depend on what the process's start-state memo holds."""
+
+    FLAT = {"bg.preset": "loaded", "cba.n_iterations": 3}
+
+    @staticmethod
+    def _run(cfg, model, schedule, m, seed):
+        out = cli.run_cell(cfg, SELECTORS, model, schedule, m, seed, collect_events=True)
+        return out.rows, out.event_lines
+
+    def test_cell_is_the_same_cold_warmed_and_after_another_seed(self):
+        cfg = RunConfig.from_flat(self.FLAT)
+        cell = ("llama3-8b-like", "1f1b", 4)
+        cold = self._run(cfg, *cell, 0)
+        cli.prewarmed_start.cache_clear()
+        # another cell of the seed draws the tape further than this one needs
+        self._run(cfg, "llama3-8b-like", "gpipe", 8, 0)
+        warmed = self._run(cfg, *cell, 0)
+        self._run(cfg, *cell, 1)
+        after_another_seed = self._run(cfg, *cell, 0)
+        assert cold == warmed == after_another_seed
+        assert cold[0] and cold[1]
+        info = cli.prewarmed_start.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_reversed_grid_order_gives_the_same_cells(self):
+        cfg = RunConfig.from_flat(self.FLAT)
+        grid = [("llama3-8b-like", schedule, m, seed)
+                for schedule in ("gpipe", "1f1b") for m in (2, 4) for seed in (0, 1)]
+        forward = {cell: self._run(cfg, *cell) for cell in grid}
+        cli.prewarmed_start.cache_clear()
+        backward = {cell: self._run(cfg, *cell) for cell in reversed(grid)}
+        assert forward == backward
+
+    def test_parallel_grid_with_background_matches_serial(self):
+        flat = {**SMALL, **self.FLAT, "compare.microbatch_grid": [2, 4],
+                "compare.schedules": ["gpipe", "1f1b"]}
+        serial = cli.compare_grid(RunConfig.from_flat(flat), jobs=1, verbose=False,
+                                  collect_events=True)
+        parallel = cli.compare_grid(RunConfig.from_flat(flat), jobs=2, verbose=False,
+                                    collect_events=True)
+        assert serial == parallel
+        assert serial[2]  # the event lines
+
+    def test_memo_stays_within_its_bound(self):
+        flat = {**SMALL, **self.FLAT, "compare.seeds": list(range(6)),
+                "compare.schedules": ["gpipe", "1f1b"]}
+        cli.compare_grid(RunConfig.from_flat(flat), jobs=1, verbose=False)
+        info = cli.prewarmed_start.cache_info()
+        assert info.maxsize == cli.START_STATES < 6
+        assert info.currsize == cli.START_STATES
+        # cells of one size run seed by seed: each seed is prewarmed once
+        assert (info.misses, info.hits) == (6, 6)
 
 
 class TestIterationReuse:
@@ -433,6 +488,7 @@ class TestMain:
             ('{"pp.stages": true}', "pp.stages"),
             ('{"fs.boost_factor": true}', "fs.boost_factor"),
             ('{"topology.fs_total": "80"}', "topology.fs_total"),
+            ('{"topology.fs_total": 4097}', "topology.fs_total"),
             ('{"latency.fs_rate_bps": "7.5e10"}', "latency.fs_rate_bps"),
             ('{"compare.microbatch_grid": []}', "compare.microbatch_grid"),
             ('{"compare.models": []}', "compare.models"),
@@ -497,7 +553,8 @@ class TestMain:
     def test_validate_passes_and_catches_a_planted_fault(self, capsys, monkeypatch):
         assert cli.main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 11 and all(": PASS" in line for line in lines)
+        assert len(lines) == 12 and all(": PASS" in line for line in lines)
+        assert "start-state: PASS" in lines[-1]
 
         real = rsa.select_ksp_ff
 
@@ -517,6 +574,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "selection-bruteforce: FAIL" in out
         assert "first-fit-lowest-block: FAIL" in out
+        assert "start-state: PASS" in out
+
+        real_restore = topology.Network.restore
+
+        def restore_keeping_the_cursor(net, snapshot):
+            stream = net._stream
+            real_restore(net, snapshot)
+            net._stream = stream
+
+        monkeypatch.setattr(topology.Network, "restore", restore_keeping_the_cursor)
+        assert cli.main(["validate"]) == 1
+        assert "start-state: FAIL" in capsys.readouterr().out
 
     def test_policy_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -24,6 +24,7 @@ from optpipe.topology import (
     free_run_starts,
     load_nsfnet,
     load_topology,
+    loaded_background,
     pack_bits,
     path_bits,
     release_spectrum,
@@ -396,6 +397,80 @@ class TestArrivalTape:
         positions = [net._stream.pos for net in shared]
         assert len(tape) == max(positions) > min(positions) > 0
         assert [net._stream.pos for net in own] == positions
+
+
+class TestSnapshot:
+    BG = loaded_background(4)
+    PREWARM = 30.0
+    # the next 2 s of background, in uneven steps
+    STEPS = [0.05, 0.3, 0.31, 0.9, 1.4, 1.41, 2.0]
+
+    def _prewarmed(self) -> Network:
+        net = load_nsfnet()
+        net.attach_background(self.BG)
+        advance_network(net, self.PREWARM)
+        return net
+
+    @staticmethod
+    def _state(net: Network) -> tuple:
+        return net.now, [link.bits for link in net.links], net.active_owners()
+
+    def _replay(self, net: Network) -> list[tuple]:
+        """The change count and state after each step of the next 2 s."""
+        return [(advance_network(net, self.PREWARM + dt), self._state(net))
+                for dt in self.STEPS]
+
+    @staticmethod
+    def _disturb(net: Network) -> None:
+        """What a policy run does to the network: background, a training
+        allocation that outlives the step, a rebase."""
+        advance_network(net, net.now + 1.5)
+        links = net.paths.candidates("WA", "NY", 1)[0].links
+        start = first_free_run(path_bits(links), 3, net.fs_total)
+        allocate_spectrum(net, links, (start, start + 2), "tx-1", net.now + 50.0)
+        advance_network(net, net.now + 0.5)
+        net.rebase(net.now)
+
+    def test_restored_prewarm_equals_a_fresh_one(self):
+        net = self._prewarmed()
+        snap = net.snapshot()
+        self._disturb(net)
+        fresh = self._prewarmed()
+        assert self._state(net) != self._state(fresh)
+        net.restore(snap)
+        assert self._state(net) == self._state(fresh)
+        assert len(net.active_owners()) > 50
+        audit_occupancy(net)
+        replay = self._replay(net)
+        assert replay == self._replay(fresh)
+        assert sum(changes for changes, _ in replay) > 0
+        audit_occupancy(net)
+
+    def test_restores_of_one_snapshot_are_independent(self):
+        net = self._prewarmed()
+        snap = net.snapshot()
+        fields = (snap.now, snap.bits, snap.active, snap.release_heap, snap.bg_counter,
+                  snap.stream)
+        first = self._replay(net)
+        for _ in range(2):
+            net.restore(snap)
+            self._disturb(net)
+            net.restore(snap)
+            assert self._replay(net) == first
+        assert (snap.now, snap.bits, snap.active, snap.release_heap, snap.bg_counter,
+                snap.stream) == fields
+
+    def test_quiet_network_round_trip(self, nsfnet):
+        snap = nsfnet.snapshot()
+        self._disturb(nsfnet)
+        assert nsfnet.active_owners() == ["tx-1"]
+        nsfnet.restore(snap)
+        assert self._state(nsfnet) == (0.0, [0] * len(nsfnet.links), [])
+        assert not nsfnet.has_background
+
+    def test_restore_refuses_another_network(self, nsfnet):
+        with pytest.raises(ValueError, match="another network"):
+            nsfnet.restore(load_nsfnet().snapshot())
 
 
 class TestInvariants:
