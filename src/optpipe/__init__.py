@@ -16,15 +16,7 @@ from .engine import (
     bubble_ratio,
     simulate_iteration,
 )
-from .latency import (
-    EgressState,
-    LatencyParams,
-    RequestLabel,
-    alpha,
-    beta,
-    required_fs,
-    transfer_time,
-)
+from .latency import EgressState, LatencyParams, alpha, beta, transfer_time
 from .rsa import (
     CandidateBlock,
     CandidatePath,

@@ -6,19 +6,21 @@ to its intra-stage predecessor exceeds epsilon) and the prerequisite that
 actually gated its start was a cross-datacenter message.  Tasks whose
 outgoing transfer blocked are flagged separately.
 
-The labels drive next iteration's slot sizing: a CB task's incoming message
-is boosted, a previously blocked request is shrunk, and when the observed
-iteration blocking probability crosses a threshold the boost factor for all
-CB requests is halved as a global congestion guard.  The first iteration is
-an unlabeled warm-up.  Baseline policies still compute labels (they are
+The labels drive next iteration's slot sizing, and this module alone sizes
+requests: ``plan_requests`` turns them into a demand map, consumer task ->
+slots, that the engine reads.  A CB task's incoming message is boosted, a
+previously blocked request is shrunk, and when the observed iteration
+blocking probability crosses a threshold the boost factor for all CB
+requests is halved as a global congestion guard.  The first iteration is an
+unlabeled warm-up.  Baseline policies still compute labels (they are
 reported for analysis) but never let them influence slot sizing.
 
 On a network without background traffic an iteration is a pure function of
-its request plan: the clock restarts at t=0, the egress state is fresh, and
+its demand map: the clock restarts at t=0, the egress state is fresh, and
 an iteration that starts with no allocation held sees the same spectrum as
 every other such start.  ``orchestrate`` therefore simulates each distinct
-plan once and hands a repeated plan the earlier iteration's timeline and
-labels.
+demand map once and hands a repeated one the earlier iteration's timeline
+and labels.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .engine import (
     bubble_ratio,
     simulate_iteration,
 )
-from .latency import EgressState, LatencyParams, RequestLabel
+from .latency import EgressState, LatencyParams
 from .topology import Network, audit_occupancy
 from .workload import Stage, Task
 
@@ -103,12 +105,16 @@ def plan_requests(
     tasks: Sequence[Task],
     policy: PolicyConfig,
     prev_boost: float | None = None,
-) -> tuple[dict[int, RequestLabel], float]:
-    """Per-request labels for the next iteration plus the effective boost.
+) -> tuple[dict[int, int], float]:
+    """Next iteration's demand map plus the effective boost.
 
-    Keyed by the consumer task of each message edge.  A request is boosted
-    when its consumer was CB and shrunk when the same edge blocked last
-    iteration; shrinking wins when both apply.
+    The map gives the slot demand of each labeled request, keyed by the
+    consumer task of its message edge.  A request whose edge blocked last
+    iteration is shrunk to ``base_fs // 2``, which wins when its consumer
+    was CB too; otherwise a CB consumer's request is boosted to
+    ``base_fs * boost`` rounded half up.  Every width is capped at
+    ``fs_max`` and is at least 1.  A request the map does not name asks for
+    the base demand.
 
     The boost adapts to observed congestion: whenever last iteration's
     blocking probability exceeded the threshold, the effective boost for all
@@ -125,15 +131,18 @@ def plan_requests(
         boost = max(1.0, boost / 2.0)
     elif labels.iteration_blocking_prob == 0.0:
         boost = min(policy.boost_factor, boost + 0.25)
-    out: dict[int, RequestLabel] = {}
+    demand: dict[int, int] = {}
     for task in tasks:
         if task.msg_pred is None:
             continue
-        cb = task.id in labels.cb_tasks
-        blocked = task.msg_pred in labels.blocked_tasks
-        if cb or blocked:
-            out[task.id] = RequestLabel(cb=cb, blocked=blocked)
-    return out, boost
+        if task.msg_pred in labels.blocked_tasks:
+            n = policy.base_fs // 2
+        elif task.id in labels.cb_tasks:
+            n = int(policy.base_fs * boost + 0.5)  # positive: truncation rounds half up
+        else:
+            continue
+        demand[task.id] = max(1, min(n, policy.fs_max))
+    return demand, boost
 
 
 def verify_label_soundness(
@@ -192,7 +201,7 @@ def orchestrate(
 ) -> list[IterationResult]:
     """Run the full multi-iteration loop; iteration 0 is the warm-up.
 
-    Labels from each finished iteration feed the next one's request plan for
+    Labels from each finished iteration feed the next one's demand map for
     the adaptive policy; first-fit baselines always run with base demand.
     The tasks are only read, so the same list serves every iteration.
     Background traffic is whatever stream ``net`` carries: attach it with
@@ -203,36 +212,35 @@ def orchestrate(
     occupancy invariant is audited after every simulated iteration.
 
     An iteration that starts on a network with no background stream and no
-    allocation is keyed by its plan, the request labels and the effective
-    boost.  Every such start sees the same spectrum, so a plan seen before
-    gives the same timeline: the iteration is not simulated again, and its
-    result shares the earlier iteration's ``timeline`` and ``labels``
-    (``IterationResult.reused_from``).  A first-fit baseline's plan never
-    changes, so it simulates once; CBA's plans often fall into a short
-    cycle.  With a background stream attached every iteration is simulated.
+    allocation is keyed by its demand map, which is all the engine reads of
+    the plan.  Every such start sees the same spectrum, so a demand map seen
+    before gives the same timeline: the iteration is not simulated again,
+    and its result shares the earlier iteration's ``timeline`` and
+    ``labels`` (``IterationResult.reused_from``).  A first-fit baseline's
+    map is always empty, so it simulates once; CBA's maps often fall into a
+    short cycle.  With a background stream attached every iteration is
+    simulated.
     """
     labels: LabelSet | None = None
     boost = policy.boost_factor
     results: list[IterationResult] = []
-    # plan -> the first iteration that ran it from the quiet start state
-    simulated: dict[tuple[frozenset, float], IterationResult] = {}
+    demand: dict[int, int] = {}
+    # demand map -> the first iteration that ran it from the quiet start state
+    simulated: dict[frozenset, IterationResult] = {}
     for it in range(config.n_iterations):
         if policy.selector == "cba":
-            req_labels, boost = plan_requests(labels, config, tasks, policy, boost)
-            eff_policy = replace(policy, boost_factor=boost)
-        else:
-            req_labels, eff_policy = {}, policy
+            demand, boost = plan_requests(labels, config, tasks, policy, boost)
         quiet = not net.has_background and not net.active_owners()
         if quiet:
-            key = (frozenset(req_labels.items()), eff_policy.boost_factor)
+            key = frozenset(demand.items())
             first = simulated.get(key)
             if first is not None:
                 labels = first.labels
                 results.append(replace(first, iteration=it, reused_from=first.iteration))
                 continue
         timeline = simulate_iteration(
-            net, stages, tasks, eff_policy, params,
-            egress=EgressState(), request_labels=req_labels, msg_bits=msg_bits,
+            net, stages, tasks, policy, params,
+            egress=EgressState(), demand=demand, msg_bits=msg_bits,
         )
         labels = label_cb_tasks(timeline, tasks, config.epsilon_bubble_s)
         audit_occupancy(net)

@@ -38,10 +38,6 @@ from .rng import default_rng
 # routes, so route-and-spectrum choice (not raw propagation) dominates.
 DEFAULT_DC_NODES = ["IL", "PA", "MI", "NY", "NJ", "DC"]
 _PLACEMENT_STREAM = 101
-# Cap on the background arrivals one policy run may draw (see
-# RunConfig.expected_bg_arrivals), about 100x the largest shipped config: every
-# arrival costs draw and admission time and stays on the cell's arrival tape.
-MAX_BG_ARRIVALS = 1_000_000
 # Caps on the work of a run with or without background, about 100x the
 # largest shipped config (11 x 2 x 8 x 128 tasks; 320 compare cells): every
 # iteration adds rows, and every task is simulated or held in memory.  The
@@ -54,6 +50,9 @@ MAX_GRID_TASKS = 720_000_000
 # Cap on the slots per link: every spectrum operation costs time linear in it,
 # and a C-band at 6.25 GHz spacing has 768.
 MAX_FS_TOTAL = 4096
+# Cap on compare's worker processes: a pool forks all of them at its first
+# task, and a run is CPU-bound, so more workers than cores only cost memory.
+MAX_JOBS = 64
 # Prewarmed start states one process keeps (see prewarmed_start): compare
 # dispatches the cells of one size seed by seed, so a worker needs one or two.
 START_STATES = 4
@@ -291,13 +290,15 @@ class RunConfig:
                         "model.bwd_time_per_layer_s", "model.msg_bytes_per_microbatch"):
                 require(f[key] is not None, key, "required for the custom model")
                 require(f[key] > 0, key, "must be positive")
-        require(f["jobs"] is None or f["jobs"] >= 1, "jobs", "must be >= 1")
+        require(f["jobs"] is None or 1 <= f["jobs"] <= MAX_JOBS, "jobs",
+                f"must be in [1, {MAX_JOBS}]")
         if f["bg.preset"] != "off":
             expected = self.expected_bg_arrivals()
-            require(expected <= MAX_BG_ARRIVALS, "bg.arrival_rate_per_s",
+            cap = topology.MAX_BG_ARRIVALS
+            require(expected <= cap, "bg.arrival_rate_per_s",
                     f"expects about {expected:.3g} background arrivals per policy run "
                     f"(rate x (prewarm + cba.n_iterations x zero-latency makespan of the "
-                    f"largest cell)); the cap is {MAX_BG_ARRIVALS}")
+                    f"largest cell)); the cap is {cap}")
         tasks = self.tasks_per_policy_run()
         require(tasks <= MAX_RUN_TASKS, "cba.n_iterations",
                 f"expects {tasks} tasks per policy run (cba.n_iterations x 2 x pp.stages "
@@ -434,7 +435,8 @@ class RunConfig:
         The rate times the prewarm plus ``cba.n_iterations`` zero-latency
         makespans of the largest configured cell, (m + p - 1) times the
         slowest stage's forward plus backward time.  Communication only
-        stretches iterations, so a real run usually draws somewhat more.
+        stretches iterations, so a real run usually draws somewhat more; one
+        that would draw past the cap stops instead (``topology.ArrivalCapError``).
         """
         f = self.flat
         p = f["pp.stages"]
@@ -496,7 +498,7 @@ def prewarmed_start(path: str | None, fs_total: int,
     """
     net = _load_network(path, fs_total)
     if bg is not None:
-        net.attach_background(topology.ArrivalTape(bg, net.nodes))
+        net.attach_background(bg)
         topology.advance_network(net, prewarm_s)
     return net.snapshot()
 
@@ -555,18 +557,19 @@ def run_cell(
     The event log is built only when ``collect_events`` asks for it; the
     audit then replays its lines (``engine.audit_event_log``), and otherwise
     it reads the timeline's transfer records (``engine.audit_transfers``),
-    with the same checks on the same values.  An iteration that
-    ``orchestrate`` reused (no background, a repeated request plan) adds
-    nothing to the audit and label counts; the event log still carries its
-    header and the lines of the iteration it repeats, and
-    ``reused_iterations`` counts it.
+    with the same checks on the same values.
 
     KSP-FF and SD-FF differ only in the order in which they try the same
     candidate paths, and the simulation is deterministic.  When the cell runs
     both and SD-FF's order is the shortest-path order for every routed pair,
-    the second of the two is not simulated: it takes the first one's rows
-    and event lines under its own policy name, and adds nothing to the audit
-    and label counts.
+    the second of the two is not simulated: it takes the first one's
+    results.  Every policy's rows and event lines then come out of one loop
+    over its results.  Each timeline is audited, label-checked and
+    serialised once, when first met; an iteration that ``orchestrate``
+    reused (no background, a repeated demand map) or a copied twin's
+    iteration repeats its lines under its own ``RUN`` header and adds
+    nothing to the audit and label counts.  ``reused_iterations`` counts
+    the iterations ``orchestrate`` reused.
     """
     p = cfg["pp.stages"]
     k = cfg["rsa.k"]
@@ -580,69 +583,56 @@ def run_cell(
 
     start = cfg.start_state(seed)
     net = start.network
+    runs: dict[str, list[cba.IterationResult]] = {}
+    reused = False
+    reused_iterations = 0
+    for policy_name in policy_names:
+        twin = runs.get(_FIRST_FIT_TWIN.get(policy_name))
+        if twin is not None and _sd_ff_order_is_ksp_ff(
+            net, _routed_pairs(stages, tasks), k, params
+        ):
+            runs[policy_name] = twin
+            reused = True
+            continue
+        net.restore(start)
+        runs[policy_name] = results = cba.orchestrate(
+            orch, net, stages, tasks, cfg.policy(policy_name), params, msg_bits=msg_bits,
+        )
+        reused_iterations += sum(r.reused_from is not None for r in results)
+
     rows: list[list] = []
     audited = 0
     label_checks = 0
     event_lines: list[str] = []
-    first_fit: dict[str, tuple[list[list], list[str]]] = {}
-    reused = False
-    reused_iterations = 0
-    for policy_name in policy_names:
-        head = f"RUN\tpolicy={policy_name}\t"
-        twin = _FIRST_FIT_TWIN.get(policy_name)
-        if twin in first_fit and _sd_ff_order_is_ksp_ff(
-            net, _routed_pairs(stages, tasks), k, params
-        ):
-            twin_rows, twin_lines = first_fit[twin]
-            twin_head = f"RUN\tpolicy={twin}\t"
-            rows.extend([policy_name, *r[1:]] for r in twin_rows)
-            event_lines.extend(
-                head + line[len(twin_head):] if line.startswith(twin_head) else line
-                for line in twin_lines
-            )
-            reused = True
-            continue
-        net.restore(start)
-        results = cba.orchestrate(
-            orch, net, stages, tasks, cfg.policy(policy_name), params, msg_bits=msg_bits,
-        )
-        policy_rows: list[list] = []
-        policy_lines: list[str] = []
-        # the logged lines of each simulated iteration that a later one reuses
-        reused_from = {r.reused_from for r in results}
-        lines_of: dict[int, list[str]] = {}
+    # id(timeline) -> its log lines (empty without collect_events), once audited
+    lines_of: dict[int, list[str]] = {}
+    for policy_name, results in runs.items():
         for r in results:
             tl = r.timeline
-            if r.reused_from is not None:
-                lines = lines_of[r.reused_from] if collect_events else []
-                reused_iterations += 1
-            else:
+            lines = lines_of.get(id(tl))
+            if lines is None:
                 if collect_events:
                     lines = tl.event_log_lines()
                     audited += engine.audit_event_log(net, lines, tl.iteration_makespan)
-                    if r.iteration in reused_from:
-                        lines_of[r.iteration] = lines
                 else:
+                    lines = []
                     audited += engine.audit_transfers(net, tl.transfers, tl.iteration_makespan)
                 label_checks += cba.verify_label_soundness(
                     tl, tasks, r.labels, orch.epsilon_bubble_s
                 )
+                lines_of[id(tl)] = lines
             if collect_events:
-                policy_lines.append(
-                    f"{head}model={model}\tschedule={schedule}"
+                event_lines.append(
+                    f"RUN\tpolicy={policy_name}\tmodel={model}\tschedule={schedule}"
                     f"\tm={m}\tseed={seed}\titeration={r.iteration}"
                 )
-                policy_lines.extend(lines)
+                event_lines.extend(lines)
             if r.iteration >= 1:
-                policy_rows.append([
+                rows.append([
                     policy_name, model, schedule, m, seed, r.iteration,
                     repr(r.runtime_s), repr(r.bubble_ratio),
                     r.requests, r.blocked, repr(r.blocking_prob),
                 ])
-        rows.extend(policy_rows)
-        event_lines.extend(policy_lines)
-        if twin is not None:
-            first_fit[policy_name] = (policy_rows, policy_lines)
     return CellOutcome(rows, audited, label_checks, event_lines, reused, reused_iterations)
 
 
@@ -723,7 +713,8 @@ def compare_grid(
     dispatched largest first by task count and, within one size, by seed, so
     a worker's consecutive cells share a prewarmed start state
     (``prewarmed_start``); outcomes are collected by key, so the output keeps
-    grid order."""
+    grid order.  ``jobs`` (default: the ``jobs`` key, else up to 8 cores)
+    must be in [1, ``MAX_JOBS``]; at most one worker per cell is started."""
     cfg.check_model_depth(cfg["compare.models"])
     grid = [
         (model, schedule, m, seed)
@@ -733,9 +724,10 @@ def compare_grid(
         for seed in cfg["compare.seeds"]
     ]
     policies = list(engine.SELECTORS)
-    jobs = jobs if jobs is not None else cfg["jobs"]
     if jobs is None:
-        jobs = min(os.cpu_count() or 1, 8)
+        jobs = cfg["jobs"] or min(os.cpu_count() or 1, 8)
+    elif not 1 <= jobs <= MAX_JOBS:
+        raise ConfigError(f"jobs: must be in [1, {MAX_JOBS}] (got {jobs})")
 
     outcomes: dict[tuple, CellOutcome] = {}
     # largest cells (2*p*m tasks) first, so no worker is left with a long
@@ -743,16 +735,23 @@ def compare_grid(
     p = cfg["pp.stages"]
     largest_first = sorted(grid, key=lambda cell: (-2 * p * cell[2], cell[3]))
     work = [(cfg.flat, policies, *cell, collect_events) for cell in largest_first]
-    parallel = jobs > 1 and len(work) > 1
+    # a pool forks all its workers at once, however few cells there are
+    workers = min(jobs, len(work))
+    parallel = workers > 1
     if parallel:  # imported here, so a serial run does not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext() as pool:
         cell_map = pool.map if pool else map
-        for i, (key, out) in enumerate(cell_map(_run_cell_job, work)):
-            outcomes[key] = out
-            if verbose:
-                print(f"compare: cell {i + 1}/{len(work)} {key}",
-                      file=sys.stderr, flush=True)
+        try:
+            for i, (key, out) in enumerate(cell_map(_run_cell_job, work)):
+                outcomes[key] = out
+                if verbose:
+                    print(f"compare: cell {i + 1}/{len(work)} {key}",
+                          file=sys.stderr, flush=True)
+        except BaseException:
+            if pool is not None:  # a failed cell ends the grid: drop the queued ones
+                pool.shutdown(cancel_futures=True)
+            raise
 
     rows: list[list] = []
     events: list[str] = []
@@ -891,6 +890,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except topology.ArrivalCapError as exc:
+        # the estimate behind the config check assumes zero-latency iterations
+        print(f"config error: bg.arrival_rate_per_s: {exc}; slow links or long retry "
+              "backoffs stretch a run far past the expected arrivals", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -4,15 +4,16 @@ A compute task starts once its intra-stage predecessor has finished and its
 cross-stage input message (if any) has arrived: each task counts its unmet
 dependencies, and the event that meets the last one starts it at that
 instant.  When a task finishes, its outgoing message is issued immediately:
-the network state is advanced to the current time, the request's slot
-demand is sized from its label, and the configured selection policy picks a
-path and block.  A successful selection holds its spectrum from the issue
-instant until the transfer completes.  A blocked selection retries after a
-fixed backoff with the demand shrunk by one slot per attempt (floor 1); once
-retries are exhausted the message is delivered over a degraded fallback
-service (single-slot-equivalent time scaled by a penalty factor) so the
-iteration always completes.  Messages between stages in the same datacenter
-bypass the optical network.
+the network state is advanced to the current time, the request's slot demand
+is read from the iteration's demand map (``base_fs``, capped at ``fs_max``,
+for a consumer the map does not name), and the configured selection policy
+picks a path and block.  A successful selection holds its spectrum from the
+issue instant until the transfer completes.  A blocked selection retries
+after a fixed backoff with the demand shrunk by one slot per attempt (floor
+1); once retries are exhausted the message is delivered over a degraded
+fallback service (single-slot-equivalent time scaled by a penalty factor) so
+the iteration always completes.  Messages between stages in the same
+datacenter bypass the optical network.
 
 Event ordering is total and deterministic: (time, stage, task creation
 index, push sequence).  Given identical seeds and configuration, timelines
@@ -23,9 +24,9 @@ records need no rewrite and every iteration runs with the same arithmetic;
 background allocations and the arrival stream shift with the clock and carry
 over between iterations.
 
-The slot demand of a request is sized once per distinct label in an
-iteration, not once per request.  The selectors (``rsa.select_*``) and the
-network operations (``advance_network``, ``allocate_spectrum``) are looked
+The demand map comes from the caller (``cba.plan_requests`` sizes CBA's
+requests); the engine only reads it.  The selectors (``rsa.select_*``) and
+the network operations (``advance_network``, ``allocate_spectrum``) are looked
 up by name on every call and never bound ahead of it, so a wrapper that is
 installed on the module namespaces (a tracer, a test spy) sees every call.
 
@@ -46,15 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from . import rsa
-from .latency import (
-    EgressState,
-    LatencyParams,
-    NORMAL,
-    RequestLabel,
-    beta,
-    required_fs,
-    transfer_time,
-)
+from .latency import EgressState, LatencyParams, beta, transfer_time
 from .topology import Link, Network, advance_network, allocate_spectrum
 from .workload import Direction, Stage, Task
 
@@ -63,7 +56,8 @@ SELECTORS = ("cba", "ksp_ff", "sd_ff")
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Selection policy plus the FS-sizing and retry knobs the engine uses."""
+    """Selection policy plus the FS-sizing and retry knobs (CBA's maximum
+    boost, ``boost_factor``, is read by ``cba.plan_requests`` alone)."""
 
     selector: str = "cba"
     k: int = 5
@@ -173,7 +167,7 @@ class _Request:
     consumer: Task
     src: str
     dst: str
-    demand: int           # label-sized demand at first attempt
+    demand: int           # slot demand at first attempt
     issue_time: float
     attempts: int = 0
     first_blocked: bool = False
@@ -193,7 +187,7 @@ class _Sim:
         policy: PolicyConfig,
         params: LatencyParams,
         egress: EgressState,
-        request_labels: dict[int, RequestLabel],
+        demand: dict[int, int],
         msg_bits: float,
     ):
         self.net = net
@@ -208,17 +202,9 @@ class _Sim:
                 raise ValueError(f"stage placed on unknown datacenter {dc!r}")
         if policy.fs_max > net.fs_total:
             raise ValueError("fs_max exceeds the network's slot count")
-
-        # slot demand at first attempt: sized once per distinct label, then
-        # looked up by the consumer of each labeled request
-        fs_of: dict[RequestLabel, int] = {}
-        for label in (NORMAL, *request_labels.values()):
-            if label not in fs_of:
-                fs_of[label] = required_fs(
-                    policy.base_fs, label, policy.boost_factor, policy.fs_max
-                )
-        self.base_demand = fs_of[NORMAL]
-        self.demand = {cons: fs_of[label] for cons, label in request_labels.items()}
+        # slot demand at first attempt, by consumer task
+        self.demand = demand
+        self.base_demand = min(policy.base_fs, policy.fs_max)
 
         # the direction strings, read once: an enum's ``value`` is a descriptor call
         forward = Direction.FORWARD
@@ -392,10 +378,14 @@ def simulate_iteration(
     policy: PolicyConfig,
     params: LatencyParams,
     egress: EgressState | None = None,
-    request_labels: dict[int, RequestLabel] | None = None,
+    demand: dict[int, int] | None = None,
     msg_bits: float = 0.0,
 ) -> Timeline:
     """Execute the task DAG once; returns its Timeline.
+
+    ``demand`` maps a consumer task id to the slot demand of its incoming
+    request at the first attempt; a request whose consumer it does not name
+    asks for ``min(policy.base_fs, policy.fs_max)``.
 
     The network clock is first rebased so the iteration starts at t=0;
     background allocations persist from earlier iterations, shifted with the
@@ -406,7 +396,7 @@ def simulate_iteration(
     sim = _Sim(
         net, stages, tasks, policy, params,
         egress if egress is not None else EgressState(),
-        request_labels or {}, msg_bits,
+        demand or {}, msg_bits,
     )
     net.rebase(net.now)
     return sim.run()

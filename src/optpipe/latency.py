@@ -1,4 +1,4 @@
-"""Communication latency model and per-request FS sizing.
+"""Communication latency model.
 
 Transfer completion time is a fixed propagation term, a serialization term
 proportional to message size and inversely proportional to the allocated
@@ -20,7 +20,6 @@ defaults to 75 Gb/s (12.5 GHz slots carrying 6 bit/symbol).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -90,46 +89,3 @@ def transfer_time(
     if path is None:
         return params.intra_dc_latency_s + message_bits / params.intra_dc_rate_bps
     return alpha(params, path) + message_bits * beta(params, n_fs) + penalty
-
-
-@dataclass(frozen=True)
-class RequestLabel:
-    """FS-sizing label for one inter-stage message request.
-
-    ``cb`` marks the consumer as communication-bound last iteration;
-    ``blocked`` marks the request as having blocked last iteration.
-    """
-
-    cb: bool = False
-    blocked: bool = False
-
-
-NORMAL = RequestLabel()
-
-
-def required_fs(
-    base_fs: int,
-    label: RequestLabel = NORMAL,
-    boost_factor: float = 2.0,
-    fs_max: int = 16,
-) -> int:
-    """Slot demand for a request given its label.
-
-    Communication-bound requests are boosted (rounded half-up, capped at
-    fs_max); previously blocked requests are conservatively halved, and that
-    reduction wins when a request carries both labels.  Result is always in
-    [1, fs_max].
-    """
-    if base_fs < 1:
-        raise ValueError("base_fs must be >= 1")
-    if boost_factor < 1:
-        raise ValueError("boost_factor must be >= 1")
-    if fs_max < 1:
-        raise ValueError("fs_max must be >= 1")
-    if label.blocked:
-        n = base_fs // 2
-    elif label.cb:
-        n = math.floor(base_fs * boost_factor + 0.5)
-    else:
-        n = base_fs
-    return max(1, min(n, fs_max))

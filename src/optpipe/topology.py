@@ -15,8 +15,11 @@ Background arrivals come from an ``ArrivalTape``, which holds the draw-order
 contract: the seeded draws of one traffic model over one node list, made
 once, on demand, and kept.  The draws are those of
 ``numpy.random.default_rng(rng_seed)``, made by the plain-Python port in
-``optpipe.rng``, so a run never imports numpy.  Each network reads a tape
-through its own cursor, so the policies of one cell can replay a single tape.
+``optpipe.rng``, so a run never imports numpy.  A network draws the tape of
+the model it is given and reads it through its own cursor; a snapshot keeps
+the cursor, so the runs restored from one prewarmed network replay its tape.
+A tape holds at most ``MAX_BG_ARRIVALS`` arrivals: a run that needs more
+stops with ``ArrivalCapError``, so no finite configuration draws forever.
 
 ``Network.snapshot`` records a network's mutable state (spectrum, allocation
 ledger, clock and stream cursor) and ``Network.restore`` brings it back, so
@@ -52,6 +55,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_FS_TOTAL = 80
+# Cap on the arrivals one tape may hold, about 100x the largest shipped config:
+# every arrival costs draw and admission time and stays on the tape.
+MAX_BG_ARRIVALS = 1_000_000
 
 
 class TopologyError(ValueError):
@@ -60,6 +66,10 @@ class TopologyError(ValueError):
 
 class SpectrumConflictError(RuntimeError):
     """An allocation would overlap slots already occupied (caller bug)."""
+
+
+class ArrivalCapError(RuntimeError):
+    """An arrival tape was asked for more than ``MAX_BG_ARRIVALS`` arrivals."""
 
 
 class UnknownOwnerError(KeyError):
@@ -307,7 +317,11 @@ class ArrivalTape:
         return len(self.gaps)
 
     def draw(self) -> None:
-        """Append the next arrival."""
+        """Append the next arrival; raises ArrivalCapError past ``MAX_BG_ARRIVALS``."""
+        if len(self.gaps) >= MAX_BG_ARRIVALS:
+            raise ArrivalCapError(
+                f"the background drew its cap of {MAX_BG_ARRIVALS} arrivals "
+                f"{math.fsum(self.gaps):.6g} s into simulated time")
         gap, i, j, demand, hold = self._rng.arrival(*self._draw_args)
         self.gaps.append(gap)
         self.src.append(i)
@@ -487,23 +501,19 @@ class Network:
         if self._stream is not None:
             self._stream._next_time -= origin
 
-    def attach_background(self, source: BackgroundTrafficModel | ArrivalTape) -> None:
+    def attach_background(self, model: BackgroundTrafficModel) -> None:
         """Attach the network's one arrival stream, based at the current clock.
 
-        ``source`` is a tape, which other networks may read too, or a model,
-        for which the network draws a tape of its own.  The network owns its
-        cursor from then on: ``advance_network`` reads from it, and it carries
-        over between iterations.  Harness code attaches at t=0, before the
-        prewarm, so that paired runs with the same seed observe bit-identical
-        arrival sequences.  A network takes one stream; attaching a second
-        raises, and so does a tape drawn over a different node list.
+        The network draws the model's arrivals onto a tape of its own and owns
+        its cursor from then on: ``advance_network`` reads from it, and it
+        carries over between iterations.  Harness code attaches at t=0, before
+        the prewarm, so that paired runs with the same seed observe
+        bit-identical arrival sequences.  A network takes one stream;
+        attaching a second raises.
         """
         if self._stream is not None:
             raise RuntimeError("a background stream is already attached")
-        tape = source if isinstance(source, ArrivalTape) else ArrivalTape(source, self.nodes)
-        if tape.nodes != tuple(self.nodes):
-            raise ValueError("the arrival tape was drawn over a different node list")
-        self._stream = _BackgroundStream.based_at(tape, self.now)
+        self._stream = _BackgroundStream.based_at(ArrivalTape(model, self.nodes), self.now)
 
     def _admit_background(self, t: float, src: str, dst: str, demand: int, hold: float) -> bool:
         if demand > self.fs_total:

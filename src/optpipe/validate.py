@@ -13,7 +13,6 @@ the reference for the plain-Python draws of ``optpipe.rng``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import cba, engine, rsa, topology, workload
 from . import rng as rng_port
-from .latency import LatencyParams, RequestLabel, required_fs
+from .latency import LatencyParams
 
 
 # ----------------------------------------------------------------------
@@ -210,16 +209,13 @@ def ref_orchestrate(
     """``cba.orchestrate`` the plain way: every iteration is simulated."""
     labels = None
     boost = policy.boost_factor
+    demand: dict[int, int] = {}
     results = []
     for it in range(config.n_iterations):
         if policy.selector == "cba":
-            req_labels, boost = cba.plan_requests(labels, config, tasks, policy, boost)
-            eff_policy = dataclasses.replace(policy, boost_factor=boost)
-        else:
-            req_labels, eff_policy = {}, policy
+            demand, boost = cba.plan_requests(labels, config, tasks, policy, boost)
         timeline = engine.simulate_iteration(
-            net, stages, tasks, eff_policy, params,
-            request_labels=req_labels, msg_bits=msg_bits,
+            net, stages, tasks, policy, params, demand=demand, msg_bits=msg_bits,
         )
         labels = cba.label_cb_tasks(timeline, tasks, config.epsilon_bubble_s)
         results.append(cba.IterationResult(
@@ -454,7 +450,7 @@ def check_iteration_reuse() -> tuple[bool, str]:
     reused = 0
     for selector in engine.SELECTORS:
         # eight slots per link: the pipeline's own transfers block, and two of
-        # CBA's plans share their labels but not their boost
+        # CBA's plans share their labels but not their boost, so not their widths
         policy = engine.PolicyConfig(selector=selector, fs_max=8)
         args = (stages, tasks, policy, LatencyParams(), profile.msg_bytes_per_microbatch * 8)
         got = cba.orchestrate(config, topology.load_nsfnet(fs_total=8), *args)
@@ -468,17 +464,26 @@ def check_iteration_reuse() -> tuple[bool, str]:
                         f"{reused} of them reused a timeline")
 
 
-def check_required_fs_bounds() -> tuple[bool, str]:
+def check_demand_bounds() -> tuple[bool, str]:
+    """Every width ``cba.plan_requests`` plans lies in [1, fs_max]."""
+    stages = workload.partition_stages(workload.build_profile("llama3-8b-like"), 2, ["A", "B"])
+    tasks = workload.build_schedule(workload.ScheduleKind.GPIPE, stages, 2)
+    # the four message edges carry the four label combinations: none, CB,
+    # blocked, both
+    edges = [t for t in tasks if t.msg_pred is not None]
+    labels = cba.LabelSet(cb_tasks={edges[1].id, edges[3].id},
+                          blocked_tasks={edges[2].msg_pred, edges[3].msg_pred})
+    config = cba.OrchestratorConfig()
     for base in range(1, 20):
         for boost in (1.0, 1.5, 2.0, 4.0):
             for fs_max in range(1, 20):
-                for label in (RequestLabel(), RequestLabel(cb=True),
-                              RequestLabel(blocked=True),
-                              RequestLabel(cb=True, blocked=True)):
-                    n = required_fs(base, label, boost, fs_max)
-                    if not (1 <= n <= fs_max):
-                        return False, f"required_fs({base},{label},{boost},{fs_max})={n}"
-    return True, "all sampled inputs stayed in [1, fs_max]"
+                # a block-free iteration at the configured boost keeps it
+                policy = engine.PolicyConfig(base_fs=base, boost_factor=boost, fs_max=fs_max)
+                demand, _ = cba.plan_requests(labels, config, tasks, policy, boost)
+                if sorted(demand) != sorted(t.id for t in edges[1:]) or not all(
+                        1 <= n <= fs_max for n in demand.values()):
+                    return False, f"base {base}, boost {boost}, fs_max {fs_max}: {demand}"
+    return True, "1444 plans of the four label combinations stayed in [1, fs_max]"
 
 
 def check_occupancy_rebuild() -> tuple[bool, str]:
@@ -567,7 +572,7 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("spectrum-audit", check_spectrum_audit),
         ("labeling-soundness", check_labeling_soundness),
         ("iteration-reuse", check_iteration_reuse),
-        ("required-fs-bounds", check_required_fs_bounds),
+        ("demand-bounds", check_demand_bounds),
         ("occupancy-rebuild", check_occupancy_rebuild),
         ("rng-port", check_rng_port),
         ("start-state", check_start_state),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from optpipe.cba import (
 )
 from optpipe.cli import DEFAULT_DC_NODES
 from optpipe.engine import SELECTORS, PolicyConfig, audit_event_log, simulate_iteration
-from optpipe.latency import LatencyParams, RequestLabel
+from optpipe.latency import LatencyParams
 from optpipe.topology import (
     BackgroundTrafficModel,
     Network,
@@ -100,16 +102,61 @@ class TestPlanRequests:
         self.policy = PolicyConfig()
         self.consumers = [t for t in self.tasks if t.msg_pred is not None]
 
+    def widths(self, base, boost, fs_max, cb=False, blocked=False):
+        """The plan after a block-free iteration at the configured boost, which
+        keeps it, with the first consumer's request labeled as asked."""
+        v = self.consumers[0]
+        ls = LabelSet(cb_tasks={v.id} if cb else set(),
+                      blocked_tasks={v.msg_pred} if blocked else set())
+        policy = PolicyConfig(base_fs=base, boost_factor=boost, fs_max=fs_max)
+        demand, got = plan_requests(ls, self.config, self.tasks, policy, boost)
+        assert got == boost
+        assert all(type(n) is int for n in demand.values())
+        return demand
+
     def test_warmup_all_normal(self):
-        labels, boost = plan_requests(None, self.config, self.tasks, self.policy)
-        assert labels == {} and boost == self.policy.boost_factor
+        demand, boost = plan_requests(None, self.config, self.tasks, self.policy)
+        assert demand == {} and boost == self.policy.boost_factor
 
     def test_cb_task_gets_full_boost_when_clean(self):
         v = self.consumers[0]
         ls = LabelSet(cb_tasks={v.id}, iteration_blocking_prob=0.0)
-        labels, boost = plan_requests(ls, self.config, self.tasks, self.policy)
-        assert labels[v.id] == RequestLabel(cb=True, blocked=False)
+        demand, boost = plan_requests(ls, self.config, self.tasks, self.policy)
+        assert demand == {v.id: 8}
         assert boost == self.policy.boost_factor
+
+    def test_unlabeled_request_keeps_base_demand(self):
+        # unnamed in the map, so the engine sizes it min(base_fs, fs_max)
+        assert self.widths(4, 2.0, 16) == {}
+        assert self.widths(4, 1.0, 16, cb=True) == {self.consumers[0].id: 4}
+
+    def test_cb_boost(self):
+        assert self.widths(4, 2.0, 16, cb=True) == {self.consumers[0].id: 8}
+
+    def test_blocked_dominates_cb(self):
+        assert self.widths(4, 2.0, 16, cb=True, blocked=True) == {self.consumers[0].id: 2}
+
+    def test_fs_max_cap(self):
+        assert self.widths(10, 4.0, 16, cb=True) == {self.consumers[0].id: 16}
+
+    def test_floor_one(self):
+        assert self.widths(1, 2.0, 16, blocked=True) == {self.consumers[0].id: 1}
+
+    def test_rounds_half_up(self):
+        assert self.widths(3, 1.5, 16, cb=True) == {self.consumers[0].id: 5}
+
+    @given(
+        base=st.integers(1, 32),
+        boost=st.floats(1.0, 8.0, allow_nan=False),
+        fs_max=st.integers(1, 32),
+        cb=st.booleans(),
+        blocked=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_width_always_in_bounds(self, base, boost, fs_max, cb, blocked):
+        demand = self.widths(base, boost, fs_max, cb, blocked)
+        assert len(demand) == (cb or blocked)
+        assert all(1 <= n <= fs_max for n in demand.values())
 
     def test_high_blocking_halves_boost(self):
         v = self.consumers[0]
@@ -128,11 +175,11 @@ class TestPlanRequests:
         _, b3 = plan_requests(ls_clean, self.config, self.tasks, self.policy, b2)
         assert b3 == 1.25
 
-    def test_blocked_sender_flags_consumer_request(self):
+    def test_blocked_sender_shrinks_consumer_request(self):
         v = self.consumers[0]
         ls = LabelSet(blocked_tasks={v.msg_pred})
-        labels, _ = plan_requests(ls, self.config, self.tasks, self.policy)
-        assert labels[v.id] == RequestLabel(cb=False, blocked=True)
+        demand, _ = plan_requests(ls, self.config, self.tasks, self.policy)
+        assert demand == {v.id: self.policy.base_fs // 2}
 
 
 class TestOrchestrate:
@@ -289,18 +336,27 @@ class TestIterationReuse:
                                 LatencyParams(), msg_bits=16 * 2**20 * 8)
         plans, labels, boost = [], None, policy.boost_factor
         for r in plain:
-            req, boost = plan_requests(labels, config, tasks, policy, boost)
-            plans.append((frozenset(req.items()), boost))
+            demand, boost = plan_requests(labels, config, tasks, policy, boost)
+            plans.append(frozenset(demand.items()))
             labels = r.labels
         distinct = len(set(plans))
-        # the plans repeat, and two of them differ in the boost alone
-        assert 1 < distinct < self.N
-        assert len({req for req, _ in plans}) < distinct
+        assert 1 < distinct < self.N  # the demand maps repeat
 
         calls, results = self.count_simulations(monkeypatch, load_nsfnet(fs_total=8),
                                                 stages, tasks, policy)
         assert calls == distinct
         assert orchestrate_mismatch(results, plain) is None
+
+    def test_one_demand_map_under_changing_boosts_simulates_once(self, monkeypatch):
+        # the engine reads only the widths: a boost that changes while they
+        # stay the same is the same iteration
+        stages, tasks = build(4, ["WA", "CA1", "TX", "IL"], 3)
+        boosts = itertools.cycle([2.0, 1.0])
+        monkeypatch.setattr(cba, "plan_requests", lambda *args: ({}, next(boosts)))
+        calls, results = self.count_simulations(monkeypatch, load_nsfnet(), stages, tasks,
+                                                PolicyConfig(selector="cba"))
+        assert calls == 1
+        assert [r.reused_from for r in results] == [None] + [0] * (self.N - 1)
 
 
 @given(

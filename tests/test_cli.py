@@ -108,7 +108,7 @@ class TestConfig:
         # largest default cell, 70B with 10 layers per stage at m=128: 135 x 0.18 s
         cfg = RunConfig.from_flat({"bg.preset": "loaded"})
         assert cfg.expected_bg_arrivals() == pytest.approx(30 * (30 + 11 * 135 * 0.18))
-        assert cfg.expected_bg_arrivals() < cli.MAX_BG_ARRIVALS / 100
+        assert cfg.expected_bg_arrivals() < topology.MAX_BG_ARRIVALS / 100
 
     def test_work_estimate(self):
         # 11 iterations of 2 x 8 stages x 128 micro-batches; 2 x 2 x 4 x 3 cells
@@ -430,6 +430,46 @@ class TestLeanAudit:
         assert full.audited_transfers > 0
 
 
+class TestWorkerPool:
+    """compare's worker pool, replaced by a fake that starts no process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return started
+
+    def test_at_most_one_worker_per_cell(self, pools):
+        cli.compare_grid(RunConfig.from_flat(SMALL), jobs=cli.MAX_JOBS, verbose=False)
+        assert pools == [2]  # two cells
+
+    def test_jobs_above_the_cap_exit_one(self, pools, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        argv = ["compare", "--config", str(cfg), "--out", str(tmp_path), "--jobs"]
+        assert cli.main([*argv, str(cli.MAX_JOBS + 1)]) == 1
+        assert capsys.readouterr().err.startswith("config error: jobs: ")
+        with pytest.raises(ConfigError, match="^jobs: "):
+            cli.compare_grid(RunConfig.from_flat(SMALL), jobs=10_000, verbose=False)
+        assert pools == []
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -451,6 +491,17 @@ class TestMain:
         argv = ["compare", "--config", str(cfg), "--out", str(tmp_path), "--jobs"]
         assert cli.main([*argv, "0"]) == 1
         assert capsys.readouterr().err.startswith("config error: jobs: ")
+
+    def test_arrival_cap_exits_one_naming_the_rate(self, tmp_path, capsys, monkeypatch):
+        # slow links stretch an iteration to hours of simulated time, far past
+        # the zero-latency estimate (about 900 arrivals) that the config passed
+        monkeypatch.setattr(topology, "MAX_BG_ARRIVALS", 2000)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "bg.preset": "loaded", "latency.fs_rate_bps": 2e4}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bg.arrival_rate_per_s: ")
+        assert "cap of 2000 arrivals" in err and "s into simulated time" in err
 
     def test_config_error_exit_one(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -495,6 +546,7 @@ class TestMain:
             ('{"compare.schedules": []}', "compare.schedules"),
             ('{"jobs": 0}', "jobs"),
             ('{"jobs": -3}', "jobs"),
+            ('{"jobs": 65}', "jobs"),
             ('{"placement.dc_nodes": []}', "placement.dc_nodes"),
             ('{"bg.preset": "loaded", "bg.arrival_rate_per_s": 1e9}', "bg.arrival_rate_per_s"),
             ('{"bg.preset": "loaded", "bg.prewarm_s": 1e9}', "bg.arrival_rate_per_s"),

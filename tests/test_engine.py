@@ -93,6 +93,17 @@ class TestCrossDcTransfer:
         assert all(link.bits == 0 for link in net.links)
         audit_occupancy(net)
 
+    def test_demand_map_sizes_named_requests_and_caps_the_rest(self):
+        net = Network(["A", "B"], [("A", "B", 1000.0)], fs_total=80)
+        stages = toy_stages(2, ["A", "B"])
+        tasks = build_schedule(ScheduleKind.GPIPE, stages, 1)
+        forward, backward = (next(t.id for t in tasks if t.msg_pred is not None
+                                  and t.stage_id == s) for s in (1, 0))
+        # a base above fs_max asks for fs_max where the map names no width
+        tl = simulate_iteration(net, stages, tasks, PolicyConfig(base_fs=8, fs_max=6),
+                                LatencyParams(), demand={backward: 3}, msg_bits=1e6)
+        assert {t.consumer_id: t.n_fs for t in tl.transfers} == {forward: 6, backward: 3}
+
     def test_total_blocking_still_completes(self):
         net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
         allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), "bg-perm", 1e15)

@@ -1,17 +1,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from optpipe.latency import (
-    EgressState,
-    LatencyParams,
-    RequestLabel,
-    alpha,
-    beta,
-    required_fs,
-    transfer_time,
-)
+from optpipe.latency import EgressState, LatencyParams, alpha, beta, transfer_time
 from optpipe.rsa import k_shortest_paths
 from optpipe.topology import Network
 
@@ -80,36 +71,6 @@ class TestTransferTime:
         p = FakePath(500, 1)
         times = [transfer_time(DEFAULTS, p, n, 2e9) for n in range(1, 17)]
         assert all(a >= b for a, b in zip(times, times[1:]))
-
-
-class TestRequiredFs:
-    def test_normal_identity(self):
-        assert required_fs(4, RequestLabel()) == 4
-
-    def test_cb_boost(self):
-        assert required_fs(4, RequestLabel(cb=True), boost_factor=2, fs_max=16) == 8
-
-    def test_blocked_dominates_cb(self):
-        lab = RequestLabel(cb=True, blocked=True)
-        assert required_fs(4, lab, boost_factor=2, fs_max=16) == 2
-
-    def test_fs_max_cap(self):
-        assert required_fs(10, RequestLabel(cb=True), boost_factor=4, fs_max=16) == 16
-
-    def test_floor_one(self):
-        assert required_fs(1, RequestLabel(blocked=True)) == 1
-
-    @given(
-        base=st.integers(1, 32),
-        boost=st.floats(1.0, 8.0, allow_nan=False),
-        fs_max=st.integers(1, 32),
-        cb=st.booleans(),
-        blocked=st.booleans(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_result_always_in_bounds(self, base, boost, fs_max, cb, blocked):
-        n = required_fs(base, RequestLabel(cb=cb, blocked=blocked), boost, fs_max)
-        assert 1 <= n <= fs_max
 
 
 def test_sd_ff_alpha_order_matches_km_hops_with_small_overhead():

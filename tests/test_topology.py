@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optpipe import topology
 from optpipe.latency import LatencyParams, alpha
 from optpipe.topology import (
     ArrivalTape,
@@ -350,53 +350,16 @@ class TestAdvanceNetwork:
         with pytest.raises(RuntimeError, match="already attached"):
             nsfnet.attach_background(bg)
 
-    def test_tape_rejects_another_node_list(self, nsfnet):
-        bg = BackgroundTrafficModel(5.0, 0.5, (1, 4), rng_seed=7)
-        with pytest.raises(ValueError, match="different node list"):
-            nsfnet.attach_background(ArrivalTape(bg, nsfnet.nodes[::-1]))
-
 
 class TestArrivalTape:
-    BG = BackgroundTrafficModel(40.0, 0.5, (1, 6), rng_seed=11)
-    # two advance patterns: (stop on the current clock, rebase the clock there)
-    PATTERN_A = [(0.5, False), (1.2, True), (1.2, True), (3.0, True), (0.7, False),
-                 (2.5, False), (4.0, False)]
-    PATTERN_B = [(2.0, True), (0.3, False), (0.31, True), (5.0, False), (6.0, True),
-                 (1.5, False)]
-
-    @staticmethod
-    def _step(net: Network, stop: float, rebase: bool) -> None:
-        advance_network(net, stop)
-        if rebase:
-            net.rebase(stop)
-
-    def test_shared_tape_matches_own_tapes(self):
-        tape = ArrivalTape(self.BG, load_nsfnet().nodes)
-        shared = [load_nsfnet(), load_nsfnet()]
-        own = [load_nsfnet(), load_nsfnet()]
-        for net in shared:
-            net.attach_background(tape)
-        for net in own:
-            net.attach_background(self.BG)
-        # the two readers of the shared tape take turns extending it
-        for step_a, step_b in itertools.zip_longest(self.PATTERN_A, self.PATTERN_B):
-            for net, step in zip(shared, (step_a, step_b)):
-                if step is not None:
-                    self._step(net, *step)
-        for net, pattern in zip(own, (self.PATTERN_A, self.PATTERN_B)):
-            for step in pattern:
-                self._step(net, *step)
-
-        for got, want in zip(shared, own):
-            assert [link.bits for link in got.links] == [link.bits for link in want.links]
-            assert set(got.active_owners()) == set(want.active_owners())
-            assert got._stream._next_time == want._stream._next_time
-            audit_occupancy(got)
-        assert [link.bits for link in shared[0].links] != [link.bits for link in shared[1].links]
-        # each arrival was drawn once, by whichever reader reached it first
-        positions = [net._stream.pos for net in shared]
-        assert len(tape) == max(positions) > min(positions) > 0
-        assert [net._stream.pos for net in own] == positions
+    def test_draw_refuses_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(topology, "MAX_BG_ARRIVALS", 5)
+        tape = ArrivalTape(BackgroundTrafficModel(40.0, 0.5, (1, 6), rng_seed=11), ["A", "B"])
+        for _ in range(5):
+            tape.draw()
+        with pytest.raises(topology.ArrivalCapError, match=r"cap of 5 arrivals .* s into"):
+            tape.draw()
+        assert len(tape) == 5
 
 
 class TestSnapshot:
