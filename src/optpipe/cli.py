@@ -50,6 +50,12 @@ MAX_GRID_TASKS = 720_000_000
 # Cap on the slots per link: every spectrum operation costs time linear in it,
 # and a C-band at 6.25 GHz spacing has 768.
 MAX_FS_TOTAL = 4096
+# Caps on the per-request search of a run, about 100x and 13x the defaults:
+# a blocked request retries without drawing an arrival when the backoff is 0,
+# and the candidate paths of one node pair grow with the count of simple
+# paths, which explodes on a dense custom topology.
+MAX_RETRIES = 500
+MAX_K = 64
 # Cap on compare's worker processes: a pool forks all of them at its first
 # task, and a run is CPU-bound, so more workers than cores only cost memory.
 MAX_JOBS = 64
@@ -81,6 +87,13 @@ def _as_int(v) -> int:
     if isinstance(v, float) and v.is_integer():
         return int(v)
     raise ValueError("expected an integer")
+
+
+def _as_str(v) -> str:
+    # str() would also take 7 and true
+    if isinstance(v, str):
+        return v
+    raise ValueError("expected a string")
 
 
 def _as_float(v) -> float:
@@ -123,11 +136,11 @@ _LOADED_BG = {
 
 # key -> (default, converter).  Converters raise ValueError on bad input.
 KEY_TABLE: dict[str, tuple[Any, Any]] = {
-    "topology.path": (None, _optional(str)),
+    "topology.path": (None, _optional(_as_str)),
     "topology.fs_total": (80, _as_int),
-    "run.policy": ("cba", str),
-    "run.schedule": ("gpipe", str),
-    "run.model": ("llama3-8b-like", str),
+    "run.policy": ("cba", _as_str),
+    "run.schedule": ("gpipe", _as_str),
+    "run.model": ("llama3-8b-like", _as_str),
     "run.microbatches": (16, _as_int),
     "run.seeds": ([0], _as_int_list),
     "pp.stages": (8, _as_int),
@@ -146,7 +159,7 @@ KEY_TABLE: dict[str, tuple[Any, Any]] = {
     "latency.intra_dc_latency_s": (5.0e-5, _as_float),
     "latency.intra_dc_rate_bps": (4.0e11, _as_float),
     "rsa.k": (5, _as_int),
-    "rsa.ci_mode": ("window", str),
+    "rsa.ci_mode": ("window", _as_str),
     "fs.base": (4, _as_int),
     "fs.boost_factor": (2.0, _as_float),
     "fs.max": (16, _as_int),
@@ -156,7 +169,7 @@ KEY_TABLE: dict[str, tuple[Any, Any]] = {
     "cba.n_iterations": (11, _as_int),
     "cba.blocking_prob_threshold": (0.05, _as_float),
     "cba.epsilon_bubble_s": (1e-6, _as_float),
-    "bg.preset": ("off", str),
+    "bg.preset": ("off", _as_str),
     "bg.arrival_rate_per_s": (None, _optional(_as_float)),
     "bg.mean_hold_s": (None, _optional(_as_float)),
     "bg.fs_demand_min": (None, _optional(_as_int)),
@@ -229,6 +242,14 @@ class RunConfig:
         for key in ("run.seeds", "compare.seeds", "compare.microbatch_grid", "compare.models",
                     "compare.schedules", "placement.dc_nodes"):
             require(len(f[key]) >= 1, key, "must not be empty")
+        # placement.dc_nodes may repeat a name: a repeat weights the draw
+        for key in ("run.seeds", "compare.seeds", "compare.microbatch_grid", "compare.models",
+                    "compare.schedules"):
+            seen: set = set()
+            for value in f[key]:
+                if value in seen:  # the seed lists are too long to echo back
+                    raise ConfigError(f"{key}: entries must be distinct ({value!r} repeats)")
+                seen.add(value)
         for key in ("run.seeds", "compare.seeds"):
             negative = [seed for seed in f[key] if seed < 0]
             if negative:  # the seed lists are too long to echo back
@@ -237,7 +258,7 @@ class RunConfig:
                 "compare.microbatch_grid", "entries must be >= 1")
         require(all(s in ("gpipe", "1f1b") for s in f["compare.schedules"]),
                 "compare.schedules", "entries must be 'gpipe' or '1f1b'")
-        require(f["rsa.k"] >= 1, "rsa.k", "must be >= 1")
+        require(1 <= f["rsa.k"] <= MAX_K, "rsa.k", f"must be in [1, {MAX_K}]")
         require(f["rsa.ci_mode"] in ("literal", "window", "global"), "rsa.ci_mode",
                 "must be literal, window or global")
         require(f["fs.base"] >= 1, "fs.base", "must be >= 1")
@@ -250,7 +271,8 @@ class RunConfig:
             require(f[key] >= 0, key, "must be nonnegative")
         for key in ("latency.fs_rate_bps", "latency.intra_dc_rate_bps"):
             require(f[key] > 0, key, "must be positive")
-        require(f["engine.max_retries"] >= 0, "engine.max_retries", "must be >= 0")
+        require(0 <= f["engine.max_retries"] <= MAX_RETRIES, "engine.max_retries",
+                f"must be in [0, {MAX_RETRIES}]")
         require(f["engine.retry_backoff_s"] >= 0, "engine.retry_backoff_s",
                 "must be nonnegative")
         require(f["engine.fallback_penalty"] >= 1, "engine.fallback_penalty",
@@ -279,12 +301,14 @@ class RunConfig:
             require(hi <= f["topology.fs_total"], "bg.fs_demand_max",
                     f"effective maximum demand {hi} must be <= topology.fs_total "
                     f"({f['topology.fs_total']})")
-        for model in {f["run.model"], *f["compare.models"]}:
-            if model != "custom" and model not in workload.profile_presets():
-                raise ConfigError(
-                    f"model {model!r} is not a preset {workload.profile_presets()} "
-                    "or 'custom'"
-                )
+        for key, models in (("run.model", [f["run.model"]]),
+                            ("compare.models", f["compare.models"])):
+            for model in models:
+                if model != "custom" and model not in workload.profile_presets():
+                    raise ConfigError(
+                        f"{key}: model {model!r} is not a preset "
+                        f"{workload.profile_presets()} or 'custom'"
+                    )
         if f["run.model"] == "custom" or "custom" in f["compare.models"]:
             for key in ("model.n_layers", "model.fwd_time_per_layer_s",
                         "model.bwd_time_per_layer_s", "model.msg_bytes_per_microbatch"):
@@ -830,7 +854,12 @@ def cmd_compare(cfg: RunConfig, outdir: str, jobs: int | None = None,
 
 
 def cmd_validate(verbose: bool = True) -> int:
-    from . import validate
+    try:
+        from . import validate
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").split(".")[0] != "numpy":
+            raise
+        raise RuntimeError("optpipe validate needs numpy: install optpipe[validate]") from exc
     report = validate.run_all()
     failed = 0
     for name, ok, detail in report:

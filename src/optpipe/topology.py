@@ -30,11 +30,11 @@ Spectrum state is one Python ``int`` per link, ``Link.bits``: bit f is set
 when slot f is occupied.  A path's aggregate is the OR of its links' ints
 (``path_bits``), the starts of free runs come from shift-AND folding
 (``free_run_starts``) and the lowest one from ``x & -x``.
-``Link.occupancy`` is a read-only numpy uint8 array derived from the int on
-each access; ``set_link_occupancy`` overwrites a link's slots directly, for
-building test instances.  These array helpers, with ``pack_bits`` and
-``unpack_bits``, serve the reference layer, the tests and the benchmark's
-tracer; they import numpy on first use.
+The int is the only spectrum state.  ``Link.occupancy`` is a tuple of 0/1
+slots derived from it on each access, so the view is read-only;
+``set_link_occupancy`` packs any 0/1 sequence into a link's int, for
+building test instances.  Both serve the reference layer, the tests and the
+benchmark's tracer, in plain Python.
 """
 
 from __future__ import annotations
@@ -46,13 +46,10 @@ import math
 from array import array
 from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .latency import LatencyParams, alpha
 from .rng import default_rng
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_FS_TOTAL = 80
 # Cap on the arrivals one tape may hold, about 100x the largest shipped config:
@@ -88,11 +85,10 @@ class Link:
     bits: int = 0
 
     @property
-    def occupancy(self) -> np.ndarray:
-        """Read-only uint8 slot vector (0 free, 1 occupied) derived from ``bits``."""
-        arr = unpack_bits(self.bits, self.fs_total)
-        arr.setflags(write=False)
-        return arr
+    def occupancy(self) -> tuple[int, ...]:
+        """Slot f is 1 when occupied, 0 when free: a read-only view of ``bits``."""
+        bits = self.bits
+        return tuple((bits >> f) & 1 for f in range(self.fs_total))
 
     def __repr__(self) -> str:
         return f"Link({self.a}-{self.b}, {self.length_km} km)"
@@ -695,22 +691,22 @@ def release_spectrum(net: Network, owner_id: str) -> None:
     net._release_owner(owner_id)
 
 
-def set_link_occupancy(net: Network, link_index: int, slots: Sequence[int] | np.ndarray) -> None:
-    """Overwrite one link's slot state from an F-length 0/1 vector.
+def set_link_occupancy(net: Network, link_index: int, slots: Iterable[int]) -> None:
+    """Overwrite one link's slot state from an F-length 0/1 sequence.
 
-    Builds test and oracle instances without allocation records, so such a
-    network fails ``audit_occupancy``.  A link that an active owner uses is
-    refused, because releasing it would then clear slots set here.
+    Any iterable of 0/1 values (or booleans) packs, a numpy array included;
+    slot f becomes bit f.  Builds test and oracle instances without
+    allocation records, so such a network fails ``audit_occupancy``.  A link
+    that an active owner uses is refused, because releasing it would then
+    clear slots set here.
     """
-    import numpy as np
-
     link = net.links[link_index]
     if any(link in links for links, _, _, _ in net._active.values()):
         raise SpectrumConflictError(f"{link!r} carries allocations; release them first")
-    arr = np.asarray(slots)
-    if arr.shape != (net.fs_total,) or not np.isin(arr, (0, 1)).all():
+    slots = list(slots)
+    if len(slots) != net.fs_total or any(v not in (0, 1) for v in slots):
         raise ValueError(f"slots must be a 0/1 vector of length {net.fs_total}")
-    link.bits = pack_bits(arr)
+    link.bits = sum(1 << f for f, v in enumerate(slots) if v)
 
 
 # ----------------------------------------------------------------------
@@ -720,22 +716,6 @@ def set_link_occupancy(net: Network, link_index: int, slots: Sequence[int] | np.
 def block_mask(f0: int, f1: int) -> int:
     """Bitmask of slots f0..f1 inclusive."""
     return ((1 << (f1 - f0 + 1)) - 1) << f0
-
-
-def pack_bits(occupancy: Sequence[int] | np.ndarray) -> int:
-    """0/1 slot vector to int, bit f = slot f."""
-    import numpy as np
-
-    arr = np.asarray(occupancy, dtype=np.uint8)
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
-def unpack_bits(bits: int, n: int) -> np.ndarray:
-    """Int to a fresh length-n uint8 slot vector, slot f = bit f."""
-    import numpy as np
-
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def path_bits(links: Iterable[Link]) -> int:

@@ -6,15 +6,22 @@ path/block enumeration, direct transition-count loops, and log replay.
 A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
 The test suite imports the same ``ref_*`` functions, ``random_instance``,
-``free_block_starts``, ``bit_positions`` and ``one_link_exhaustive``; there is
-no second copy.  ``ref_arrivals`` draws a background tape with numpy itself,
-the reference for the plain-Python draws of ``optpipe.rng``.
+``bit_positions`` and ``one_link_exhaustive``; there is no second copy.  The
+free-block reference is one slot-by-slot loop, ``ref_free_starts``, over the
+plain slot tuples of ``Link.occupancy``.
+
+This is the one module that imports numpy (the ``validate`` extra), and
+only where a numpy reference is the point: ``ref_arrivals`` draws a
+background tape with numpy itself, the reference for the plain-Python draws
+of ``optpipe.rng``, and the seeded random instances are drawn with numpy's
+generator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -73,22 +80,21 @@ def _aggregate(net: topology.Network, nodes: tuple[str, ...]) -> list[int]:
     agg = [0] * net.fs_total
     for link in net.path_links(nodes):
         for j, bit in enumerate(link.occupancy):
-            agg[j] |= int(bit)
+            agg[j] |= bit
     return agg
 
 
-def free_block_starts(occupancy: np.ndarray, width: int) -> np.ndarray:
-    """All start slots f such that [f, f+width-1] is entirely free, ascending.
+def ref_free_starts(occ: Sequence[int], width: int) -> list[int]:
+    """All start slots f such that slots f..f+width-1 are free in ``occ``, ascending.
 
-    A cumulative-sum scan of a slot vector; tests hold the bitset helpers to it.
+    Slot by slot; tests hold the bitset helpers of ``topology`` to it.
     """
-    F = occupancy.shape[0]
-    if not (1 <= width <= F):
-        return np.empty(0, dtype=np.int64)
-    ext = np.zeros(F + 1, dtype=np.int32)
-    np.cumsum(occupancy, out=ext[1:])
-    window = ext[width:] - ext[: F - width + 1]
-    return np.flatnonzero(window == 0)
+    if width < 1:
+        return []
+    return [
+        f for f in range(len(occ) - width + 1)
+        if all(occ[f + i] == 0 for i in range(width))
+    ]
 
 
 def bit_positions(bits: int) -> list[int]:
@@ -102,11 +108,7 @@ def bit_positions(bits: int) -> list[int]:
 
 
 def ref_blocks(net: topology.Network, nodes: tuple[str, ...], width: int) -> list[int]:
-    agg = _aggregate(net, nodes)
-    return [
-        f for f in range(net.fs_total - width + 1)
-        if all(agg[f + i] == 0 for i in range(width))
-    ]
+    return ref_free_starts(_aggregate(net, nodes), width)
 
 
 def ref_gamma(net: topology.Network, nodes: tuple[str, ...], width: int,
@@ -115,9 +117,9 @@ def ref_gamma(net: topology.Network, nodes: tuple[str, ...], width: int,
     mean-per-link availability divisor, integer-count contiguity mean with the
     positive floor so that zero means exactly "no feasible block"."""
     links = net.path_links(nodes)
-    occupied_total = sum(int(link.occupancy.sum()) for link in links)
+    occupied_total = sum(sum(link.occupancy) for link in links)
     agg = _aggregate(net, nodes)
-    starts = ref_blocks(net, nodes, width)
+    starts = ref_free_starts(agg, width)
     delta = 1.0 - occupied_total / (len(links) * net.fs_total)
     if not starts or delta <= 0.0:
         return 0.0, starts, []
@@ -191,9 +193,8 @@ def random_instance(rng: np.random.Generator) -> topology.Network:
     F = int(rng.integers(4, 11))
     net = topology.Network(names, specs, fs_total=F)
     for link in net.links:
-        bits = rng.random(F) < rng.uniform(0.1, 0.9)
         # write occupancy directly; these nets are never advanced in time
-        topology.set_link_occupancy(net, link.index, bits.astype(np.uint8))
+        topology.set_link_occupancy(net, link.index, rng.random(F) < rng.uniform(0.1, 0.9))
     return net
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -63,6 +64,11 @@ class TestConfig:
         assert cfg.placement(3, 8) != cfg.placement(4, 8)
         assert set(cfg.placement(3, 8)) <= set(cfg.dc_nodes())
 
+    def test_placement_pool_may_repeat_a_name(self):
+        # a repeated name weights the draw; only the run and grid axes must be distinct
+        cfg = RunConfig.from_flat({"placement.dc_nodes": ["IL", "IL", "PA"]})
+        assert cfg.dc_nodes() == ["IL", "IL", "PA"]
+
     def test_placement_draws_from_the_whole_pool(self):
         pool = [*cli.DEFAULT_DC_NODES, "GA"]
         cfg = RunConfig.from_flat({"placement.dc_nodes": pool})
@@ -78,6 +84,14 @@ class TestConfig:
     ])
     def test_removed_keys_are_unknown(self, key, value):
         with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            RunConfig.from_flat({key: value})
+
+    @pytest.mark.parametrize("key", ["topology.path", "run.policy", "run.schedule", "run.model",
+                                     "rsa.ci_mode", "bg.preset"])
+    @pytest.mark.parametrize("value", [7, True])
+    def test_string_keys_take_strings_only(self, key, value):
+        # str() would turn 7 into '7' and true into 'True'
+        with pytest.raises(ConfigError, match=f"{key}: invalid value .*expected a string"):
             RunConfig.from_flat({key: value})
 
     def test_integral_floats_are_accepted_for_int_keys(self):
@@ -572,6 +586,22 @@ class TestMain:
             # the seeded draws take non-negative entropy only
             ('{"compare.seeds": [-1]}', "compare.seeds"),
             ('{"run.seeds": [-3]}', "run.seeds"),
+            # caps on the per-request search: with zero backoff a retry draws
+            # no arrival, so 10^9 of them would never reach the arrival cap
+            ('{"engine.max_retries": 501}', "engine.max_retries"),
+            ('{"bg.preset": "loaded", "engine.retry_backoff_s": 0,'
+             ' "engine.max_retries": 1000000000}', "engine.max_retries"),
+            # a model that is not a preset names the key that holds it
+            ('{"run.model": "gpt"}', "run.model"),
+            ('{"compare.models": ["llama3-8b-like", "gpt"]}', "compare.models"),
+            # the string keys take strings only (TestConfig covers each of them)
+            ('{"run.model": 7}', "run.model"),
+            # a repeated entry would simulate a cell twice and write its rows twice
+            ('{"run.seeds": [3, 3]}', "run.seeds"),
+            ('{"compare.seeds": [0, 0]}', "compare.seeds"),
+            ('{"compare.microbatch_grid": [16, 32, 16]}', "compare.microbatch_grid"),
+            ('{"compare.models": ["llama3-8b-like", "llama3-8b-like"]}', "compare.models"),
+            ('{"compare.schedules": ["1f1b", "1f1b"]}', "compare.schedules"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):
@@ -580,6 +610,23 @@ class TestMain:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+
+    def test_rsa_k_is_capped_on_a_dense_topology(self, tmp_path, capsys):
+        # a complete graph of 11 nodes has about 10^6 simple paths per pair:
+        # the cap runs fast, while a run with k = 10^6 did not end in 30 s
+        names = [f"N{i}" for i in range(11)]
+        topo = tmp_path / "k11.json"
+        topo.write_text(json.dumps({"nodes": names, "links": [
+            {"a": a, "b": b, "length_km": 100} for a, b in itertools.combinations(names, 2)]}))
+        cfg = tmp_path / "cfg.json"
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path)]
+        base = {**SMALL, "topology.path": str(topo), "placement.dc_nodes": names}
+        for k in (cli.MAX_K + 1, 10**6):
+            cfg.write_text(json.dumps({**base, "rsa.k": k}))
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err.startswith("config error: rsa.k: ")
+        cfg.write_text(json.dumps({**base, "rsa.k": cli.MAX_K}))
+        assert cli.main(argv) == 0
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Layering rules of the production modules, checked on their source with ``ast``.
 
-* The simulation core (selection, engine, orchestrator, latency model and
-  workload), the harness and the seeded draws work on Python ints and lists;
-  numpy stays in the reference layer and in the network's array helpers,
-  which import it on first use.  ``optpipe run`` and ``optpipe compare``
-  never load numpy, and a serial ``compare`` never loads the process pool.
+* The package has no runtime dependency: every module but the reference
+  layer, ``validate.py``, works on Python ints, lists and tuples, and a new
+  module is held to that by default.  numpy stays in ``validate`` (the
+  ``validate`` extra), and ``optpipe validate`` without it exits 2 naming
+  ``optpipe[validate]``.  ``optpipe run`` and ``optpipe compare`` never load
+  numpy, and a serial ``compare`` never loads the process pool.
 * No module imports networkx: the routes are plain Python in ``topology``,
   and networkx is a test-only reference.
 * ``Network`` state, routes and the background stream included, is read
@@ -40,7 +41,7 @@ from optpipe import cli, engine, topology
 SRC = pathlib.Path(topology.__file__).parent
 README = pathlib.Path(__file__).parent.parent / "README.md"
 TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
-NUMPY_FREE = ("rsa.py", "engine.py", "cba.py", "latency.py", "workload.py", "cli.py", "rng.py")
+NUMPY_FREE = tuple(path.name for path in sorted(SRC.glob("*.py")) if path.name != "validate.py")
 # modules that neither importing the CLI nor a serial run may load
 RUN_UNLOADED = ("numpy", "networkx", "concurrent.futures.process")
 
@@ -91,16 +92,20 @@ def test_no_module_imports_networkx():
     assert hits == []
 
 
+def _python(code: str, check: bool = True) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports this checkout's optpipe."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=check,
+                          capture_output=True, text=True)
+
+
 def _loaded_after(code: str) -> list[str]:
     """The ``RUN_UNLOADED`` modules in ``sys.modules`` after ``code`` runs in a
     fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     probe = (f"import sys\n{code}\nprint(sorted(m for m in sys.modules "
              f"if m.split('.')[0] in {RUN_UNLOADED!r} or m in {RUN_UNLOADED!r}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return ast.literal_eval(out.strip().splitlines()[-1])
+    return ast.literal_eval(_python(probe).stdout.strip().splitlines()[-1])
 
 
 def test_cli_import_leaves_networkx_unloaded():
@@ -121,6 +126,14 @@ def test_run_and_compare_never_load_numpy(tmp_path):
                 f"'--out', {str(tmp_path)!r}]) == 0")
         assert _loaded_after(code) == []
     assert (tmp_path / "run.csv").exists() and (tmp_path / "compare.csv").exists()
+
+
+def test_validate_without_numpy_exits_two_naming_the_extra():
+    # None in sys.modules makes every import of numpy fail, as if it were absent
+    proc = _python("import sys\nsys.modules['numpy'] = None\nfrom optpipe import cli\n"
+                   "sys.exit(cli.main(['validate']))", check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "optpipe[validate]" in proc.stderr
 
 
 def _network_private_names() -> set[str]:

@@ -23,8 +23,8 @@ from optpipe.topology import (
 )
 
 
-def bits(s: str) -> np.ndarray:
-    return np.array([int(c) for c in s], dtype=np.uint8)
+def bits(s: str) -> list[int]:
+    return [int(c) for c in s]
 
 
 def occupy(net: Network, a: str, b: str, block: tuple[int, int], owner: str) -> None:
