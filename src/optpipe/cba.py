@@ -35,7 +35,7 @@ from .engine import (
     bubble_ratio,
     simulate_iteration,
 )
-from .latency import EgressState, LatencyParams
+from .latency import LatencyParams
 from .topology import Network, audit_occupancy
 from .workload import Stage, Task
 
@@ -239,8 +239,7 @@ def orchestrate(
                 results.append(replace(first, iteration=it, reused_from=first.iteration))
                 continue
         timeline = simulate_iteration(
-            net, stages, tasks, policy, params,
-            egress=EgressState(), demand=demand, msg_bits=msg_bits,
+            net, stages, tasks, policy, params, demand=demand, msg_bits=msg_bits,
         )
         labels = label_cb_tasks(timeline, tasks, config.epsilon_bubble_s)
         audit_occupancy(net)

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Sequence
 
 from . import cba, engine, rsa, topology, workload
@@ -62,6 +62,12 @@ MAX_JOBS = 64
 # Prewarmed start states one process keeps (see prewarmed_start): compare
 # dispatches the cells of one size seed by seed, so a worker needs one or two.
 START_STATES = 4
+# The keys behind each term of an event time (see engine.TimeOverflowError).
+_TIME_KEYS = {
+    "compute": ["model.fwd_time_per_layer_s", "model.bwd_time_per_layer_s"],
+    "transfer": [f"latency.{p.name}" for p in fields(LatencyParams)] + ["engine.fallback_penalty"],
+    "retry": ["engine.retry_backoff_s"],
+}
 
 RESULT_COLUMNS = [
     "policy", "model", "schedule", "microbatches", "seed", "iteration",
@@ -309,9 +315,12 @@ class RunConfig:
                         f"{key}: model {model!r} is not a preset "
                         f"{workload.profile_presets()} or 'custom'"
                     )
-        if f["run.model"] == "custom" or "custom" in f["compare.models"]:
-            for key in ("model.n_layers", "model.fwd_time_per_layer_s",
-                        "model.bwd_time_per_layer_s", "model.msg_bytes_per_microbatch"):
+        custom = f["run.model"] == "custom" or "custom" in f["compare.models"]
+        for key in ("model.n_layers", "model.fwd_time_per_layer_s",
+                    "model.bwd_time_per_layer_s", "model.msg_bytes_per_microbatch"):
+            require(custom or f[key] is None, key,
+                    "has no effect unless run.model or compare.models names custom")
+            if custom:
                 require(f[key] is not None, key, "required for the custom model")
                 require(f[key] > 0, key, "must be positive")
         require(f["jobs"] is None or 1 <= f["jobs"] <= MAX_JOBS, "jobs",
@@ -924,6 +933,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the estimate behind the config check assumes zero-latency iterations
         print(f"config error: bg.arrival_rate_per_s: {exc}; slow links or long retry "
               "backoffs stretch a run far past the expected arrivals", file=sys.stderr)
+        return 1
+    except engine.TimeOverflowError as exc:
+        print(f"config error: {', '.join(_TIME_KEYS[exc.args[0]])}: a {exc.args[0]} time "
+              "overflowed the simulated clock", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ datacenter bypass the optical network.
 
 Event ordering is total and deterministic: (time, stage, task creation
 index, push sequence).  Given identical seeds and configuration, timelines
-serialize identically byte for byte.
+serialize identically byte for byte.  An event time that is not finite
+stops the run with ``TimeOverflowError``.
 
 Each iteration starts by rebasing the network clock to zero, so timeline
 records need no rewrite and every iteration runs with the same arithmetic;
@@ -25,10 +26,11 @@ background allocations and the arrival stream shift with the clock and carry
 over between iterations.
 
 The demand map comes from the caller (``cba.plan_requests`` sizes CBA's
-requests); the engine only reads it.  The selectors (``rsa.select_*``) and
-the network operations (``advance_network``, ``allocate_spectrum``) are looked
-up by name on every call and never bound ahead of it, so a wrapper that is
-installed on the module namespaces (a tracer, a test spy) sees every call.
+requests); the engine only reads it.  ``select`` is the one map from a policy
+to its selector.  The selectors (``rsa.select_*``) and the network operations
+(``advance_network``, ``allocate_spectrum``) are looked up by name on every
+call and never bound ahead of it, so a wrapper that is installed on the module
+namespaces (a tracer, a test spy) sees every call.
 
 The spectrum audit has one set of checks and two readers: ``audit_transfers``
 reads a timeline's transfer records, and ``audit_event_log`` parses the XFER
@@ -80,6 +82,16 @@ class PolicyConfig:
             raise ValueError("retry settings must be nonnegative")
         if self.fallback_penalty < 1:
             raise ValueError("fallback_penalty must be >= 1")
+
+
+def select(net: Network, src: str, dst: str, width: int, policy: PolicyConfig,
+           params: LatencyParams) -> rsa.SelectionResult:
+    """The route and block that ``policy.selector`` picks: the one policy dispatch."""
+    if policy.selector == "cba":
+        return rsa.select_cba(net, src, dst, width, policy.k, policy.ci_mode)
+    if policy.selector == "ksp_ff":
+        return rsa.select_ksp_ff(net, src, dst, width, policy.k)
+    return rsa.select_sd_ff(net, src, dst, width, policy.k, params)
 
 
 @dataclass(slots=True)
@@ -176,6 +188,11 @@ class _Request:
 # Event kinds.  They never decide the order: the heap orders events by
 # (time, stage, task id, push sequence), and the sequence is unique.
 _FINISH, _ARRIVAL, _RETRY = 0, 1, 2
+_TERMS = ("compute", "transfer", "retry")  # the term each kind's time adds
+
+
+class TimeOverflowError(ArithmeticError):
+    """An event time is not finite; the argument names the term that overflowed it."""
 
 
 class _Sim:
@@ -186,14 +203,13 @@ class _Sim:
         tasks: Sequence[Task],
         policy: PolicyConfig,
         params: LatencyParams,
-        egress: EgressState,
         demand: dict[int, int],
         msg_bits: float,
     ):
         self.net = net
         self.policy = policy
         self.params = params
-        self.egress = egress
+        self.egress = EgressState()
         self.msg_bits = msg_bits
         self.tasks = tasks
         self.stage_dc = {s.stage_id: s.dc_node for s in stages}
@@ -222,6 +238,8 @@ class _Sim:
         self.req_counter = 0
 
     def push(self, time: float, task: Task, kind: int, req: _Request | None = None) -> None:
+        if not math.isfinite(time):
+            raise TimeOverflowError(_TERMS[kind])
         heapq.heappush(self.heap, (time, task.stage_id, task.id, next(self.seq), kind, req))
 
     def run(self) -> Timeline:
@@ -312,12 +330,7 @@ class _Sim:
         req.attempts += 1
         n_fs = max(req.demand - attempt, 1)
         p = self.policy
-        if p.selector == "cba":
-            sel = rsa.select_cba(self.net, req.src, req.dst, n_fs, p.k, p.ci_mode)
-        elif p.selector == "ksp_ff":
-            sel = rsa.select_ksp_ff(self.net, req.src, req.dst, n_fs, p.k)
-        else:
-            sel = rsa.select_sd_ff(self.net, req.src, req.dst, n_fs, p.k, self.params)
+        sel = select(self.net, req.src, req.dst, n_fs, p, self.params)
         bits = self.msg_bits
         stage = req.producer.stage_id
 
@@ -327,7 +340,8 @@ class _Sim:
             pen = self.egress.pending(stage, now)
             dt = transfer_time(self.params, path, n_fs, bits, pen)
             complete = now + dt
-            if dt > 0.0:
+            # a transfer too short to move the clock holds no spectrum
+            if complete > now:
                 allocate_spectrum(
                     self.net, path.links, (block.f_start, block.f_end),
                     f"tx-{req.request_id}", complete,
@@ -377,7 +391,6 @@ def simulate_iteration(
     tasks: Sequence[Task],
     policy: PolicyConfig,
     params: LatencyParams,
-    egress: EgressState | None = None,
     demand: dict[int, int] | None = None,
     msg_bits: float = 0.0,
 ) -> Timeline:
@@ -393,11 +406,7 @@ def simulate_iteration(
     drawing arrivals.  Every training allocation is released by the time
     this returns.
     """
-    sim = _Sim(
-        net, stages, tasks, policy, params,
-        egress if egress is not None else EgressState(),
-        demand or {}, msg_bits,
-    )
+    sim = _Sim(net, stages, tasks, policy, params, demand or {}, msg_bits)
     net.rebase(net.now)
     return sim.run()
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .latency import LatencyParams
-from .topology import CandidatePath, Network, free_run_starts, lowest_bit
+from .topology import CandidatePath, Network, free_run_starts, lowest_bit, path_bits
 
 
 class CiMode(enum.Enum):
@@ -90,7 +90,8 @@ class SelectionResult:
     """Outcome of one route-and-spectrum selection.
 
     ``path``/``block`` are None when every candidate was infeasible
-    (a blocking event); ``fitness`` is the winning path's score.
+    (a blocking event); ``fitness`` is CBA's gamma of the winning path, 0.0
+    when blocked and for the first-fit selectors, which score no path.
     """
 
     path: CandidatePath | None
@@ -113,7 +114,7 @@ def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> list[Candidate
 
 
 # ----------------------------------------------------------------------
-# path scoring (shared by fitness and the selectors)
+# path scoring (fitness and CBA)
 
 
 def _rises(agg: int, fs_total: int) -> int:
@@ -216,10 +217,10 @@ def _first_fit_over(
     F = net.fs_total
     for examined, i in enumerate(order, start=1):
         path = paths[i]
-        gamma, _, starts = _score(path, width, _WINDOW, F)
+        starts = free_run_starts(path_bits(path.links), width, F)
         if starts:
             f0 = lowest_bit(starts)
-            return SelectionResult(path, CandidateBlock(f0, f0 + width - 1), gamma, examined)
+            return SelectionResult(path, CandidateBlock(f0, f0 + width - 1), 0.0, examined)
     return SelectionResult(None, None, 0.0, len(paths))
 
 

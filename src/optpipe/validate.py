@@ -5,8 +5,10 @@ written the slow, obvious way: closed-form pipeline algebra, exhaustive
 path/block enumeration, direct transition-count loops, and log replay.
 A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
-The test suite imports the same ``ref_*`` functions, ``random_instance``,
-``bit_positions`` and ``one_link_exhaustive``; there is no second copy.  The
+Each randomized brute-force loop lives here once, with its seed and size as
+parameters; the test suite calls the same checks and imports the same
+``ref_*`` functions, ``random_instance``, ``bit_positions`` and
+``one_link_exhaustive``.  Selection is checked through ``engine.select``.  The
 free-block reference is one slot-by-slot loop, ``ref_free_starts``, over the
 plain slot tuples of ``Link.occupancy``.
 
@@ -252,20 +254,21 @@ def orchestrate_mismatch(got: list[cba.IterationResult],
 # checks
 
 
-def check_bubble_closed_form() -> tuple[bool, str]:
+def check_bubble_closed_form(ms: Sequence[int] = (8, 16, 32)) -> tuple[bool, str]:
+    """GPipe over eight stages in one datacenter without communication: the
+    bubble ratio at each microbatch count in ``ms`` is (p-1)/(m+p-1)."""
     p = 8
+    profile = workload.build_profile(
+        "uniform", n_layers=p, fwd_time_per_layer_s=2e-3,
+        bwd_time_per_layer_s=4e-3, msg_bytes_per_microbatch=1,
+    )
+    stages = workload.partition_stages(profile, p, ["WA"] * p)
+    params = LatencyParams(intra_dc_latency_s=0.0)
     worst = 0.0
-    for m in (8, 16, 32):
-        profile = workload.build_profile(
-            "uniform", n_layers=p, fwd_time_per_layer_s=2e-3,
-            bwd_time_per_layer_s=4e-3, msg_bytes_per_microbatch=1,
-        )
-        stages = workload.partition_stages(profile, p, ["WA"] * p)
+    for m in ms:
         tasks = workload.build_schedule(workload.ScheduleKind.GPIPE, stages, m)
-        net = topology.load_nsfnet()
-        params = LatencyParams(intra_dc_latency_s=0.0)
         tl = engine.simulate_iteration(
-            net, stages, tasks, engine.PolicyConfig(), params, msg_bits=0.0,
+            topology.load_nsfnet(), stages, tasks, engine.PolicyConfig(), params, msg_bits=0.0,
         )
         expected = (p - 1) / (m + p - 1)
         worst = max(worst, abs(engine.bubble_ratio(tl, p) - expected))
@@ -313,44 +316,42 @@ def check_ci_reference() -> tuple[bool, str]:
                   "equal the reference")
 
 
-def check_selection_bruteforce(n_instances: int = 200) -> tuple[bool, str]:
-    rng = np.random.default_rng(7)
+def _random_pair(rng: np.random.Generator) -> tuple[topology.Network, str, str]:
+    """A ``random_instance`` and two distinct nodes of it."""
+    net = random_instance(rng)
+    i, j = rng.choice(len(net.nodes), size=2, replace=False)
+    return net, net.nodes[int(i)], net.nodes[int(j)]
+
+
+def check_selection_bruteforce(n_instances: int = 200, seed: int = 7) -> tuple[bool, str]:
+    """Every selector through ``engine.select`` against ``ref_select``: the
+    path, the start slot and CBA's gamma (0.0 for first fit and when blocked)."""
+    rng = np.random.default_rng(seed)
     params = LatencyParams()
     for i in range(n_instances):
-        net = random_instance(rng)
-        names = net.nodes
-        src, dst = rng.choice(len(names), size=2, replace=False)
-        src, dst = names[int(src)], names[int(dst)]
+        net, src, dst = _random_pair(rng)
         width = int(rng.integers(1, 4))
         k = int(rng.choice([1, 2, 3, 8]))
         mode = rsa.CiMode(["literal", "window", "global"][int(rng.integers(0, 3))])
         for selector in engine.SELECTORS:
-            if selector == "cba":
-                got = rsa.select_cba(net, src, dst, width, k, mode)
-            elif selector == "ksp_ff":
-                got = rsa.select_ksp_ff(net, src, dst, width, k)
-            else:
-                got = rsa.select_sd_ff(net, src, dst, width, k, params)
-            want_nodes, want_start, _ = ref_select(net, src, dst, width, k, mode,
-                                                   selector, params)
-            got_nodes = got.path.nodes if got.path else None
-            got_start = got.block.f_start if got.block else None
-            if (got_nodes, got_start) != (want_nodes, want_start):
-                return False, (
-                    f"instance {i} {selector}: got {got_nodes}/{got_start}, "
-                    f"want {want_nodes}/{want_start}"
-                )
-    return True, f"{n_instances} random instances, 3 selectors each"
+            policy = engine.PolicyConfig(selector=selector, k=k, ci_mode=mode)
+            sel = engine.select(net, src, dst, width, policy, params)
+            got = (sel.path.nodes if sel.path else None,
+                   sel.block.f_start if sel.block else None, sel.fitness)
+            want_nodes, want_start, want_gamma = ref_select(net, src, dst, width, k, mode,
+                                                            selector, params)
+            if got != (want_nodes, want_start, want_gamma or 0.0):
+                return False, (f"instance {i} {selector}: got {got}, "
+                               f"want {(want_nodes, want_start, want_gamma)}")
+    return True, f"{n_instances} random instances, {len(engine.SELECTORS)} selectors each"
 
 
-def check_ksp_bruteforce(n_instances: int = 100) -> tuple[bool, str]:
-    rng = np.random.default_rng(11)
+def check_ksp_bruteforce(n_instances: int = 100, seed: int = 11,
+                         ks: Sequence[int] = (1, 2, 3, 10)) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
     for i in range(n_instances):
-        net = random_instance(rng)
-        names = net.nodes
-        src, dst = rng.choice(len(names), size=2, replace=False)
-        src, dst = names[int(src)], names[int(dst)]
-        k = int(rng.choice([1, 2, 3, 10]))
+        net, src, dst = _random_pair(rng)
+        k = int(rng.choice(ks))
         got = [p.nodes for p in rsa.k_shortest_paths(net, src, dst, k)]
         every = ref_simple_paths(net, src, dst)
         if got != every[:k]:
@@ -368,13 +369,10 @@ def check_ksp_bruteforce(n_instances: int = 100) -> tuple[bool, str]:
     return True, f"{n_instances} random instances, candidates and background route"
 
 
-def check_first_fit_lowest_block(n_instances: int = 100) -> tuple[bool, str]:
-    rng = np.random.default_rng(13)
+def check_first_fit_lowest_block(n_instances: int = 100, seed: int = 13) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
     for i in range(n_instances):
-        net = random_instance(rng)
-        names = net.nodes
-        src, dst = rng.choice(len(names), size=2, replace=False)
-        src, dst = names[int(src)], names[int(dst)]
+        net, src, dst = _random_pair(rng)
         width = int(rng.integers(1, 4))
         sel = rsa.select_ksp_ff(net, src, dst, width, 3)
         if sel.blocked:

@@ -13,13 +13,12 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from optpipe import cli, validate
-from optpipe.engine import PolicyConfig, bubble_ratio, simulate_iteration
+from optpipe.engine import SELECTORS, PolicyConfig, simulate_iteration
 from optpipe.latency import LatencyParams
-from optpipe.rsa import CiMode, select_cba, select_ksp_ff, select_sd_ff
+from optpipe.rsa import CiMode
 from optpipe.topology import load_nsfnet
 from optpipe.workload import ScheduleKind, build_profile, build_schedule, partition_stages
 
@@ -43,25 +42,11 @@ def mean(vals) -> float:
 
 @pytest.mark.parametrize("m", [16, 32, 64, 128])
 def test_1_analytic_bubble_oracle(m):
-    p = 8
     t0 = time.time()
-    profile = build_profile(
-        "uniform", n_layers=p, fwd_time_per_layer_s=2e-3, bwd_time_per_layer_s=4e-3,
-        msg_bytes_per_microbatch=1,
-    )
-    stages = partition_stages(profile, p, ["WA"] * p)
-    tasks = build_schedule(ScheduleKind.GPIPE, stages, m)
-    net = load_nsfnet()
-    tl = simulate_iteration(
-        net, stages, tasks, PolicyConfig(),
-        LatencyParams(intra_dc_latency_s=0.0), msg_bits=0.0,
-    )
-    got = bubble_ratio(tl, p)
-    want = (p - 1) / (m + p - 1)
+    ok, detail = validate.check_bubble_closed_form([m])
     elapsed = time.time() - t0
-    ok = abs(got - want) < 1e-9 and elapsed < 1.0
-    report(1, f"analytic bubble m={m}", ok, f"|{got:.9f} - {want:.9f}|, {elapsed:.2f}s")
-    assert abs(got - want) < 1e-9
+    report(1, f"analytic bubble m={m}", ok and elapsed < 1.0, f"{detail}, {elapsed:.2f}s")
+    assert ok, detail
     assert elapsed < 1.0
 
 
@@ -71,38 +56,13 @@ def test_1_analytic_bubble_oracle(m):
 
 def test_2_bruteforce_rsa_equivalence():
     t0 = time.time()
-    rng = np.random.default_rng(2024)
-    params = LatencyParams()
     n_instances = 1000
-    for i in range(n_instances):
-        net = validate.random_instance(rng)
-        a, b = rng.choice(len(net.nodes), size=2, replace=False)
-        src, dst = net.nodes[int(a)], net.nodes[int(b)]
-        width = int(rng.integers(1, 4))
-        k = int(rng.choice([1, 2, 3, 8]))
-        mode = CiMode(["literal", "window", "global"][int(rng.integers(3))])
-
-        got = select_cba(net, src, dst, width, k, mode)
-        want = validate.ref_select(net, src, dst, width, k, mode, "cba", params)
-        assert (
-            got.path.nodes if got.path else None,
-            got.block.f_start if got.block else None,
-        ) == want[:2], f"instance {i} cba"
-        if not got.blocked:
-            assert got.fitness == want[2], f"instance {i} cba fitness mismatch"
-
-        for name, sel in (
-            ("ksp_ff", select_ksp_ff(net, src, dst, width, k)),
-            ("sd_ff", select_sd_ff(net, src, dst, width, k, params)),
-        ):
-            want = validate.ref_select(net, src, dst, width, k, mode, name, params)
-            assert (
-                sel.path.nodes if sel.path else None,
-                sel.block.f_start if sel.block else None,
-            ) == want[:2], f"instance {i} {name}"
+    ok, detail = validate.check_selection_bruteforce(n_instances, seed=2024)
     elapsed = time.time() - t0
-    report(2, "brute-force RSA equivalence", elapsed < 30,
-           f"{n_instances} instances x 3 selectors, {elapsed:.1f}s")
+    report(2, "brute-force RSA equivalence", ok and elapsed < 30,
+           f"{n_instances} instances x {len(SELECTORS)} selectors, {elapsed:.1f}s"
+           if ok else detail)
+    assert ok, detail
     assert elapsed < 30
 
 

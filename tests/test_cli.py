@@ -95,9 +95,14 @@ class TestConfig:
             RunConfig.from_flat({key: value})
 
     def test_integral_floats_are_accepted_for_int_keys(self):
-        cfg = RunConfig.from_flat({"rsa.k": 4.0, "model.n_layers": 32.0})
+        cfg = RunConfig.from_flat({"rsa.k": 4.0, "run.model": "custom", "model.n_layers": 32.0,
+                                   "model.fwd_time_per_layer_s": 1e-3,
+                                   "model.bwd_time_per_layer_s": 2e-3,
+                                   "model.msg_bytes_per_microbatch": 8.0})
         assert cfg["rsa.k"] == 4 and isinstance(cfg["rsa.k"], int)
         assert cfg["model.n_layers"] == 32 and isinstance(cfg["model.n_layers"], int)
+        assert cfg["model.msg_bytes_per_microbatch"] == 8
+        assert isinstance(cfg["model.msg_bytes_per_microbatch"], int)
 
     def test_loaded_preset_prewarm_default(self):
         cfg = RunConfig.from_flat({"bg.preset": "loaded"})
@@ -484,6 +489,12 @@ class TestWorkerPool:
         assert pools == []
 
 
+# a custom model whose compute times come near the float range
+HUGE_MODEL = {"run.microbatches": 2, "cba.n_iterations": 2, "run.model": "custom",
+              "model.n_layers": 32, "model.fwd_time_per_layer_s": 1e300,
+              "model.bwd_time_per_layer_s": 1e300, "model.msg_bytes_per_microbatch": 8}
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -571,6 +582,12 @@ class TestMain:
             ('{"run.model": "custom", "model.n_layers": 0, "model.fwd_time_per_layer_s": 1e-3,'
              ' "model.bwd_time_per_layer_s": 2e-3, "model.msg_bytes_per_microbatch": 8}',
              "model.n_layers"),
+            # the model keys describe the custom model alone
+            ('{"model.n_layers": 5}', "model.n_layers"),
+            ('{"model.fwd_time_per_layer_s": 1e-3}', "model.fwd_time_per_layer_s"),
+            ('{"model.bwd_time_per_layer_s": 2e-3}', "model.bwd_time_per_layer_s"),
+            ('{"compare.models": ["llama3-8b-like"], "model.msg_bytes_per_microbatch": 8}',
+             "model.msg_bytes_per_microbatch"),
             # work caps without background: tasks per policy run, cells per command
             ('{"cba.n_iterations": 100000000, "run.microbatches": 2}', "cba.n_iterations"),
             ('{"cba.n_iterations": 1000}', "cba.n_iterations"),
@@ -596,6 +613,14 @@ class TestMain:
             ('{"compare.models": ["llama3-8b-like", "gpt"]}', "compare.models"),
             # the string keys take strings only (TestConfig covers each of them)
             ('{"run.model": 7}', "run.model"),
+            # an event time past the float range names the keys of its term
+            ('{"run.microbatches": 2, "cba.n_iterations": 2, "latency.fs_rate_bps": 1e-300}',
+             "latency.fs_rate_bps"),
+            ('{"run.microbatches": 2, "cba.n_iterations": 2, "latency.prop_s_per_km": 1e308}',
+             "latency.prop_s_per_km"),
+            (json.dumps({**HUGE_MODEL, "model.fwd_time_per_layer_s": 1e307,
+                         "model.bwd_time_per_layer_s": 1e307}),
+             "model.fwd_time_per_layer_s"),
             # a repeated entry would simulate a cell twice and write its rows twice
             ('{"run.seeds": [3, 3]}', "run.seeds"),
             ('{"compare.seeds": [0, 0]}', "compare.seeds"),
@@ -610,6 +635,12 @@ class TestMain:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+
+    def test_transfer_too_short_to_move_a_huge_clock_runs(self, tmp_path):
+        # at 10^300 s per layer, now + transfer time == now: no spectrum is held
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(HUGE_MODEL))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_rsa_k_is_capped_on_a_dense_topology(self, tmp_path, capsys):
         # a complete graph of 11 nodes has about 10^6 simple paths per pair:

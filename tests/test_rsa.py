@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,14 +46,8 @@ class TestKShortestPaths:
             k_shortest_paths(triangle, "A", "A", 2)
 
     def test_matches_bruteforce_on_random_instances(self):
-        rng = np.random.default_rng(17)
-        for _ in range(150):
-            net = validate.random_instance(rng)
-            i, j = rng.choice(len(net.nodes), size=2, replace=False)
-            src, dst = net.nodes[int(i)], net.nodes[int(j)]
-            k = int(rng.choice([1, 2, 3, 12]))
-            got = [p.nodes for p in k_shortest_paths(net, src, dst, k)]
-            assert got == validate.ref_simple_paths(net, src, dst)[:k]
+        ok, detail = validate.check_ksp_bruteforce(150, seed=17, ks=(1, 2, 3, 12))
+        assert ok, detail
 
     def test_lengths_are_sums_of_member_links(self, nsfnet):
         for p in k_shortest_paths(nsfnet, "WA", "DC", 5):
@@ -300,47 +293,11 @@ class TestSelectors:
         assert [link.bits for link in nsfnet.links] == before
 
     def test_first_fit_never_skips_lower_block(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            net = validate.random_instance(rng)
-            i, j = rng.choice(len(net.nodes), size=2, replace=False)
-            src, dst = net.nodes[int(i)], net.nodes[int(j)]
-            width = int(rng.integers(1, 4))
-            sel = select_ksp_ff(net, src, dst, width, 3)
-            if sel.blocked:
-                continue
-            starts = validate.ref_blocks(net, sel.path.nodes, width)
-            assert sel.block.f_start == starts[0]
+        ok, detail = validate.check_first_fit_lowest_block(100, seed=23)
+        assert ok, detail
 
 
 class TestBruteForceEquivalence:
     def test_selectors_match_oracle_on_random_instances(self):
-        rng = np.random.default_rng(99)
-        params = LatencyParams()
-        for i in range(300):
-            net = validate.random_instance(rng)
-            a, b = rng.choice(len(net.nodes), size=2, replace=False)
-            src, dst = net.nodes[int(a)], net.nodes[int(b)]
-            width = int(rng.integers(1, 4))
-            k = int(rng.choice([1, 2, 3, 8]))
-            mode = CiMode(["literal", "window", "global"][int(rng.integers(3))])
-
-            got = select_cba(net, src, dst, width, k, mode)
-            want = validate.ref_select(net, src, dst, width, k, mode, "cba", params)
-            assert (
-                got.path.nodes if got.path else None,
-                got.block.f_start if got.block else None,
-            ) == want[:2], f"instance {i} cba"
-            if not got.blocked:
-                assert got.fitness == want[2], f"instance {i} cba fitness"
-
-            for name, sel in (
-                ("ksp_ff", select_ksp_ff(net, src, dst, width, k)),
-                ("sd_ff", select_sd_ff(net, src, dst, width, k, params)),
-            ):
-                want = validate.ref_select(net, src, dst, width, k, mode, name, params)
-                assert (
-                    sel.path.nodes if sel.path else None,
-                    sel.block.f_start if sel.block else None,
-                ) == want[:2], f"instance {i} {name}"
-
+        ok, detail = validate.check_selection_bruteforce(300, seed=99)
+        assert ok, detail
