@@ -9,7 +9,6 @@ from .cba import (
     plan_requests,
 )
 from .engine import (
-    BlockingEvent,
     PolicyConfig,
     Timeline,
     blocking_probability,
@@ -23,8 +22,6 @@ from .rsa import (
     CiMode,
     SelectionResult,
     fitness,
-    k_shortest_paths,
-    sd_ff_order,
     select_cba,
     select_ksp_ff,
     select_sd_ff,

@@ -4,7 +4,10 @@ After every iteration the previous timeline is inspected: a task is labeled
 communication-bound (CB) when its stage sat idle before it started (the gap
 to its intra-stage predecessor exceeds epsilon) and the prerequisite that
 actually gated its start was a cross-datacenter message.  Tasks whose
-outgoing transfer blocked are flagged separately.
+outgoing transfer blocked are flagged separately.  Both labels read the
+timeline alone: its tasks' start and finish times, and its transfer records
+(a consumer whose incoming record is not ``intra`` has a cross-DC input;
+``TransferRecord.blocked`` marks a request whose first attempt blocked).
 
 The labels drive next iteration's slot sizing, and this module alone sizes
 requests: ``plan_requests`` turns them into a demand map, consumer task ->
@@ -68,34 +71,27 @@ class OrchestratorConfig:
             raise ValueError("epsilon_bubble_s must be nonnegative")
 
 
-def label_cb_tasks(
-    timeline: Timeline, tasks: Sequence[Task], epsilon_bubble_s: float = 1e-6
-) -> LabelSet:
+def label_cb_tasks(timeline: Timeline, epsilon_bubble_s: float = 1e-6) -> LabelSet:
     """Label tasks whose start was delayed by a cross-DC message arrival.
 
-    All tasks start unlabeled.  Walking each stage in executed order, the
-    current task is CB iff the stage idled for more than epsilon after its
-    predecessor finished and the latest-arriving prerequisite was a cross-DC
-    message.  A stage's first task (no predecessor) and tasks without a
-    cross-DC input are never CB.
+    All tasks start unlabeled.  A task is CB iff the stage idled for more
+    than epsilon after its intra-stage predecessor finished and the
+    latest-arriving prerequisite was a cross-DC message, that is, its
+    incoming transfer record is not ``intra``.  A stage's first task (no
+    predecessor) and tasks without a cross-DC input are never CB.  The
+    producer of every request whose first attempt blocked is flagged.
     """
-    if len(timeline.tasks) != len(tasks):
-        raise ValueError("timeline does not match the task list")
     labels = LabelSet(iteration_blocking_prob=blocking_probability(timeline))
-    for task in tasks:
-        rec = timeline.tasks[task.id]
-        if rec.task_id != task.id:
-            raise ValueError("timeline does not match the task list")
-        if task.chain_pred is None or task.msg_pred is None:
+    tasks, start, finish = timeline.tasks, timeline.start, timeline.finish
+    for x in timeline.transfers:
+        if x.kind == "intra":
             continue
-        if not rec.msg_cross_dc:
-            continue
-        prev_finish = timeline.tasks[task.chain_pred].finish_time
-        if rec.start_time > prev_finish + epsilon_bubble_s:
+        if x.blocked:
+            labels.blocked_tasks.add(x.task_id)
+        pred = tasks[x.consumer_id].chain_pred
+        if pred is not None and start[x.consumer_id] > finish[pred] + epsilon_bubble_s:
             # gap implies the message arrival, not the predecessor, gated the start
-            labels.cb_tasks.add(task.id)
-    for ev in timeline.blocking_events:
-        labels.blocked_tasks.add(ev.task_id)
+            labels.cb_tasks.add(x.consumer_id)
     return labels
 
 
@@ -138,7 +134,8 @@ def plan_requests(
         if task.msg_pred in labels.blocked_tasks:
             n = policy.base_fs // 2
         elif task.id in labels.cb_tasks:
-            n = int(policy.base_fs * boost + 0.5)  # positive: truncation rounds half up
+            # positive: truncation rounds half up; capped first, so no product overflows
+            n = int(min(policy.base_fs * boost + 0.5, policy.fs_max))
         else:
             continue
         demand[task.id] = max(1, min(n, policy.fs_max))
@@ -146,26 +143,23 @@ def plan_requests(
 
 
 def verify_label_soundness(
-    timeline: Timeline,
-    tasks: Sequence[Task],
-    labels: LabelSet,
-    epsilon_bubble_s: float = 1e-6,
+    timeline: Timeline, labels: LabelSet, epsilon_bubble_s: float = 1e-6
 ) -> int:
-    """Assert every CB label directly against the timeline records.
+    """Assert every CB label directly against the timeline.
 
     Each labeled task must show a measured intra-stage idle gap above epsilon
     and a cross-DC binding input.  Returns the number of labels checked;
     raises RuntimeError on the first unsound label.
     """
+    cross_dc = {x.consumer_id for x in timeline.transfers if x.kind != "intra"}
     for tid in sorted(labels.cb_tasks):
-        task = tasks[tid]
-        rec = timeline.tasks[tid]
+        task = timeline.tasks[tid]
         if task.chain_pred is None or task.msg_pred is None:
             raise RuntimeError(f"task {tid} labeled CB without an eligible dependency pair")
-        gap = rec.start_time - timeline.tasks[task.chain_pred].finish_time
+        gap = timeline.start[tid] - timeline.finish[task.chain_pred]
         if gap <= epsilon_bubble_s:
             raise RuntimeError(f"task {tid} labeled CB with idle gap {gap} <= epsilon")
-        if not rec.msg_cross_dc:
+        if tid not in cross_dc:
             raise RuntimeError(f"task {tid} labeled CB without a cross-DC input")
     return len(labels.cb_tasks)
 
@@ -241,12 +235,12 @@ def orchestrate(
         timeline = simulate_iteration(
             net, stages, tasks, policy, params, demand=demand, msg_bits=msg_bits,
         )
-        labels = label_cb_tasks(timeline, tasks, config.epsilon_bubble_s)
+        labels = label_cb_tasks(timeline, config.epsilon_bubble_s)
         audit_occupancy(net)
         result = IterationResult(
             iteration=it,
             runtime_s=timeline.iteration_makespan,
-            bubble_ratio=bubble_ratio(timeline, len(stages)),
+            bubble_ratio=bubble_ratio(timeline),
             requests=timeline.cross_dc_requests,
             blocked=timeline.blocked_requests,
             blocking_prob=blocking_probability(timeline),

@@ -323,6 +323,11 @@ class RunConfig:
             if custom:
                 require(f[key] is not None, key, "required for the custom model")
                 require(f[key] > 0, key, "must be positive")
+        if custom and 8 * f["model.msg_bytes_per_microbatch"] > sys.float_info.max:
+            # too long to echo back
+            raise ConfigError(
+                f"model.msg_bytes_per_microbatch: must be at most {sys.float_info.max / 8:.4g}, "
+                "so that the message's bits (8x) are a finite float")
         require(f["jobs"] is None or 1 <= f["jobs"] <= MAX_JOBS, "jobs",
                 f"must be in [1, {MAX_JOBS}]")
         if f["bg.preset"] != "off":
@@ -564,7 +569,7 @@ def _routed_pairs(stages: Sequence[workload.Stage],
 def _sd_ff_order_is_ksp_ff(net: topology.Network, pairs: Iterable[tuple[str, str]],
                            k: int, params: LatencyParams) -> bool:
     """True when SD-FF tries every pair's candidates in shortest-path order."""
-    orders = (rsa.sd_ff_order(net, src, dst, k, params) for src, dst in pairs)
+    orders = (net.paths.delay_order(src, dst, k, params) for src, dst in pairs)
     return all(list(order) == sorted(order) for order in orders)
 
 
@@ -651,7 +656,7 @@ def run_cell(
                     lines = []
                     audited += engine.audit_transfers(net, tl.transfers, tl.iteration_makespan)
                 label_checks += cba.verify_label_soundness(
-                    tl, tasks, r.labels, orch.epsilon_bubble_s
+                    tl, r.labels, orch.epsilon_bubble_s
                 )
                 lines_of[id(tl)] = lines
             if collect_events:

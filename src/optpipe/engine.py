@@ -15,6 +15,13 @@ fallback service (single-slot-equivalent time scaled by a penalty factor) so
 the iteration always completes.  Messages between stages in the same
 datacenter bypass the optical network.
 
+The timeline records each decision once: a start and a finish time per
+task (a task starts at the instant its last dependency is met, so its ready
+time is its start) and one ``TransferRecord`` per message.  A request was
+blocked when its first selection attempt failed, which its record shows as
+``retries > 0`` or a ``fallback`` delivery; the blocking counts and the
+log's BLOCK lines are read from the records.
+
 Event ordering is total and deterministic: (time, stage, task creation
 index, push sequence).  Given identical seeds and configuration, timelines
 serialize identically byte for byte.  An event time that is not finite
@@ -95,18 +102,6 @@ def select(net: Network, src: str, dst: str, width: int, policy: PolicyConfig,
 
 
 @dataclass(slots=True)
-class TaskRecord:
-    task_id: int
-    stage_id: int
-    microbatch: int
-    direction: str
-    ready_time: float = math.nan
-    start_time: float = math.nan
-    finish_time: float = math.nan
-    msg_cross_dc: bool = False
-
-
-@dataclass(slots=True)
 class TransferRecord:
     request_id: int
     task_id: int          # producer of the message
@@ -123,24 +118,25 @@ class TransferRecord:
     hold_start: float     # successful attempt (spectrum commit instant)
     complete_time: float
 
-
-@dataclass(slots=True)
-class BlockingEvent:
-    request_id: int
-    task_id: int
-    attempts: int
-    final_outcome: str    # eventually_sent | dropped_never
+    @property
+    def blocked(self) -> bool:
+        """Whether the request's first selection attempt was blocked."""
+        return self.retries > 0 or self.kind == "fallback"
 
 
 @dataclass
 class Timeline:
-    """The executed schedule of one iteration."""
+    """The executed schedule of one iteration.
 
-    tasks: list[TaskRecord]
+    ``tasks`` is the cell's task list, shared and only read; ``start`` and
+    ``finish`` hold each task's times, indexed by task id.
+    """
+
+    tasks: Sequence[Task]
+    start: list[float]
+    finish: list[float]
     transfers: list[TransferRecord]
-    blocking_events: list[BlockingEvent]
     iteration_makespan: float
-    stage_busy: dict[int, float]
 
     @property
     def cross_dc_requests(self) -> int:
@@ -148,15 +144,20 @@ class Timeline:
 
     @property
     def blocked_requests(self) -> int:
-        return len(self.blocking_events)
+        return sum(1 for t in self.transfers if t.blocked)
 
     def event_log_lines(self) -> list[str]:
         """Line-per-event serialization (see README for columns)."""
         lines = []
-        for r in self.tasks:
+        start, finish = self.start, self.finish
+        # the direction strings, read once: an enum's ``value`` is a descriptor call
+        forward = Direction.FORWARD
+        fwd, bwd = forward.value, Direction.BACKWARD.value
+        for t in self.tasks:
+            s = start[t.id]
             lines.append(
-                f"TASK\t{r.task_id}\t{r.stage_id}\t{r.microbatch}\t{r.direction}"
-                f"\t{r.ready_time!r}\t{r.start_time!r}\t{r.finish_time!r}"
+                f"TASK\t{t.id}\t{t.stage_id}\t{t.microbatch}"
+                f"\t{fwd if t.direction is forward else bwd}\t{s!r}\t{s!r}\t{finish[t.id]!r}"
             )
         for x in sorted(self.transfers, key=lambda t: (t.issue_time, t.request_id)):
             path = ">".join(x.path_nodes) if x.path_nodes else "-"
@@ -165,10 +166,9 @@ class Timeline:
                 f"\t{x.kind}\t{x.n_fs}\t{x.f_start}\t{x.f_end}\t{path}\t{x.retries}"
                 f"\t{x.issue_time!r}\t{x.hold_start!r}\t{x.complete_time!r}"
             )
-        for b in sorted(self.blocking_events, key=lambda b: b.request_id):
-            lines.append(
-                f"BLOCK\t{b.request_id}\t{b.task_id}\t{b.attempts}\t{b.final_outcome}"
-            )
+        for x in sorted((t for t in self.transfers if t.blocked), key=lambda t: t.request_id):
+            outcome = "dropped_never" if x.kind == "fallback" else "eventually_sent"
+            lines.append(f"BLOCK\t{x.request_id}\t{x.task_id}\t{x.retries + 1}\t{outcome}")
         return lines
 
 
@@ -182,7 +182,6 @@ class _Request:
     demand: int           # slot demand at first attempt
     issue_time: float
     attempts: int = 0
-    first_blocked: bool = False
 
 
 # Event kinds.  They never decide the order: the heap orders events by
@@ -222,19 +221,13 @@ class _Sim:
         self.demand = demand
         self.base_demand = min(policy.base_fs, policy.fs_max)
 
-        # the direction strings, read once: an enum's ``value`` is a descriptor call
-        forward = Direction.FORWARD
-        fwd, bwd = forward.value, Direction.BACKWARD.value
-        self.records = [
-            TaskRecord(t.id, t.stage_id, t.microbatch, fwd if t.direction is forward else bwd)
-            for t in tasks
-        ]
+        self.start = [math.nan] * len(tasks)
+        self.finish = [math.nan] * len(tasks)
         self.unmet = [(t.chain_pred is not None) + (t.msg_pred is not None) for t in tasks]
 
         self.heap: list[tuple[float, int, int, int, int, _Request | None]] = []
         self.seq = itertools.count()
         self.transfers: list[TransferRecord] = []
-        self.blocking: list[BlockingEvent] = []
         self.req_counter = 0
 
     def push(self, time: float, task: Task, kind: int, req: _Request | None = None) -> None:
@@ -277,29 +270,18 @@ class _Sim:
                 f"deadlock: {len(tasks) - finished} tasks never became ready "
                 "(cyclic dependencies?)"
             )
-        makespan = max((r.finish_time for r in self.records), default=0.0)
+        makespan = max(self.finish, default=0.0)
         advance_network(self.net, makespan)
         leaked = self.net.active_owners("tx-")
         if leaked:
             raise RuntimeError(f"training allocations leaked past iteration end: {leaked}")
-
-        stage_busy: dict[int, float] = {s: 0.0 for s in self.stage_dc}
-        for t in tasks:
-            stage_busy[t.stage_id] += t.compute_s
-        return Timeline(
-            tasks=self.records,
-            transfers=self.transfers,
-            blocking_events=self.blocking,
-            iteration_makespan=makespan,
-            stage_busy=stage_busy,
-        )
+        return Timeline(tasks, self.start, self.finish, self.transfers, makespan)
 
     # ----------------------------------------------------------------
 
     def _start(self, task: Task, ready: float) -> None:
-        rec = self.records[task.id]
-        rec.ready_time = rec.start_time = ready
-        rec.finish_time = finish = ready + task.compute_s
+        self.start[task.id] = ready
+        self.finish[task.id] = finish = ready + task.compute_s
         self.push(finish, task, _FINISH)
 
     def _issue(self, task: Task, now: float) -> None:
@@ -322,7 +304,6 @@ class _Sim:
     def _deliver(self, consumer: Task, complete: float, record: TransferRecord) -> None:
         self.transfers.append(record)
         self.push(complete, consumer, _ARRIVAL)
-        self.records[consumer.id].msg_cross_dc = record.kind != "intra"
 
     def _attempt(self, req: _Request, now: float) -> None:
         advance_network(self.net, now)
@@ -349,11 +330,6 @@ class _Sim:
             # the sender's transmitter is busy until the last bit is pushed
             # (queue + serialization); propagation happens in flight
             self.egress.occupy(stage, now + pen + bits * beta(self.params, n_fs))
-            if req.first_blocked:
-                self.blocking.append(
-                    BlockingEvent(req.request_id, req.producer.id, req.attempts,
-                                  "eventually_sent")
-                )
             self._deliver(req.consumer, complete, TransferRecord(
                 req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
                 "optical", n_fs, block.f_start, block.f_end,
@@ -361,8 +337,6 @@ class _Sim:
             ))
             return
 
-        if attempt == 0:
-            req.first_blocked = True
         if attempt < p.max_retries:
             self.push(now + p.retry_backoff_s, req.producer, _RETRY, req)
             return
@@ -375,9 +349,6 @@ class _Sim:
         complete = now + dt
         self.egress.occupy(
             stage, now + pen + p.fallback_penalty * bits * beta(self.params, 1),
-        )
-        self.blocking.append(
-            BlockingEvent(req.request_id, req.producer.id, req.attempts, "dropped_never")
         )
         self._deliver(req.consumer, complete, TransferRecord(
             req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
@@ -411,12 +382,19 @@ def simulate_iteration(
     return sim.run()
 
 
-def bubble_ratio(timeline: Timeline, p: int) -> float:
-    """Fraction of stage-time spent idle: 1 - busy / (p * makespan)."""
+def bubble_ratio(timeline: Timeline) -> float:
+    """Fraction of stage-time spent idle: 1 - busy / (p * makespan).
+
+    p is the number of stages the tasks run on.  The busy time is summed per
+    stage, then over the stages in stage order.
+    """
     if timeline.iteration_makespan <= 0.0:
         raise ValueError("empty timeline has no bubble ratio")
-    busy = sum(timeline.stage_busy.values())
-    return 1.0 - busy / (p * timeline.iteration_makespan)
+    per_stage: dict[int, float] = {}
+    for t in timeline.tasks:
+        per_stage[t.stage_id] = per_stage.get(t.stage_id, 0.0) + t.compute_s
+    busy = sum(per_stage[s] for s in sorted(per_stage))
+    return 1.0 - busy / (len(per_stage) * timeline.iteration_makespan)
 
 
 def blocking_probability(timeline: Timeline) -> float:

@@ -104,15 +104,6 @@ class SelectionResult:
         return self.path is None
 
 
-def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> list[CandidatePath]:
-    """Up to k loopless paths sorted by (length_km, hops, node sequence).
-
-    Matches brute-force enumeration of all simple paths under the same key,
-    truncated to k.  Returns an empty list when no path exists.
-    """
-    return list(net.paths.candidates(src, dst, k))
-
-
 # ----------------------------------------------------------------------
 # path scoring (fitness and CBA)
 
@@ -232,22 +223,11 @@ def select_ksp_ff(net: Network, src: str, dst: str, width: int, k: int) -> Selec
     return _first_fit_over(net, paths, range(len(paths)), width)
 
 
-def sd_ff_order(
-    net: Network, src: str, dst: str, k: int, params: LatencyParams
-) -> tuple[int, ...]:
-    """SD-FF's trial order: indices into ``k_shortest_paths`` by propagation delay.
-
-    The delay term is length * per-km delay + hops * per-hop overhead, so the
-    order can differ from pure km order when hop counts differ; see
-    ``PathCatalog.delay_order``.
-    """
-    return net.paths.delay_order(src, dst, k, params)
-
-
 def select_sd_ff(
     net: Network, src: str, dst: str, width: int, k: int, params: LatencyParams
 ) -> SelectionResult:
-    """First-fit over the same candidates in ``sd_ff_order``, lowest slot."""
+    """First-fit over the same candidates by ascending propagation delay
+    (``PathCatalog.delay_order``), lowest slot."""
     if width < 1:
         raise ValueError("width must be >= 1")
     paths = net.paths.candidates(src, dst, k)

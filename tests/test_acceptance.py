@@ -267,7 +267,7 @@ def test_7_labeling_soundness(default_grid, loaded_grid):
         net = load_nsfnet()
         tl = simulate_iteration(net, stages, tasks, PolicyConfig(),
                                 LatencyParams(intra_dc_latency_s=0.0), msg_bits=0.0)
-        labels = label_cb_tasks(tl, tasks)
+        labels = label_cb_tasks(tl)
         empty += len(labels.cb_tasks)
     report(7, "labeling soundness", empty == 0,
            f"{total} CB labels verified in-run; zero-latency labeled {empty}")

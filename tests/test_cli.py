@@ -425,7 +425,8 @@ class TestLeanAudit:
         # the XFER lines of the full log, byte for byte
         assert len(audited) == len(self.POLICIES) * self.CFG["cba.n_iterations"]
         xfer = [line for records in audited
-                for line in engine.Timeline([], records, [], 0.0, {}).event_log_lines()]
+                for line in engine.Timeline([], [], [], records, 0.0).event_log_lines()
+                if line.startswith("XFER\t")]
         assert xfer == [x for x in full.event_lines if x.startswith("XFER\t")]
         assert lean.audited_transfers == full.audited_transfers > 0
         assert lean.label_checks == full.label_checks
@@ -621,6 +622,11 @@ class TestMain:
             (json.dumps({**HUGE_MODEL, "model.fwd_time_per_layer_s": 1e307,
                          "model.bwd_time_per_layer_s": 1e307}),
              "model.fwd_time_per_layer_s"),
+            # a message whose size in bits (8x) no float can hold
+            (json.dumps({**HUGE_MODEL, "model.fwd_time_per_layer_s": 1e-3,
+                         "model.bwd_time_per_layer_s": 2e-3,
+                         "model.msg_bytes_per_microbatch": 2.3e307}),
+             "model.msg_bytes_per_microbatch"),
             # a repeated entry would simulate a cell twice and write its rows twice
             ('{"run.seeds": [3, 3]}', "run.seeds"),
             ('{"compare.seeds": [0, 0]}', "compare.seeds"),
@@ -640,6 +646,12 @@ class TestMain:
         # at 10^300 s per layer, now + transfer time == now: no spectrum is held
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(HUGE_MODEL))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_boost_past_the_float_range_runs(self, tmp_path):
+        # base_fs x boost overflows to infinity; the width caps at fs.max first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "fs.boost_factor": 1e308}))
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_rsa_k_is_capped_on_a_dense_topology(self, tmp_path, capsys):

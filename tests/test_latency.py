@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from optpipe.latency import EgressState, LatencyParams, alpha, beta, transfer_time
-from optpipe.rsa import k_shortest_paths
 from optpipe.topology import Network
 
 
@@ -82,7 +81,7 @@ def test_sd_ff_alpha_order_matches_km_hops_with_small_overhead():
         fs_total=8,
     )
     params = LatencyParams(per_hop_overhead_s=1e-9)
-    paths = k_shortest_paths(net, "A", "E", 4)
+    paths = net.paths.candidates("A", "E", 4)
     by_alpha = sorted(paths, key=lambda p: alpha(params, p))
     by_km_hops = sorted(paths, key=lambda p: (p.length_km, p.hop_count))
     assert [p.nodes for p in by_alpha] == [p.nodes for p in by_km_hops]

@@ -8,7 +8,6 @@ from optpipe.latency import LatencyParams
 from optpipe.rsa import (
     CiMode,
     fitness,
-    k_shortest_paths,
     select_cba,
     select_ksp_ff,
     select_sd_ff,
@@ -32,25 +31,25 @@ def occupy(net: Network, a: str, b: str, block: tuple[int, int], owner: str) -> 
 
 class TestKShortestPaths:
     def test_triangle_order(self, triangle):
-        paths = k_shortest_paths(triangle, "A", "C", 2)
+        paths = triangle.paths.candidates("A", "C", 2)
         assert [p.nodes for p in paths] == [("A", "B", "C"), ("A", "C")]
         assert paths[0].length_km == 2.0
         assert paths[1].length_km == 3.0
 
     def test_k1_is_shortest(self, nsfnet):
-        (p,) = k_shortest_paths(nsfnet, "WA", "CA1", 1)
+        (p,) = nsfnet.paths.candidates("WA", "CA1", 1)
         assert p.nodes == ("WA", "CA1")
 
     def test_src_equals_dst_rejected(self, triangle):
         with pytest.raises(ValueError):
-            k_shortest_paths(triangle, "A", "A", 2)
+            triangle.paths.candidates("A", "A", 2)
 
     def test_matches_bruteforce_on_random_instances(self):
         ok, detail = validate.check_ksp_bruteforce(150, seed=17, ks=(1, 2, 3, 12))
         assert ok, detail
 
     def test_lengths_are_sums_of_member_links(self, nsfnet):
-        for p in k_shortest_paths(nsfnet, "WA", "DC", 5):
+        for p in nsfnet.paths.candidates("WA", "DC", 5):
             assert p.length_km == pytest.approx(
                 sum(l.length_km for l in p.links), abs=0
             )
@@ -64,13 +63,13 @@ def free_starts(net: Network, path, width: int) -> list[int]:
 
 class TestCandidateBlocks:
     def test_empty_spectrum_all_starts(self, triangle):
-        (path,) = k_shortest_paths(triangle, "A", "C", 1)
+        (path,) = triangle.paths.candidates("A", "C", 1)
         assert free_starts(triangle, path, 4) == [0, 1, 2, 3, 4]
 
     def test_half_occupied_single_block(self, triangle):
         occupy(triangle, "A", "B", (0, 3), "x")
         occupy(triangle, "B", "C", (0, 3), "y")
-        (path,) = k_shortest_paths(triangle, "A", "C", 1)
+        (path,) = triangle.paths.candidates("A", "C", 1)
         assert free_starts(triangle, path, 4) == [4]
 
     def test_alternating_occupancy_no_pairs(self, two_dc):
@@ -78,11 +77,11 @@ class TestCandidateBlocks:
             occupy(two_dc, "A", "B", (f * 10, f * 10), f"x{f}")
         net = Network(["A", "B"], [("A", "B", 1.0)], fs_total=8)
         set_link_occupancy(net, 0, bits("10101010"))
-        (path,) = k_shortest_paths(net, "A", "B", 1)
+        (path,) = net.paths.candidates("A", "B", 1)
         assert free_starts(net, path, 2) == []
 
     def test_width_bounds(self, triangle):
-        (path,) = k_shortest_paths(triangle, "A", "C", 1)
+        (path,) = triangle.paths.candidates("A", "C", 1)
         assert free_starts(triangle, path, 0) == []
         assert free_starts(triangle, path, 9) == []
 
@@ -129,7 +128,7 @@ class TestContiguityIndex:
         width = data.draw(st.integers(1, F))
         net = Network(["A", "B"], [("A", "B", 7.0)], fs_total=F)
         set_link_occupancy(net, 0, occ)
-        (path,) = k_shortest_paths(net, "A", "B", 1)
+        (path,) = net.paths.candidates("A", "B", 1)
         want, starts, _ = validate.ref_gamma(net, path.nodes, width, mode)
         assert fitness(net, path, width, mode) == want
         sel = select_cba(net, "A", "B", width, 1, mode)
@@ -144,16 +143,16 @@ class TestAvailabilityFactor:
 
     def test_empty_spectrum(self, two_dc):
         # divisor 1: 1/100 km times contiguity 1
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        (path,) = two_dc.paths.candidates("A", "B", 1)
         assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.01, abs=1e-15)
 
     def test_half_occupied(self, two_dc, triangle):
         occupy(two_dc, "A", "B", (0, 39), "x")
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        (path,) = two_dc.paths.candidates("A", "B", 1)
         assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.02, abs=1e-15)
         # two links, 4 of 16 slots occupied: divisor 0.75 over 2 km
         occupy(triangle, "A", "B", (0, 3), "y")
-        (path,) = k_shortest_paths(triangle, "A", "C", 1)
+        (path,) = triangle.paths.candidates("A", "C", 1)
         assert path.nodes == ("A", "B", "C")
         got = fitness(triangle, path, 2, CiMode.LITERAL)
         assert got == pytest.approx(1 / (2 * 0.75), abs=1e-12)
@@ -161,7 +160,7 @@ class TestAvailabilityFactor:
 
     def test_fully_occupied_path_unavailable(self, two_dc):
         occupy(two_dc, "A", "B", (0, 79), "x")
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        (path,) = two_dc.paths.candidates("A", "B", 1)
         assert fitness(two_dc, path, 4) == 0.0
         sel = select_cba(two_dc, "A", "B", 4, 1)
         assert sel.blocked and sel.fitness == 0.0
@@ -170,12 +169,12 @@ class TestAvailabilityFactor:
 class TestFitness:
     def test_unavailable_path_scores_zero(self, two_dc):
         occupy(two_dc, "A", "B", (0, 79), "x")
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        (path,) = two_dc.paths.candidates("A", "B", 1)
         assert fitness(two_dc, path, 4, CiMode.LITERAL) == 0.0
 
     def test_empty_single_link_literal(self, two_dc):
         # 77 blocks, each contiguity 1, availability 1 -> 1/100 km
-        (path,) = k_shortest_paths(two_dc, "A", "B", 1)
+        (path,) = two_dc.paths.candidates("A", "B", 1)
         assert len(free_starts(two_dc, path, 4)) == 77
         assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.01, abs=1e-15)
 
@@ -195,7 +194,7 @@ class TestFitness:
         assert len(occ) == 80 and sum(occ) == 40
         net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=80)
         set_link_occupancy(net, 0, occ)
-        (path,) = k_shortest_paths(net, "A", "B", 1)
+        (path,) = net.paths.candidates("A", "B", 1)
 
         g, starts, m = validate.ref_gamma(net, ("A", "B"), 4, CiMode.WINDOW)
         assert len(starts) == 5 and sorted(m) == [0, 0, 1, 1, 1]
@@ -208,8 +207,8 @@ class TestFitness:
         net = Network(
             ["A", "B", "C"], [("A", "B", 2.0), ("A", "C", 3.0)], fs_total=16
         )
-        short = k_shortest_paths(net, "A", "B", 1)[0]
-        long = k_shortest_paths(net, "A", "C", 1)[0]
+        short = net.paths.candidates("A", "B", 1)[0]
+        long = net.paths.candidates("A", "C", 1)[0]
         assert fitness(net, short, 4) > fitness(net, long, 4)
 
     def test_width_one_on_fragmented_spectrum_still_positive(self):
@@ -217,7 +216,7 @@ class TestFitness:
         # exists, so the score must stay positive (availability == feasibility)
         net = Network(["A", "B"], [("A", "B", 10.0)], fs_total=8)
         set_link_occupancy(net, 0, bits("10101011"))
-        (path,) = k_shortest_paths(net, "A", "B", 1)
+        (path,) = net.paths.candidates("A", "B", 1)
         g = fitness(net, path, 1, CiMode.WINDOW)
         assert 0.0 < g < 1e-6
 
@@ -281,7 +280,7 @@ class TestSelectors:
         assert sel.path.hop_count == 2
         # ksp order would try the 4-hop path first only on a length tie, so
         # force the direct comparison: both have identical lengths
-        ksp = k_shortest_paths(net, "A", "F", 4)
+        ksp = net.paths.candidates("A", "F", 4)
         assert ksp[0].length_km == ksp[1].length_km == 10.0
 
     def test_selectors_do_not_mutate_network(self, nsfnet):
