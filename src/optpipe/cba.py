@@ -22,20 +22,18 @@ On a network without background traffic an iteration is a pure function of
 its demand map: the clock restarts at t=0, the egress state is fresh, and
 an iteration that starts with no allocation held sees the same spectrum as
 every other such start.  ``orchestrate`` therefore simulates each distinct
-demand map once and hands a repeated one the earlier iteration's timeline
-and labels.
+demand map once and hands a repeated one the earlier iteration's result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .engine import (
     PolicyConfig,
     Timeline,
     blocking_probability,
-    bubble_ratio,
     simulate_iteration,
 )
 from .latency import LatencyParams
@@ -164,24 +162,17 @@ def verify_label_soundness(
     return len(labels.cb_tasks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationResult:
-    """One iteration's metrics.
+    """One iteration: its timeline, and the labels CBA plans the next one from.
 
-    ``reused_from`` is the earlier iteration whose ``timeline`` and
-    ``labels`` (the same objects) this one repeats, or None when this
-    iteration was simulated.
+    ``labels`` is None under the first-fit baselines, which plan nothing.
+    Every per-iteration metric is read off ``timeline``; an iteration's
+    number is its position in ``orchestrate``'s list.
     """
 
-    iteration: int
-    runtime_s: float
-    bubble_ratio: float
-    requests: int
-    blocked: int
-    blocking_prob: float
-    labels: LabelSet
     timeline: Timeline
-    reused_from: int | None = None
+    labels: LabelSet | None
 
 
 def orchestrate(
@@ -195,59 +186,49 @@ def orchestrate(
 ) -> list[IterationResult]:
     """Run the full multi-iteration loop; iteration 0 is the warm-up.
 
-    Labels from each finished iteration feed the next one's demand map for
-    the adaptive policy; first-fit baselines always run with base demand.
-    The tasks are only read, so the same list serves every iteration.
-    Background traffic is whatever stream ``net`` carries: attach it with
-    ``net.attach_background`` (and pre-warm) before calling.  Egress state
-    resets between iterations; network state (background allocations and
-    the arrival stream) carries over, and ``simulate_iteration`` rebases the
-    clock so every iteration runs from t=0 with identical arithmetic.  The
-    occupancy invariant is audited after every simulated iteration.
+    Under CBA the labels of each finished iteration feed the next one's
+    demand map; the first-fit baselines always run with base demand and are
+    not labeled.  The tasks are only read, so the same list serves every
+    iteration.  Background traffic is whatever stream ``net`` carries:
+    attach it with ``net.attach_background`` (and pre-warm) before calling.
+    Egress state resets between iterations; network state (background
+    allocations and the arrival stream) carries over, and
+    ``simulate_iteration`` rebases the clock so every iteration runs from
+    t=0 with identical arithmetic.  The occupancy invariant is audited after
+    every simulated iteration.
 
     An iteration that starts on a network with no background stream and no
     allocation is keyed by its demand map, which is all the engine reads of
     the plan.  Every such start sees the same spectrum, so a demand map seen
     before gives the same timeline: the iteration is not simulated again,
-    and its result shares the earlier iteration's ``timeline`` and
-    ``labels`` (``IterationResult.reused_from``).  A first-fit baseline's
-    map is always empty, so it simulates once; CBA's maps often fall into a
-    short cycle.  With a background stream attached every iteration is
-    simulated.
+    and the list holds the earlier iteration's result object once more.  A
+    first-fit baseline's map is always empty, so it simulates once; CBA's
+    maps often fall into a short cycle.  With a background stream attached
+    every iteration is simulated.
     """
+    plans = policy.selector == "cba"
     labels: LabelSet | None = None
     boost = policy.boost_factor
     results: list[IterationResult] = []
     demand: dict[int, int] = {}
-    # demand map -> the first iteration that ran it from the quiet start state
+    # demand map -> the result of the iteration that ran it from the quiet start state
     simulated: dict[frozenset, IterationResult] = {}
-    for it in range(config.n_iterations):
-        if policy.selector == "cba":
+    for _ in range(config.n_iterations):
+        if plans:
             demand, boost = plan_requests(labels, config, tasks, policy, boost)
+        # no key when the iteration does not start from the quiet state
         quiet = not net.has_background and not net.active_owners()
-        if quiet:
-            key = frozenset(demand.items())
-            first = simulated.get(key)
-            if first is not None:
-                labels = first.labels
-                results.append(replace(first, iteration=it, reused_from=first.iteration))
-                continue
-        timeline = simulate_iteration(
-            net, stages, tasks, policy, params, demand=demand, msg_bits=msg_bits,
-        )
-        labels = label_cb_tasks(timeline, config.epsilon_bubble_s)
-        audit_occupancy(net)
-        result = IterationResult(
-            iteration=it,
-            runtime_s=timeline.iteration_makespan,
-            bubble_ratio=bubble_ratio(timeline),
-            requests=timeline.cross_dc_requests,
-            blocked=timeline.blocked_requests,
-            blocking_prob=blocking_probability(timeline),
-            labels=labels,
-            timeline=timeline,
-        )
-        if quiet:
-            simulated[key] = result
+        key = frozenset(demand.items()) if quiet else None
+        result = simulated.get(key)
+        if result is None:
+            timeline = simulate_iteration(
+                net, stages, tasks, policy, params, demand=demand, msg_bits=msg_bits,
+            )
+            audit_occupancy(net)
+            result = IterationResult(
+                timeline, label_cb_tasks(timeline, config.epsilon_bubble_s) if plans else None)
+            if quiet:
+                simulated[key] = result
+        labels = result.labels
         results.append(result)
     return results

@@ -323,20 +323,19 @@ class RunConfig:
             if custom:
                 require(f[key] is not None, key, "required for the custom model")
                 require(f[key] > 0, key, "must be positive")
-        if custom and 8 * f["model.msg_bytes_per_microbatch"] > sys.float_info.max:
-            # too long to echo back
-            raise ConfigError(
-                f"model.msg_bytes_per_microbatch: must be at most {sys.float_info.max / 8:.4g}, "
-                "so that the message's bits (8x) are a finite float")
+        # counts that no float holds, too long to echo back
+        for key, scale, what in (
+            ("model.n_layers", 1, "the layer count is"),
+            ("model.msg_bytes_per_microbatch", 8, "the message's bits (8x) are"),
+        ):
+            if custom and scale * f[key] > sys.float_info.max:
+                raise ConfigError(f"{key}: must be at most {sys.float_info.max / scale:.4g}, "
+                                  f"so that {what} a finite float")
         require(f["jobs"] is None or 1 <= f["jobs"] <= MAX_JOBS, "jobs",
                 f"must be in [1, {MAX_JOBS}]")
-        if f["bg.preset"] != "off":
-            expected = self.expected_bg_arrivals()
-            cap = topology.MAX_BG_ARRIVALS
-            require(expected <= cap, "bg.arrival_rate_per_s",
-                    f"expects about {expected:.3g} background arrivals per policy run "
-                    f"(rate x (prewarm + cba.n_iterations x zero-latency makespan of the "
-                    f"largest cell)); the cap is {cap}")
+        if f["pp.stages"] > MAX_RUN_TASKS:  # too long to echo back
+            raise ConfigError(
+                f"pp.stages: must be at most {MAX_RUN_TASKS}, the cap on tasks per policy run")
         tasks = self.tasks_per_policy_run()
         require(tasks <= MAX_RUN_TASKS, "cba.n_iterations",
                 f"expects {tasks} tasks per policy run (cba.n_iterations x 2 x pp.stages "
@@ -356,6 +355,22 @@ class RunConfig:
                 raise ConfigError(
                     f"{key}: {runs} {what} of up to {tasks} tasks per policy run make "
                     f"{runs * tasks} tasks per policy; the cap is {MAX_GRID_TASKS}")
+        # the integer caps above bound p, m and cba.n_iterations, so the
+        # arrival estimate's float arithmetic cannot overflow
+        if f["bg.preset"] != "off":
+            rate, prewarm = self._bg("bg.arrival_rate_per_s"), self.prewarm_s()
+            expected, cap = self.expected_bg_arrivals(), topology.MAX_BG_ARRIVALS
+            if not expected <= cap:
+                # a prewarm that alone draws past the cap names the key that set it:
+                # bg.prewarm_s, or the holding time whose 5x is the default prewarm
+                keys = ("bg.prewarm_s", "bg.mean_hold_s") if rate * prewarm > cap else ()
+                key = next((k for k in keys if f[k] is not None), "bg.arrival_rate_per_s")
+                got = rate if key == "bg.arrival_rate_per_s" else f[key]
+                raise ConfigError(
+                    f"{key}: expects about {expected:.3g} background arrivals per policy run "
+                    f"(rate {rate:.3g}/s x (prewarm {prewarm:.3g} s + cba.n_iterations x "
+                    f"zero-latency makespan of the largest cell)); the cap is {cap} "
+                    f"(got {got!r})")
 
     # ------------------------------------------------------------------
     # constructed objects
@@ -591,7 +606,7 @@ def run_cell(
     it once and restores that snapshot before every run, so the policies'
     spectrum evolution stays independent and every cell of the seed extends
     the one tape.  Every simulated iteration is audited for spectrum
-    discipline and its CB labels checked.
+    discipline, and under CBA its CB labels are checked.
     The event log is built only when ``collect_events`` asks for it; the
     audit then replays its lines (``engine.audit_event_log``), and otherwise
     it reads the timeline's transfer records (``engine.audit_transfers``),
@@ -602,12 +617,12 @@ def run_cell(
     both and SD-FF's order is the shortest-path order for every routed pair,
     the second of the two is not simulated: it takes the first one's
     results.  Every policy's rows and event lines then come out of one loop
-    over its results.  Each timeline is audited, label-checked and
-    serialised once, when first met; an iteration that ``orchestrate``
-    reused (no background, a repeated demand map) or a copied twin's
-    iteration repeats its lines under its own ``RUN`` header and adds
-    nothing to the audit and label counts.  ``reused_iterations`` counts
-    the iterations ``orchestrate`` reused.
+    over its results.  Each distinct result is audited, label-checked (CBA's
+    alone carry labels), serialised and reduced to its row values once; an
+    iteration that ``orchestrate`` reused (no background, a repeated demand
+    map) or a copied twin's is that same object: it repeats under its own
+    number and adds nothing to the audit and label counts.
+    ``reused_iterations`` counts the iterations ``orchestrate`` reused.
     """
     p = cfg["pp.stages"]
     k = cfg["rsa.k"]
@@ -636,41 +651,40 @@ def run_cell(
         runs[policy_name] = results = cba.orchestrate(
             orch, net, stages, tasks, cfg.policy(policy_name), params, msg_bits=msg_bits,
         )
-        reused_iterations += sum(r.reused_from is not None for r in results)
+        reused_iterations += len(results) - len({id(r) for r in results})
 
     rows: list[list] = []
     audited = 0
     label_checks = 0
     event_lines: list[str] = []
-    # id(timeline) -> its log lines (empty without collect_events), once audited
-    lines_of: dict[int, list[str]] = {}
+    # id(result) -> its row values and log lines (empty without collect_events)
+    seen: dict[int, tuple[list, list[str]]] = {}
     for policy_name, results in runs.items():
-        for r in results:
-            tl = r.timeline
-            lines = lines_of.get(id(tl))
-            if lines is None:
+        for it, r in enumerate(results):
+            if id(r) not in seen:
+                tl = r.timeline
                 if collect_events:
                     lines = tl.event_log_lines()
                     audited += engine.audit_event_log(net, lines, tl.iteration_makespan)
                 else:
                     lines = []
                     audited += engine.audit_transfers(net, tl.transfers, tl.iteration_makespan)
-                label_checks += cba.verify_label_soundness(
-                    tl, r.labels, orch.epsilon_bubble_s
-                )
-                lines_of[id(tl)] = lines
+                if r.labels is not None:
+                    label_checks += cba.verify_label_soundness(tl, r.labels, orch.epsilon_bubble_s)
+                seen[id(r)] = [
+                    repr(tl.iteration_makespan), repr(engine.bubble_ratio(tl)),
+                    tl.cross_dc_requests, tl.blocked_requests,
+                    repr(engine.blocking_probability(tl)),
+                ], lines
+            values, lines = seen[id(r)]
             if collect_events:
                 event_lines.append(
                     f"RUN\tpolicy={policy_name}\tmodel={model}\tschedule={schedule}"
-                    f"\tm={m}\tseed={seed}\titeration={r.iteration}"
+                    f"\tm={m}\tseed={seed}\titeration={it}"
                 )
                 event_lines.extend(lines)
-            if r.iteration >= 1:
-                rows.append([
-                    policy_name, model, schedule, m, seed, r.iteration,
-                    repr(r.runtime_s), repr(r.bubble_ratio),
-                    r.requests, r.blocked, repr(r.blocking_prob),
-                ])
+            if it >= 1:
+                rows.append([policy_name, model, schedule, m, seed, it, *values])
     return CellOutcome(rows, audited, label_checks, event_lines, reused, reused_iterations)
 
 

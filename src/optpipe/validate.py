@@ -214,39 +214,31 @@ def ref_orchestrate(
     boost = policy.boost_factor
     demand: dict[int, int] = {}
     results = []
-    for it in range(config.n_iterations):
+    for _ in range(config.n_iterations):
         if policy.selector == "cba":
             demand, boost = cba.plan_requests(labels, config, tasks, policy, boost)
         timeline = engine.simulate_iteration(
             net, stages, tasks, policy, params, demand=demand, msg_bits=msg_bits,
         )
-        labels = cba.label_cb_tasks(timeline, config.epsilon_bubble_s)
-        results.append(cba.IterationResult(
-            iteration=it,
-            runtime_s=timeline.iteration_makespan,
-            bubble_ratio=engine.bubble_ratio(timeline),
-            requests=timeline.cross_dc_requests,
-            blocked=timeline.blocked_requests,
-            blocking_prob=engine.blocking_probability(timeline),
-            labels=labels,
-            timeline=timeline,
-        ))
+        if policy.selector == "cba":
+            labels = cba.label_cb_tasks(timeline, config.epsilon_bubble_s)
+        results.append(cba.IterationResult(timeline, labels))
     return results
 
 
 def orchestrate_mismatch(got: list[cba.IterationResult],
                          want: list[cba.IterationResult]) -> str | None:
-    """The first iteration where ``got`` and ``want`` differ in runtime,
-    bubble, requests, blocking, labels or event-log lines; None if none."""
+    """The first iteration where ``got`` and ``want`` differ in labels,
+    makespan or event-log lines, which carry every task time and request
+    record that the other metrics read; None if none."""
     def view(r: cba.IterationResult) -> tuple:
-        return (r.iteration, r.runtime_s, r.bubble_ratio, r.requests, r.blocked,
-                r.blocking_prob, r.labels, r.timeline.event_log_lines())
+        return r.labels, r.timeline.iteration_makespan, r.timeline.event_log_lines()
 
     if len(got) != len(want):
         return f"{len(got)} iterations, want {len(want)}"
-    for g, w in zip(got, want):
+    for it, (g, w) in enumerate(zip(got, want)):
         if view(g) != view(w):
-            return f"iteration {w.iteration} differs from the plain loop"
+            return f"iteration {it} differs from the plain loop"
     return None
 
 
@@ -398,11 +390,11 @@ def check_spectrum_audit() -> tuple[bool, str]:
         msg_bits=profile.msg_bytes_per_microbatch * 8,
     )
     audited = 0
-    for r in results:
+    for it, r in enumerate(results):
         tl = r.timeline
         from_log = engine.audit_event_log(cfg_net, tl.event_log_lines(), tl.iteration_makespan)
         if engine.audit_transfers(cfg_net, tl.transfers, tl.iteration_makespan) != from_log:
-            return False, f"iteration {r.iteration}: the record and log audits disagree"
+            return False, f"iteration {it}: the record and log audits disagree"
         audited += from_log
         if cfg_net.active_owners("tx-"):
             return False, "training allocation leaked past an iteration boundary"
@@ -411,19 +403,24 @@ def check_spectrum_audit() -> tuple[bool, str]:
 
 
 def check_labeling_soundness() -> tuple[bool, str]:
-    net = topology.load_nsfnet()
+    """CBA's in-run labels, and the labels of a KSP-FF run's timelines, which
+    the run itself leaves unlabeled, are sound."""
     profile = workload.build_profile("llama3-8b-like")
     placement = ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"]
     stages = workload.partition_stages(profile, 8, placement)
     tasks = workload.build_schedule(workload.ScheduleKind.ONE_F_ONE_B, stages, 8)
-    results = cba.orchestrate(
-        cba.OrchestratorConfig(n_iterations=3), net, stages, tasks,
-        engine.PolicyConfig(selector="cba"), LatencyParams(),
-        msg_bits=profile.msg_bytes_per_microbatch * 8,
-    )
-    checked = 0
-    for r in results:
-        checked += cba.verify_label_soundness(r.timeline, r.labels)
+    checked = {}
+    for selector in ("cba", "ksp_ff"):
+        results = cba.orchestrate(
+            cba.OrchestratorConfig(n_iterations=3), topology.load_nsfnet(), stages, tasks,
+            engine.PolicyConfig(selector=selector), LatencyParams(),
+            msg_bits=profile.msg_bytes_per_microbatch * 8,
+        )
+        if selector != "cba" and any(r.labels is not None for r in results):
+            return False, f"{selector} labeled an iteration"
+        checked[selector] = sum(cba.verify_label_soundness(
+            r.timeline, r.labels if selector == "cba" else cba.label_cb_tasks(r.timeline))
+            for r in results)
 
     # zero-latency variant must label nothing
     stages0 = workload.partition_stages(profile, 8, ["WA"] * 8)
@@ -436,7 +433,9 @@ def check_labeling_soundness() -> tuple[bool, str]:
     empty = cba.label_cb_tasks(tl0)
     if empty.cb_tasks:
         return False, "zero-latency run produced CB labels"
-    return checked > 0, f"verified {checked} CB labels; zero-latency run labeled none"
+    return all(checked.values()), (f"verified {checked['cba']} CB labels in-run and "
+                                   f"{checked['ksp_ff']} on KSP-FF's unlabeled timelines; "
+                                   "zero-latency run labeled none")
 
 
 def check_iteration_reuse() -> tuple[bool, str]:
@@ -457,7 +456,7 @@ def check_iteration_reuse() -> tuple[bool, str]:
             got, ref_orchestrate(config, topology.load_nsfnet(fs_total=8), *args))
         if mismatch is not None:
             return False, f"{selector}: {mismatch}"
-        reused += sum(r.reused_from is not None for r in got)
+        reused += len(got) - len({id(r) for r in got})
     total = config.n_iterations * len(engine.SELECTORS)
     return reused > 0, (f"{total} iterations of 3 policies equal the plain loop; "
                         f"{reused} of them reused a timeline")

@@ -17,7 +17,13 @@ from optpipe.cba import (
     verify_label_soundness,
 )
 from optpipe.cli import DEFAULT_DC_NODES
-from optpipe.engine import SELECTORS, PolicyConfig, audit_event_log, simulate_iteration
+from optpipe.engine import (
+    SELECTORS,
+    PolicyConfig,
+    audit_event_log,
+    bubble_ratio,
+    simulate_iteration,
+)
 from optpipe.latency import LatencyParams
 from optpipe.topology import (
     BackgroundTrafficModel,
@@ -182,9 +188,9 @@ class TestOrchestrate:
         results = orchestrate(OrchestratorConfig(n_iterations=11), net, stages, tasks,
                               PolicyConfig(), LatencyParams(), msg_bits=1e6)
         assert len(results) == 11
-        assert [r.iteration for r in results] == list(range(11))
-        measured = [r for r in results if r.iteration >= 1]
-        assert len(measured) == 10
+        # the default policy is CBA: every iteration, the warm-up too, is labeled
+        assert all(isinstance(r, IterationResult) and isinstance(r.labels, LabelSet)
+                   for r in results)
 
     def test_cb_transfer_boosted_and_faster_next_iteration(self):
         # persistent DCI bubble on an otherwise empty network: the labeled
@@ -208,13 +214,13 @@ class TestOrchestrate:
         stages, tasks = build(2, ["A", "B"], 4, fwd=1e-4, bwd=1e-4)
         results = orchestrate(OrchestratorConfig(n_iterations=5), net, stages, tasks,
                               PolicyConfig(), LatencyParams(), msg_bits=16 * 2**20 * 8)
-        warm = results[0].runtime_s
+        warm = results[0].timeline.iteration_makespan
         for r in results[1:]:
-            assert r.runtime_s <= warm + 1e-12
+            assert r.timeline.iteration_makespan <= warm + 1e-12
 
     def test_baselines_ignore_labels(self):
         # re-running a baseline must reproduce iteration 0's timeline exactly
-        # when the network carries no dynamics (labels cause no difference)
+        # when the network carries no dynamics: a baseline labels and plans nothing
         for selector in ("ksp_ff", "sd_ff"):
             net = load_nsfnet()
             stages, tasks = build(4, ["IL", "PA", "NY", "DC"], 4)
@@ -223,7 +229,7 @@ class TestOrchestrate:
                                   msg_bits=16e6)
             logs = [r.timeline.event_log_lines() for r in results]
             assert all(lg == logs[0] for lg in logs[1:])
-            assert any(r.labels.cb_tasks for r in results)  # computed for analysis
+            assert all(r.labels is None for r in results)  # a baseline plans nothing
 
     def test_deterministic_with_background(self):
         def run():
@@ -267,13 +273,17 @@ def test_orchestrate_properties(p, m, dcs, kind, selector, bg_seed):
     logs = [r.timeline.event_log_lines() for r in results]
     assert logs == [r.timeline.event_log_lines() for r in run()[2]]
     for r, lines in zip(results, logs):
-        audit_event_log(net, lines, r.runtime_s)
-        verify_label_soundness(r.timeline, r.labels)
+        tl = r.timeline
+        audit_event_log(net, lines, tl.iteration_makespan)
+        # only CBA labels in-run; every policy's timeline labels soundly
+        labels = label_cb_tasks(tl)
+        assert r.labels == (labels if selector == "cba" else None)
+        verify_label_soundness(tl, labels)
         busy = [0.0] * p
         for t in tasks:
             busy[t.stage_id] += t.compute_s
-        assert r.runtime_s >= max(busy)
-        assert 0.0 <= r.bubble_ratio < 1.0
+        assert tl.iteration_makespan >= max(busy)
+        assert 0.0 <= bubble_ratio(tl) < 1.0
 
 
 class TestIterationReuse:
@@ -302,7 +312,7 @@ class TestIterationReuse:
         calls, results = self.count_simulations(monkeypatch, net, stages, tasks,
                                                 PolicyConfig(selector="ksp_ff"))
         assert calls == self.N
-        assert all(r.reused_from is None for r in results)
+        assert len({id(r) for r in results}) == self.N
         assert len({tuple(r.timeline.event_log_lines()) for r in results}) > 1
 
     def test_held_allocation_simulates_every_iteration(self, monkeypatch):
@@ -319,8 +329,7 @@ class TestIterationReuse:
         calls, results = self.count_simulations(monkeypatch, net, stages, tasks,
                                                 PolicyConfig(selector="ksp_ff"))
         assert calls == 1
-        assert [r.reused_from for r in results] == [None] + [0] * (self.N - 1)
-        assert all(r.timeline is results[0].timeline for r in results)
+        assert all(r is results[0] for r in results)
 
     def test_cba_without_background_simulates_each_distinct_plan_once(self, monkeypatch):
         # eight slots per link: the pipeline's own transfers block, so the boost
@@ -352,7 +361,7 @@ class TestIterationReuse:
         calls, results = self.count_simulations(monkeypatch, load_nsfnet(), stages, tasks,
                                                 PolicyConfig(selector="cba"))
         assert calls == 1
-        assert [r.reused_from for r in results] == [None] + [0] * (self.N - 1)
+        assert all(r is results[0] for r in results)
 
 
 @given(

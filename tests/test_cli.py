@@ -303,6 +303,27 @@ class TestFirstFitReuse:
         assert both.label_checks == sum(o.label_checks for o in solo.values())
 
 
+class TestBaselineLabels:
+    @pytest.mark.parametrize("policy", ["ksp_ff", "sd_ff"])
+    def test_first_fit_cell_neither_labels_nor_verifies(self, monkeypatch, policy):
+        calls = []
+        for name in ("label_cb_tasks", "verify_label_soundness"):
+            real = getattr(cli.cba, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli.cba, name, spy)
+        cfg = RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 3})
+        out = cli.run_cell(cfg, [policy], "llama3-8b-like", "1f1b", 4, 0)
+        assert out.rows and calls == [] and out.label_checks == 0
+        # the spies see CBA's labels
+        out = cli.run_cell(cfg, ["cba"], "llama3-8b-like", "1f1b", 4, 0)
+        assert set(calls) == {"label_cb_tasks", "verify_label_soundness"}
+        assert out.label_checks > 0
+
+
 class TestStartStates:
     """Outputs never depend on what the process's start-state memo holds."""
 
@@ -495,6 +516,10 @@ HUGE_MODEL = {"run.microbatches": 2, "cba.n_iterations": 2, "run.model": "custom
               "model.n_layers": 32, "model.fwd_time_per_layer_s": 1e300,
               "model.bwd_time_per_layer_s": 1e300, "model.msg_bytes_per_microbatch": 8}
 
+# a custom model of 10^400 layers: no float holds its layer count
+HUGE_LAYERS = {"model.n_layers": 10**400, "model.fwd_time_per_layer_s": 1e-3,
+               "model.bwd_time_per_layer_s": 2e-3, "model.msg_bytes_per_microbatch": 8}
+
 
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -575,14 +600,38 @@ class TestMain:
             ('{"jobs": 65}', "jobs"),
             ('{"placement.dc_nodes": []}', "placement.dc_nodes"),
             ('{"bg.preset": "loaded", "bg.arrival_rate_per_s": 1e9}', "bg.arrival_rate_per_s"),
-            ('{"bg.preset": "loaded", "bg.prewarm_s": 1e9}', "bg.arrival_rate_per_s"),
-            ('{"bg.preset": "loaded", "bg.mean_hold_s": 1e6}', "bg.arrival_rate_per_s"),
-            ('{"bg.preset": "loaded", "cba.n_iterations": 100000}', "bg.arrival_rate_per_s"),
-            ('{"bg.preset": "loaded", "compare.microbatch_grid": [1000000]}',
+            # past the arrival cap through the iterations and through the
+            # microbatches of the estimate, under the task cap
+            ('{"bg.preset": "loaded", "pp.stages": 1, "cba.n_iterations": 7000}',
              "bg.arrival_rate_per_s"),
+            ('{"bg.preset": "loaded", "pp.stages": 1, "cba.n_iterations": 2,'
+             ' "compare.microbatch_grid": [500000]}', "bg.arrival_rate_per_s"),
+            # a prewarm that alone draws past the arrival cap names the key
+            # that set it: bg.prewarm_s, or the holding time it is five times of
+            ('{"bg.preset": "loaded", "bg.prewarm_s": 1e9}', "bg.prewarm_s"),
+            ('{"bg.preset": "loaded", "bg.mean_hold_s": 1e6}', "bg.mean_hold_s"),
+            ('{"bg.preset": "loaded", "bg.mean_hold_s": 1e300}', "bg.mean_hold_s"),
+            # the task caps run before the arrival estimate, whose float
+            # arithmetic would overflow on a count past the float range
+            ('{"bg.preset": "loaded", "cba.n_iterations": 100000}', "cba.n_iterations"),
+            ('{"bg.preset": "loaded", "compare.microbatch_grid": [1000000]}',
+             "cba.n_iterations"),
+            pytest.param(json.dumps({"bg.preset": "loaded", "run.microbatches": 10**400}),
+                         "cba.n_iterations", id="loaded-microbatches-1e400"),
             ('{"run.model": "custom", "model.n_layers": 0, "model.fwd_time_per_layer_s": 1e-3,'
              ' "model.bwd_time_per_layer_s": 2e-3, "model.msg_bytes_per_microbatch": 8}',
              "model.n_layers"),
+            # a layer count past the float range, for either command's model
+            # key, with and without the background
+            pytest.param(json.dumps({**HUGE_LAYERS, "run.model": "custom"}),
+                         "model.n_layers", id="run-layers-1e400"),
+            pytest.param(json.dumps({**HUGE_LAYERS, "run.model": "custom", "bg.preset": "loaded"}),
+                         "model.n_layers", id="run-loaded-layers-1e400"),
+            pytest.param(json.dumps({**HUGE_LAYERS, "compare.models": ["custom"]}),
+                         "model.n_layers", id="compare-layers-1e400"),
+            pytest.param(json.dumps({**HUGE_LAYERS, "compare.models": ["custom"],
+                                     "bg.preset": "loaded"}),
+                         "model.n_layers", id="compare-loaded-layers-1e400"),
             # the model keys describe the custom model alone
             ('{"model.n_layers": 5}', "model.n_layers"),
             ('{"model.fwd_time_per_layer_s": 1e-3}', "model.fwd_time_per_layer_s"),
@@ -641,6 +690,34 @@ class TestMain:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+
+    @pytest.mark.parametrize(
+        "flat, key",
+        [
+            ({"bg.mean_hold_s": 1e6}, "bg.mean_hold_s"),
+            ({"bg.prewarm_s": 1e6}, "bg.prewarm_s"),
+            ({"pp.stages": 1, "cba.n_iterations": 7000}, "bg.arrival_rate_per_s"),
+        ],
+    )
+    def test_arrival_estimate_error_prints_the_effective_values(self, tmp_path, capsys,
+                                                                flat, key):
+        # the loaded preset supplies the rate: the message gives it, not None
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bg.preset": "loaded", **flat}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        rate = topology.loaded_background(0).arrival_rate_per_s
+        got = flat.get(key, rate)
+        assert err.startswith(f"config error: {key}: ")
+        assert f"rate {rate:.3g}/s" in err and err.rstrip().endswith(f"(got {got!r})")
+
+    @pytest.mark.parametrize("bg", ["off", "loaded"])
+    def test_stage_count_past_the_task_cap_names_it(self, tmp_path, capsys, bg):
+        # the task cap's own message mentions pp.stages too: check the named key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bg.preset": bg, "pp.stages": 10**400}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: pp.stages: ")
 
     def test_transfer_too_short_to_move_a_huge_clock_runs(self, tmp_path):
         # at 10^300 s per layer, now + transfer time == now: no spectrum is held

