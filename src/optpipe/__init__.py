@@ -19,7 +19,6 @@ from .latency import EgressState, LatencyParams, alpha, beta, transfer_time
 from .rsa import (
     CandidateBlock,
     CandidatePath,
-    CiMode,
     SelectionResult,
     fitness,
     select_cba,

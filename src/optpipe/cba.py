@@ -15,8 +15,8 @@ slots, that the engine reads.  A CB task's incoming message is boosted, a
 previously blocked request is shrunk, and when the observed iteration
 blocking probability crosses a threshold the boost factor for all CB
 requests is halved as a global congestion guard.  The first iteration is an
-unlabeled warm-up.  Baseline policies still compute labels (they are
-reported for analysis) but never let them influence slot sizing.
+unlabeled warm-up.  The first-fit baselines plan nothing, so they label
+nothing: their ``IterationResult.labels`` are None.
 
 On a network without background traffic an iteration is a pure function of
 its demand map: the clock restarts at t=0, the egress state is fresh, and

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Sequence
 
-from . import cba, engine, rsa, topology, workload
+from . import cba, engine, topology, workload
 from .latency import LatencyParams
 from .rng import default_rng
 
@@ -131,7 +131,7 @@ def _as_str_list(v) -> list[str]:
 
 
 # The background traffic model's keys, with the values bg.preset=loaded gives
-# the unset ones (bg.preset=custom requires all four).
+# the unset ones.
 _LOADED_PRESET = topology.loaded_background(0)
 _LOADED_BG = {
     "bg.arrival_rate_per_s": _LOADED_PRESET.arrival_rate_per_s,
@@ -165,7 +165,6 @@ KEY_TABLE: dict[str, tuple[Any, Any]] = {
     "latency.intra_dc_latency_s": (5.0e-5, _as_float),
     "latency.intra_dc_rate_bps": (4.0e11, _as_float),
     "rsa.k": (5, _as_int),
-    "rsa.ci_mode": ("window", _as_str),
     "fs.base": (4, _as_int),
     "fs.boost_factor": (2.0, _as_float),
     "fs.max": (16, _as_int),
@@ -219,7 +218,8 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit limit
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object of dotted keys")
@@ -265,8 +265,6 @@ class RunConfig:
         require(all(s in ("gpipe", "1f1b") for s in f["compare.schedules"]),
                 "compare.schedules", "entries must be 'gpipe' or '1f1b'")
         require(1 <= f["rsa.k"] <= MAX_K, "rsa.k", f"must be in [1, {MAX_K}]")
-        require(f["rsa.ci_mode"] in ("literal", "window", "global"), "rsa.ci_mode",
-                "must be literal, window or global")
         require(f["fs.base"] >= 1, "fs.base", "must be >= 1")
         require(f["fs.boost_factor"] >= 1, "fs.boost_factor", "must be >= 1")
         require(1 <= f["fs.max"] <= f["topology.fs_total"], "fs.max",
@@ -288,14 +286,10 @@ class RunConfig:
                 "cba.blocking_prob_threshold", "must be in [0, 1]")
         require(f["cba.epsilon_bubble_s"] >= 0, "cba.epsilon_bubble_s",
                 "must be nonnegative")
-        require(f["bg.preset"] in ("off", "loaded", "custom"), "bg.preset",
-                "must be off, loaded or custom")
+        require(f["bg.preset"] in ("off", "loaded"), "bg.preset", "must be off or loaded")
         if f["bg.preset"] == "off":
             for key in (*_LOADED_BG, "bg.prewarm_s"):
                 require(f[key] is None, key, "has no effect when bg.preset=off")
-        if f["bg.preset"] == "custom":
-            for key in _LOADED_BG:
-                require(f[key] is not None, key, "required when bg.preset=custom")
         for key in ("bg.arrival_rate_per_s", "bg.mean_hold_s", "bg.prewarm_s"):
             require(f[key] is None or f[key] >= 0, key, "must be nonnegative")
         require(f["bg.fs_demand_min"] is None or f["bg.fs_demand_min"] >= 1,
@@ -359,6 +353,10 @@ class RunConfig:
         # arrival estimate's float arithmetic cannot overflow
         if f["bg.preset"] != "off":
             rate, prewarm = self._bg("bg.arrival_rate_per_s"), self.prewarm_s()
+            # only a set holding time makes the default prewarm overflow, and
+            # the estimate would read that infinity times a rate of 0 as nan
+            require(math.isfinite(prewarm), "bg.mean_hold_s",
+                    "five holding times, the default bg.prewarm_s, must be a finite float")
             expected, cap = self.expected_bg_arrivals(), topology.MAX_BG_ARRIVALS
             if not expected <= cap:
                 # a prewarm that alone draws past the cap names the key that set it:
@@ -429,7 +427,6 @@ class RunConfig:
         return engine.PolicyConfig(
             selector=selector,
             k=f["rsa.k"],
-            ci_mode=rsa.CiMode(f["rsa.ci_mode"]),
             base_fs=f["fs.base"],
             boost_factor=f["fs.boost_factor"],
             fs_max=f["fs.max"],
@@ -471,16 +468,16 @@ class RunConfig:
     def prewarm_s(self) -> float:
         """Seconds of background evolution before iteration 0.
 
-        The loaded preset defaults to five of its effective holding times
-        (``bg.mean_hold_s`` when set) so measured iterations see steady-state
-        occupancy instead of a cold start.
+        ``bg.prewarm_s`` when set; otherwise the loaded preset defaults to
+        five of its effective holding times (``bg.mean_hold_s`` when set) so
+        measured iterations see steady-state occupancy instead of a cold start.
         """
         f = self.flat
         if f["bg.prewarm_s"] is not None:
             return f["bg.prewarm_s"]
-        if f["bg.preset"] == "loaded":
-            return 5.0 * self.background(0).mean_hold_s
-        return 0.0
+        if f["bg.preset"] == "off":
+            return 0.0
+        return 5.0 * self._bg("bg.mean_hold_s")
 
     def expected_bg_arrivals(self) -> float:
         """Background arrivals one policy run draws, estimated before the run.

@@ -70,7 +70,6 @@ class PolicyConfig:
 
     selector: str = "cba"
     k: int = 5
-    ci_mode: rsa.CiMode = rsa.CiMode.WINDOW
     base_fs: int = 4
     boost_factor: float = 2.0
     fs_max: int = 16
@@ -95,7 +94,7 @@ def select(net: Network, src: str, dst: str, width: int, policy: PolicyConfig,
            params: LatencyParams) -> rsa.SelectionResult:
     """The route and block that ``policy.selector`` picks: the one policy dispatch."""
     if policy.selector == "cba":
-        return rsa.select_cba(net, src, dst, width, policy.k, policy.ci_mode)
+        return rsa.select_cba(net, src, dst, width, policy.k)
     if policy.selector == "ksp_ff":
         return rsa.select_ksp_ff(net, src, dst, width, policy.k)
     return rsa.select_sd_ff(net, src, dst, width, policy.k, params)

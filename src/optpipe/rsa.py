@@ -21,26 +21,22 @@ ties break by lowest start slot.  The contiguity mean is computed from
 integer transition counts with a single float division so that independent
 reimplementations can match it bit for bit.
 
-Fitness by popcount.  On a free block no transition lies inside the block,
-so each mode's clamped transition count reduces to one bit per block.  With
-``agg`` the path bitmask, ``r`` the bitmask of free-run starts for width
-``w``, ``nfree = popcount(r)`` and ``denom = max(w - 1, 1)``, the sum S of
-counts over the free blocks is
-
-* window: ``popcount(r & (agg >> w))``, since a block's window holds one
-  transition exactly when slot f+w is occupied;
-* literal: 0;
-* global: ``nfree * min(popcount(~agg & (agg >> 1) & mask(F-1)), denom)``.
-
-The mean contiguity is ``(nfree*denom - S) / (nfree*denom)`` and the best
-window block is the lowest start in ``r & ~(agg >> w)``, or in ``r`` when
-that is empty.  ``optpipe.validate`` holds the slot-by-slot reference that
-these popcounts are checked against.
+Contiguity by popcount.  A block of width ``w`` at start slot f has
+contiguity ``1 - n / max(w - 1, 1)``, where n counts the free-to-occupied
+steps j-1 -> j for j in f..f+w: its window is the block plus the slot past
+its right edge.  On a free block no step inside the block rises, so n is
+one bit, set exactly when slot f+w is occupied.  With ``agg`` the path
+bitmask, ``r`` the bitmask of free-run starts for width ``w``,
+``nfree = popcount(r)`` and ``denom = max(w - 1, 1)``, the sum of n over
+the free blocks is ``S = popcount(r & (agg >> w))``, the mean contiguity
+is ``(nfree*denom - S) / (nfree*denom)``, and the best block is the lowest
+start in ``r & ~(agg >> w)``, or in ``r`` when that is empty.
+``optpipe.validate`` holds the slot-by-slot reference that these popcounts
+are checked against.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,30 +44,13 @@ from .latency import LatencyParams
 from .topology import CandidatePath, Network, free_run_starts, lowest_bit, path_bits
 
 
-class CiMode(enum.Enum):
-    """Window placement for the contiguity transition count.
-
-    ``literal`` sums strictly inside the block, which makes every free block
-    score 1.0; ``window`` (the default) extends the sum one slot past each
-    block edge so neighboring occupancy influences the score; ``global``
-    counts transitions over the whole vector with denominator F-1.
-    """
-
-    LITERAL = "literal"
-    WINDOW = "window"
-    GLOBAL = "global"
-
-
 # Lower bound on the mean-contiguity factor when feasible blocks exist.
 # Keeps availability equivalent to feasibility (score 0 means exactly "no
-# block fits / no capacity"), even in modes where every individual block can
-# score 0; far below the smallest genuine contiguity quantum, so it never
-# reorders paths with nonzero scores.
+# block fits / no capacity"), even where every block scores 0 (at widths 1
+# and 2, when each free run is one block long and ends at an occupied slot);
+# far below the smallest genuine contiguity quantum, so it never reorders
+# paths with nonzero scores.
 CI_FLOOR = 1e-9
-
-# the modes that the scoring loop tests, bound once: a member lookup on the
-# enum class costs more than the comparison
-_WINDOW, _GLOBAL = CiMode.WINDOW, CiMode.GLOBAL
 
 
 # The two result records are slotted, not frozen: every selection builds one
@@ -108,12 +87,7 @@ class SelectionResult:
 # path scoring (fitness and CBA)
 
 
-def _rises(agg: int, fs_total: int) -> int:
-    """Number of free-to-occupied transitions (slot j-1 free, slot j occupied)."""
-    return (~agg & (agg >> 1) & ((1 << (fs_total - 1)) - 1)).bit_count()
-
-
-def _score(path: CandidatePath, width: int, mode: CiMode, fs_total: int) -> tuple[float, int, int]:
+def _score(path: CandidatePath, width: int, fs_total: int) -> tuple[float, int, int]:
     """(gamma, path bitmask, free-run starts) of one path at the current occupancy.
 
     Gamma is 0 when no block fits.  One pass over the links gives both the
@@ -132,34 +106,20 @@ def _score(path: CandidatePath, width: int, mode: CiMode, fs_total: int) -> tupl
         return 0.0, agg, starts
     delta = 1.0 - occupied / (len(path.links) * fs_total)
     denom = width - 1 if width > 1 else 1
-    if mode is _WINDOW:
-        S = (starts & (agg >> width)).bit_count()
-    elif mode is _GLOBAL:
-        S = nfree * min(_rises(agg, fs_total), denom)
-    else:
-        S = 0
     nd = nfree * denom
-    mean_ci = (nd - S) / nd
+    mean_ci = (nd - (starts & (agg >> width)).bit_count()) / nd
     if mean_ci < CI_FLOOR:
         mean_ci = CI_FLOOR
     return mean_ci / (path.length_km * delta), agg, starts
 
 
-def _best_start(agg: int, starts: int, width: int, mode: CiMode) -> int:
+def _best_start(agg: int, starts: int, width: int) -> int:
     """Lowest free start among those with the fewest transitions (max CI)."""
-    if mode is _WINDOW:
-        clean = starts & ~(agg >> width)
-        if clean:
-            return lowest_bit(clean)
-    return lowest_bit(starts)
+    clean = starts & ~(agg >> width)
+    return lowest_bit(clean if clean else starts)
 
 
-def fitness(
-    net: Network,
-    path: CandidatePath,
-    width: int,
-    mode: CiMode = CiMode.WINDOW,
-) -> float:
+def fitness(net: Network, path: CandidatePath, width: int) -> float:
     """Candidate path score: availability-indicator / (L * delta) * mean CI.
 
     Zero exactly when no block fits (or the aggregate is fully occupied);
@@ -167,17 +127,10 @@ def fitness(
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    return _score(path, width, mode, net.fs_total)[0]
+    return _score(path, width, net.fs_total)[0]
 
 
-def select_cba(
-    net: Network,
-    src: str,
-    dst: str,
-    width: int,
-    k: int,
-    mode: CiMode = CiMode.WINDOW,
-) -> SelectionResult:
+def select_cba(net: Network, src: str, dst: str, width: int, k: int) -> SelectionResult:
     """Fitness-based selection: argmax gamma, then highest-CI block.
 
     Ties: shorter length, fewer hops, earlier path order; block ties take
@@ -192,13 +145,13 @@ def select_cba(
     best = None
     best_gamma = 0.0
     for p in paths:
-        gamma, agg, starts = _score(p, width, mode, F)
+        gamma, agg, starts = _score(p, width, F)
         if gamma > best_gamma:
             best, best_gamma = (p, agg, starts), gamma
     if best is None:
         return SelectionResult(None, None, 0.0, len(paths))
     p, agg, starts = best
-    f0 = _best_start(agg, starts, width, mode)
+    f0 = _best_start(agg, starts, width)
     return SelectionResult(p, CandidateBlock(f0, f0 + width - 1), best_gamma, len(paths))
 
 

@@ -36,15 +36,10 @@ from .latency import LatencyParams
 # reference implementations (independent of the production paths)
 
 
-def _rises(occ: list[int], f0: int, f1: int, mode: rsa.CiMode) -> int:
-    """Free-to-occupied steps j-1 -> j over the span that ``mode`` reads."""
-    F = len(occ)
-    if mode is rsa.CiMode.LITERAL:
-        span = range(f0 + 1, f1 + 1)
-    elif mode is rsa.CiMode.WINDOW:
-        span = range(max(1, f0), min(F - 1, f1 + 1) + 1)
-    else:
-        span = range(1, F)
+def _rises(occ: list[int], f0: int, f1: int) -> int:
+    """Free-to-occupied steps j-1 -> j over the window of block [f0, f1]:
+    j from f0 through f1 + 1, the slot past its right edge."""
+    span = range(max(1, f0), min(len(occ) - 1, f1 + 1) + 1)
     return sum(1 for j in span if occ[j - 1] == 0 and occ[j] == 1)
 
 
@@ -55,10 +50,8 @@ def _km(net: topology.Network, nodes: tuple[str, ...]) -> float:
     return total
 
 
-def ref_ci(occ: list[int], f0: int, f1: int, mode: rsa.CiMode) -> float:
-    F = len(occ)
-    denom = (F - 1) if mode is rsa.CiMode.GLOBAL else (f1 - f0)
-    return max(0.0, min(1.0, 1.0 - _rises(occ, f0, f1, mode) / max(denom, 1)))
+def ref_ci(occ: list[int], f0: int, f1: int) -> float:
+    return max(0.0, min(1.0, 1.0 - _rises(occ, f0, f1) / max(f1 - f0, 1)))
 
 
 def ref_simple_paths(net: topology.Network, src: str, dst: str) -> list[tuple[str, ...]]:
@@ -113,8 +106,8 @@ def ref_blocks(net: topology.Network, nodes: tuple[str, ...], width: int) -> lis
     return ref_free_starts(_aggregate(net, nodes), width)
 
 
-def ref_gamma(net: topology.Network, nodes: tuple[str, ...], width: int,
-              mode: rsa.CiMode) -> tuple[float, list[int], list[int]]:
+def ref_gamma(net: topology.Network, nodes: tuple[str, ...],
+              width: int) -> tuple[float, list[int], list[int]]:
     """(gamma, free starts, clamped transition counts) per the documented rules:
     mean-per-link availability divisor, integer-count contiguity mean with the
     positive floor so that zero means exactly "no feasible block"."""
@@ -126,14 +119,14 @@ def ref_gamma(net: topology.Network, nodes: tuple[str, ...], width: int,
     if not starts or delta <= 0.0:
         return 0.0, starts, []
     d = max(width - 1, 1)
-    m = [min(_rises(agg, f, f + width - 1, mode), d) for f in starts]
+    m = [min(_rises(agg, f, f + width - 1), d) for f in starts]
     n = len(starts)
     mean_ci = (n * d - sum(m)) / (n * d)
     return max(mean_ci, 1e-9) / (_km(net, nodes) * delta), starts, m
 
 
 def ref_select(net: topology.Network, src: str, dst: str, width: int, k: int,
-               mode: rsa.CiMode, selector: str, params: LatencyParams,
+               selector: str, params: LatencyParams,
                ) -> tuple[tuple[str, ...] | None, int | None, float | None]:
     """(path nodes, start slot, CBA's winning gamma) per the documented
     tie-breaks; None where blocked, and gamma None for the first-fit selectors."""
@@ -151,7 +144,7 @@ def ref_select(net: topology.Network, src: str, dst: str, width: int, k: int,
         return None, None, None
     best = None
     for i, nodes in enumerate(all_paths):
-        gamma, starts, m = ref_gamma(net, nodes, width, mode)
+        gamma, starts, m = ref_gamma(net, nodes, width)
         if gamma <= 0.0:
             continue
         key = (-gamma, _km(net, nodes), len(nodes) - 1, i)
@@ -270,7 +263,7 @@ def check_bubble_closed_form(ms: Sequence[int] = (8, 16, 32)) -> tuple[bool, str
 def one_link_exhaustive(F: int) -> tuple[int, str | None]:
     """Production CBA scoring against the reference on a one-link path.
 
-    For every occupancy vector of F slots, every width 1..F and every mode,
+    For every occupancy vector of F slots and every width 1..F,
     ``rsa.fitness`` must equal ``ref_gamma`` and ``select_cba`` must return
     ``ref_select``'s block and gamma, all exactly.  Returns the number of
     evaluations and the first mismatch, or None.
@@ -283,20 +276,18 @@ def one_link_exhaustive(F: int) -> tuple[int, str | None]:
         occ = [(bits >> j) & 1 for j in range(F)]
         topology.set_link_occupancy(net, 0, occ)
         for width in range(1, F + 1):
-            for mode in rsa.CiMode:
-                evaluations += 1
-                got = rsa.fitness(net, path, width, mode)
-                want = ref_gamma(net, path.nodes, width, mode)[0]
-                sel = rsa.select_cba(net, "A", "B", width, 1, mode)
-                _, want_start, want_gamma = ref_select(net, "A", "B", width, 1, mode,
-                                                       "cba", params)
-                got_start = sel.block.f_start if sel.block else None
-                if (got, got_start, sel.fitness) != (want, want_start, want_gamma or 0.0):
-                    return evaluations, (
-                        f"occupancy {occ} width {width} {mode.value}: fitness {got!r}, "
-                        f"selected {sel.fitness!r} at {got_start}; want {want!r}, "
-                        f"selected {want_gamma!r} at {want_start}"
-                    )
+            evaluations += 1
+            got = rsa.fitness(net, path, width)
+            want = ref_gamma(net, path.nodes, width)[0]
+            sel = rsa.select_cba(net, "A", "B", width, 1)
+            _, want_start, want_gamma = ref_select(net, "A", "B", width, 1, "cba", params)
+            got_start = sel.block.f_start if sel.block else None
+            if (got, got_start, sel.fitness) != (want, want_start, want_gamma or 0.0):
+                return evaluations, (
+                    f"occupancy {occ} width {width}: fitness {got!r}, "
+                    f"selected {sel.fitness!r} at {got_start}; want {want!r}, "
+                    f"selected {want_gamma!r} at {want_start}"
+                )
     return evaluations, None
 
 
@@ -304,7 +295,7 @@ def check_ci_reference() -> tuple[bool, str]:
     evaluations, mismatch = one_link_exhaustive(8)
     if mismatch is not None:
         return False, mismatch
-    return True, (f"{evaluations} one-link cases at F=8: fitness and CBA's block "
+    return True, (f"{evaluations} one-link window cases at F=8: fitness and CBA's block "
                   "equal the reference")
 
 
@@ -324,13 +315,15 @@ def check_selection_bruteforce(n_instances: int = 200, seed: int = 7) -> tuple[b
         net, src, dst = _random_pair(rng)
         width = int(rng.integers(1, 4))
         k = int(rng.choice([1, 2, 3, 8]))
-        mode = rsa.CiMode(["literal", "window", "global"][int(rng.integers(0, 3))])
+        # a spare draw, where a contiguity rule was once picked: it keeps every
+        # seed's sequence of instances
+        rng.integers(0, 3)
         for selector in engine.SELECTORS:
-            policy = engine.PolicyConfig(selector=selector, k=k, ci_mode=mode)
+            policy = engine.PolicyConfig(selector=selector, k=k)
             sel = engine.select(net, src, dst, width, policy, params)
             got = (sel.path.nodes if sel.path else None,
                    sel.block.f_start if sel.block else None, sel.fitness)
-            want_nodes, want_start, want_gamma = ref_select(net, src, dst, width, k, mode,
+            want_nodes, want_start, want_gamma = ref_select(net, src, dst, width, k,
                                                             selector, params)
             if got != (want_nodes, want_start, want_gamma or 0.0):
                 return False, (f"instance {i} {selector}: got {got}, "

@@ -81,13 +81,14 @@ class TestConfig:
         ("placement.n_dcs", 6),
         ("latency.queue_penalty_per_conflict_s", 0.0),
         ("cba.boost_outgoing", False),
+        ("rsa.ci_mode", "window"),
     ])
     def test_removed_keys_are_unknown(self, key, value):
         with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
             RunConfig.from_flat({key: value})
 
     @pytest.mark.parametrize("key", ["topology.path", "run.policy", "run.schedule", "run.model",
-                                     "rsa.ci_mode", "bg.preset"])
+                                     "bg.preset"])
     @pytest.mark.parametrize("value", [7, True])
     def test_string_keys_take_strings_only(self, key, value):
         # str() would turn 7 into '7' and true into 'True'
@@ -567,8 +568,11 @@ class TestMain:
             ('{"latency.prop_s_per_km": NaN}', "latency.prop_s_per_km"),
             ('{"engine.retry_backoff_s": Infinity}', "engine.retry_backoff_s"),
             ('{"rsa.k": Infinity}', "rsa.k"),
-            ('{"bg.preset": "custom", "bg.arrival_rate_per_s": 1.0, "bg.mean_hold_s": 1.0,'
+            ('{"bg.preset": "loaded", "bg.arrival_rate_per_s": 1.0, "bg.mean_hold_s": 1.0,'
              ' "bg.fs_demand_min": 5, "bg.fs_demand_max": 3}', "bg.fs_demand_min"),
+            # the loaded preset is the one background model; its keys override it
+            ('{"bg.preset": "custom", "bg.arrival_rate_per_s": 1.0, "bg.mean_hold_s": 1.0,'
+             ' "bg.fs_demand_min": 1, "bg.fs_demand_max": 3}', "bg.preset"),
             ('{"bg.preset": "loaded", "bg.prewarm_s": -1.0}', "bg.prewarm_s"),
             ('{"topology.path": "no/such/topology.json"}', "topology.path"),
             ('{"fs.base": 8, "fs.max": 4}', "fs.base"),
@@ -611,6 +615,11 @@ class TestMain:
             ('{"bg.preset": "loaded", "bg.prewarm_s": 1e9}', "bg.prewarm_s"),
             ('{"bg.preset": "loaded", "bg.mean_hold_s": 1e6}', "bg.mean_hold_s"),
             ('{"bg.preset": "loaded", "bg.mean_hold_s": 1e300}', "bg.mean_hold_s"),
+            # a default prewarm (five holding times) past the float range names
+            # the holding time, also at a rate that draws nothing
+            ('{"bg.preset": "loaded", "bg.mean_hold_s": 1e308}', "bg.mean_hold_s"),
+            ('{"bg.preset": "loaded", "bg.arrival_rate_per_s": 0, "bg.mean_hold_s": 1e308}',
+             "bg.mean_hold_s"),
             # the task caps run before the arrival estimate, whose float
             # arithmetic would overflow on a count past the float range
             ('{"bg.preset": "loaded", "cba.n_iterations": 100000}', "cba.n_iterations"),
@@ -663,14 +672,6 @@ class TestMain:
             ('{"compare.models": ["llama3-8b-like", "gpt"]}', "compare.models"),
             # the string keys take strings only (TestConfig covers each of them)
             ('{"run.model": 7}', "run.model"),
-            # an event time past the float range names the keys of its term
-            ('{"run.microbatches": 2, "cba.n_iterations": 2, "latency.fs_rate_bps": 1e-300}',
-             "latency.fs_rate_bps"),
-            ('{"run.microbatches": 2, "cba.n_iterations": 2, "latency.prop_s_per_km": 1e308}',
-             "latency.prop_s_per_km"),
-            (json.dumps({**HUGE_MODEL, "model.fwd_time_per_layer_s": 1e307,
-                         "model.bwd_time_per_layer_s": 1e307}),
-             "model.fwd_time_per_layer_s"),
             # a message whose size in bits (8x) no float can hold
             (json.dumps({**HUGE_MODEL, "model.fwd_time_per_layer_s": 1e-3,
                          "model.bwd_time_per_layer_s": 2e-3,
@@ -688,8 +689,33 @@ class TestMain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and key in err
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize(
+        "flat, term",
+        [
+            ({"run.microbatches": 2, "cba.n_iterations": 2, "latency.fs_rate_bps": 1e-300},
+             "transfer"),
+            ({"run.microbatches": 2, "cba.n_iterations": 2, "latency.prop_s_per_km": 1e308},
+             "transfer"),
+            ({**HUGE_MODEL, "model.fwd_time_per_layer_s": 1e307,
+              "model.bwd_time_per_layer_s": 1e307}, "compute"),
+        ],
+    )
+    def test_time_overflow_exits_one_naming_its_term_keys(self, tmp_path, capsys, flat, term):
+        # an event time past the float range names every key of its term
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flat))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        keys = ", ".join(cli._TIME_KEYS[term])
+        assert capsys.readouterr().err.startswith(f"config error: {keys}: a {term} time ")
+
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        # json.load raises a plain ValueError, not a JSONDecodeError, on it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pp.stages": 1' + "0" * 4400 + "}")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
 
     @pytest.mark.parametrize(
         "flat, key",

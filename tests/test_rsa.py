@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from optpipe import validate
 from optpipe.latency import LatencyParams
 from optpipe.rsa import (
-    CiMode,
     fitness,
     select_cba,
     select_ksp_ff,
@@ -89,51 +90,28 @@ class TestCandidateBlocks:
 class TestContiguityIndex:
     """Hand-computed cases of the slot-by-slot reference ``validate.ref_ci``."""
 
-    def test_all_free_literal_is_one(self):
-        assert validate.ref_ci([0] * 8, 2, 5, CiMode.LITERAL) == 1.0
-
-    def test_literal_interior_only(self):
-        # occupied run at 3-4; window [4,7] has no free-to-occupied step inside
-        assert validate.ref_ci([0, 0, 0, 1, 1, 0, 0, 0], 4, 7, CiMode.LITERAL) == 1.0
-
     def test_window_mode_right_edge(self):
         occ = [0, 0, 0, 0, 0, 1, 0, 0]
-        assert validate.ref_ci(occ, 0, 3, CiMode.WINDOW) == 1.0
-        got = validate.ref_ci(occ, 1, 4, CiMode.WINDOW)
+        assert validate.ref_ci(occ, 0, 3) == 1.0
+        got = validate.ref_ci(occ, 1, 4)
         assert got == pytest.approx(1 - 1 / 3, abs=1e-12)
-
-    def test_degenerate_block_literal_is_one(self):
-        assert validate.ref_ci([1, 0, 1, 0, 1, 0, 1, 0], 3, 3, CiMode.LITERAL) == 1.0
-
-    def test_global_mode_ignores_block_position(self):
-        occ = [0, 1, 1, 0, 0, 1, 0, 0, 1, 1]
-        vals = {
-            validate.ref_ci(occ, f0, f1, CiMode.GLOBAL)
-            for f0 in range(10)
-            for f1 in range(f0, 10)
-        }
-        assert len(vals) == 1
-        # three free-to-occupied steps over nine positions
-        assert vals.pop() == pytest.approx(1 - 3 / 9, abs=1e-12)
 
     @given(
         occ=st.lists(st.integers(0, 1), min_size=1, max_size=12),
         data=st.data(),
-        mode=st.sampled_from(list(CiMode)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_range_and_reference(self, occ, data, mode):
+    def test_range_and_reference(self, occ, data):
         # production fitness and CBA's block on a one-link path, exactly
         F = len(occ)
         width = data.draw(st.integers(1, F))
         net = Network(["A", "B"], [("A", "B", 7.0)], fs_total=F)
         set_link_occupancy(net, 0, occ)
         (path,) = net.paths.candidates("A", "B", 1)
-        want, starts, _ = validate.ref_gamma(net, path.nodes, width, mode)
-        assert fitness(net, path, width, mode) == want
-        sel = select_cba(net, "A", "B", width, 1, mode)
-        _, want_start, _ = validate.ref_select(net, "A", "B", width, 1, mode, "cba",
-                                               LatencyParams())
+        want, starts, _ = validate.ref_gamma(net, path.nodes, width)
+        assert fitness(net, path, width) == want
+        sel = select_cba(net, "A", "B", width, 1)
+        _, want_start, _ = validate.ref_select(net, "A", "B", width, 1, "cba", LatencyParams())
         assert (sel.block.f_start if sel.block else None) == want_start
         assert sel.fitness == want and (want > 0.0) == bool(starts)
 
@@ -144,19 +122,20 @@ class TestAvailabilityFactor:
     def test_empty_spectrum(self, two_dc):
         # divisor 1: 1/100 km times contiguity 1
         (path,) = two_dc.paths.candidates("A", "B", 1)
-        assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.01, abs=1e-15)
+        assert fitness(two_dc, path, 4) == pytest.approx(0.01, abs=1e-15)
 
     def test_half_occupied(self, two_dc, triangle):
         occupy(two_dc, "A", "B", (0, 39), "x")
         (path,) = two_dc.paths.candidates("A", "B", 1)
-        assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.02, abs=1e-15)
+        # the occupied run ends below every free block: contiguity 1
+        assert fitness(two_dc, path, 4) == pytest.approx(0.02, abs=1e-15)
         # two links, 4 of 16 slots occupied: divisor 0.75 over 2 km
         occupy(triangle, "A", "B", (0, 3), "y")
         (path,) = triangle.paths.candidates("A", "C", 1)
         assert path.nodes == ("A", "B", "C")
-        got = fitness(triangle, path, 2, CiMode.LITERAL)
+        got = fitness(triangle, path, 2)
         assert got == pytest.approx(1 / (2 * 0.75), abs=1e-12)
-        assert got == validate.ref_gamma(triangle, path.nodes, 2, CiMode.LITERAL)[0]
+        assert got == validate.ref_gamma(triangle, path.nodes, 2)[0]
 
     def test_fully_occupied_path_unavailable(self, two_dc):
         occupy(two_dc, "A", "B", (0, 79), "x")
@@ -170,13 +149,13 @@ class TestFitness:
     def test_unavailable_path_scores_zero(self, two_dc):
         occupy(two_dc, "A", "B", (0, 79), "x")
         (path,) = two_dc.paths.candidates("A", "B", 1)
-        assert fitness(two_dc, path, 4, CiMode.LITERAL) == 0.0
+        assert fitness(two_dc, path, 4) == 0.0
 
-    def test_empty_single_link_literal(self, two_dc):
+    def test_empty_single_link(self, two_dc):
         # 77 blocks, each contiguity 1, availability 1 -> 1/100 km
         (path,) = two_dc.paths.candidates("A", "B", 1)
         assert len(free_starts(two_dc, path, 4)) == 77
-        assert fitness(two_dc, path, 4, CiMode.LITERAL) == pytest.approx(0.01, abs=1e-15)
+        assert fitness(two_dc, path, 4) == pytest.approx(0.01, abs=1e-15)
 
     def test_constructed_half_occupancy_window_mean(self, two_dc):
         # segments: three interior free runs of 4 (each contributes one block
@@ -196,9 +175,9 @@ class TestFitness:
         set_link_occupancy(net, 0, occ)
         (path,) = net.paths.candidates("A", "B", 1)
 
-        g, starts, m = validate.ref_gamma(net, ("A", "B"), 4, CiMode.WINDOW)
+        g, starts, m = validate.ref_gamma(net, ("A", "B"), 4)
         assert len(starts) == 5 and sorted(m) == [0, 0, 1, 1, 1]
-        got = fitness(net, path, 4, CiMode.WINDOW)
+        got = fitness(net, path, 4)
         assert got == pytest.approx((1 / (100 * 0.5)) * 0.8, abs=1e-12)
         assert got == g
 
@@ -217,7 +196,7 @@ class TestFitness:
         net = Network(["A", "B"], [("A", "B", 10.0)], fs_total=8)
         set_link_occupancy(net, 0, bits("10101011"))
         (path,) = net.paths.candidates("A", "B", 1)
-        g = fitness(net, path, 1, CiMode.WINDOW)
+        g = fitness(net, path, 1)
         assert 0.0 < g < 1e-6
 
 
@@ -282,6 +261,16 @@ class TestSelectors:
         # force the direct comparison: both have identical lengths
         ksp = net.paths.candidates("A", "F", 4)
         assert ksp[0].length_km == ksp[1].length_km == 10.0
+
+    def test_sd_ff_order_is_ksp_order_on_nsfnet_at_default_latency(self, nsfnet):
+        # the per-hop term (0.1 ms, 20 km of fibre) never reorders NSFNET's
+        # five shortest routes, so at the default latency keys SD-FF selects
+        # exactly what KSP-FF selects
+        pairs = list(itertools.permutations(nsfnet.nodes, 2))
+        assert len(pairs) == 182
+        for a, b in pairs:
+            n = len(nsfnet.paths.candidates(a, b, 5))
+            assert nsfnet.paths.delay_order(a, b, 5, LatencyParams()) == tuple(range(n))
 
     def test_selectors_do_not_mutate_network(self, nsfnet):
         occupy(nsfnet, "PA", "NY", (0, 9), "x")
