@@ -14,6 +14,11 @@ Commands:
 * ``validate`` the built-in oracle suite (closed-form bubble check,
                brute-force selection equivalence, spectrum audit, ...).
 
+``run`` and ``compare`` hand their cells to ``run_cells``, which reads two
+keys for both: ``jobs`` (compare's ``--jobs`` sets it) for the worker
+processes, and ``output.event_log`` for the event log.  Rows hold plain
+numbers; ``csv`` writes a float as its ``repr``, so the CSVs round-trip.
+
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
 
@@ -23,10 +28,12 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Sequence
 
@@ -56,10 +63,11 @@ MAX_FS_TOTAL = 4096
 # paths, which explodes on a dense custom topology.
 MAX_RETRIES = 500
 MAX_K = 64
-# Cap on compare's worker processes: a pool forks all of them at its first
-# task, and a run is CPU-bound, so more workers than cores only cost memory.
+# Cap on the worker processes of run and compare: a pool forks all of them at
+# its first task, and a cell is CPU-bound, so more workers than cores only cost
+# memory.
 MAX_JOBS = 64
-# Prewarmed start states one process keeps (see prewarmed_start): compare
+# Prewarmed start states one process keeps (see prewarmed_start): run_cells
 # dispatches the cells of one size seed by seed, so a worker needs one or two.
 START_STATES = 4
 # The keys behind each term of an event time (see engine.TimeOverflowError).
@@ -217,7 +225,9 @@ class RunConfig:
     def from_file(cls, path: str, overrides: dict[str, Any] | None = None) -> "RunConfig":
         try:
             with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=topology.unique_keys)
+        except topology.RepeatedKeyError as exc:
+            raise ConfigError(f"{exc.args[0]}: given more than once in {path}") from exc
         except (OSError, ValueError) as exc:
             # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit limit
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -554,17 +564,21 @@ def prewarmed_start(path: str | None, fs_total: int,
 
 
 # ----------------------------------------------------------------------
-# single-cell execution (shared by run, compare, and the test suite)
+# cell execution (shared by run, compare, and the test suite)
 
 
 @dataclass
 class CellOutcome:
-    rows: list[list]
-    audited_transfers: int
-    label_checks: int
-    event_lines: list[str]
-    first_fit_reused: bool = False  # the second first-fit baseline was copied
-    reused_iterations: int = 0      # iterations that repeated a simulated timeline
+    """What one or more cells produced: measured rows of plain numbers,
+    event-log lines (empty unless collected) and ``counts``, summed over the
+    cells: ``audited_transfers`` and ``label_checks`` count what was simulated
+    and checked, ``first_fit_reused`` the cells whose second first-fit
+    baseline was copied, and ``reused_iterations`` the iterations that
+    repeated an earlier iteration's timeline."""
+
+    rows: list[list] = field(default_factory=list)
+    event_lines: list[str] = field(default_factory=list)
+    counts: Counter = field(default_factory=Counter)
 
 
 # The two first-fit baselines: same candidates, possibly different trial order.
@@ -619,7 +633,6 @@ def run_cell(
     iteration that ``orchestrate`` reused (no background, a repeated demand
     map) or a copied twin's is that same object: it repeats under its own
     number and adds nothing to the audit and label counts.
-    ``reused_iterations`` counts the iterations ``orchestrate`` reused.
     """
     p = cfg["pp.stages"]
     k = cfg["rsa.k"]
@@ -633,27 +646,23 @@ def run_cell(
 
     start = cfg.start_state(seed)
     net = start.network
+    out = CellOutcome()
+    counts = out.counts
     runs: dict[str, list[cba.IterationResult]] = {}
-    reused = False
-    reused_iterations = 0
     for policy_name in policy_names:
         twin = runs.get(_FIRST_FIT_TWIN.get(policy_name))
         if twin is not None and _sd_ff_order_is_ksp_ff(
             net, _routed_pairs(stages, tasks), k, params
         ):
             runs[policy_name] = twin
-            reused = True
+            counts["first_fit_reused"] = 1
             continue
         net.restore(start)
         runs[policy_name] = results = cba.orchestrate(
             orch, net, stages, tasks, cfg.policy(policy_name), params, msg_bits=msg_bits,
         )
-        reused_iterations += len(results) - len({id(r) for r in results})
+        counts["reused_iterations"] += len(results) - len({id(r) for r in results})
 
-    rows: list[list] = []
-    audited = 0
-    label_checks = 0
-    event_lines: list[str] = []
     # id(result) -> its row values and log lines (empty without collect_events)
     seen: dict[int, tuple[list, list[str]]] = {}
     for policy_name, results in runs.items():
@@ -662,34 +671,72 @@ def run_cell(
                 tl = r.timeline
                 if collect_events:
                     lines = tl.event_log_lines()
-                    audited += engine.audit_event_log(net, lines, tl.iteration_makespan)
+                    audited = engine.audit_event_log(net, lines, tl.iteration_makespan)
                 else:
                     lines = []
-                    audited += engine.audit_transfers(net, tl.transfers, tl.iteration_makespan)
+                    audited = engine.audit_transfers(net, tl.transfers, tl.iteration_makespan)
+                counts["audited_transfers"] += audited
                 if r.labels is not None:
-                    label_checks += cba.verify_label_soundness(tl, r.labels, orch.epsilon_bubble_s)
+                    counts["label_checks"] += cba.verify_label_soundness(
+                        tl, r.labels, orch.epsilon_bubble_s)
                 seen[id(r)] = [
-                    repr(tl.iteration_makespan), repr(engine.bubble_ratio(tl)),
-                    tl.cross_dc_requests, tl.blocked_requests,
-                    repr(engine.blocking_probability(tl)),
+                    tl.iteration_makespan, engine.bubble_ratio(tl), tl.cross_dc_requests,
+                    tl.blocked_requests, engine.blocking_probability(tl),
                 ], lines
             values, lines = seen[id(r)]
             if collect_events:
-                event_lines.append(
+                out.event_lines.append(
                     f"RUN\tpolicy={policy_name}\tmodel={model}\tschedule={schedule}"
                     f"\tm={m}\tseed={seed}\titeration={it}"
                 )
-                event_lines.extend(lines)
+                out.event_lines.extend(lines)
             if it >= 1:
-                rows.append([policy_name, model, schedule, m, seed, it, *values])
-    return CellOutcome(rows, audited, label_checks, event_lines, reused, reused_iterations)
+                out.rows.append([policy_name, model, schedule, m, seed, it, *values])
+    return out
 
 
-def _run_cell_job(args: tuple) -> tuple[tuple, CellOutcome]:
-    flat, policies, model, schedule, m, seed, collect = args
-    cfg = RunConfig.from_flat(flat)
-    out = run_cell(cfg, policies, model, schedule, m, seed, collect_events=collect)
-    return (model, schedule, m, seed), out
+def run_cells(cfg: RunConfig, policies: Sequence[str],
+              cells: Sequence[tuple[str, str, int, int]], verbose: bool = True) -> CellOutcome:
+    """Run each (model, schedule, m, seed) cell for ``policies``; one summed outcome.
+
+    The cells' models must fit ``pp.stages``.  ``output.event_log`` decides
+    whether the cells collect the event log, and ``jobs`` (default: up to 8
+    cores) how many worker processes run them, at most one per cell; each
+    worker gets the validated ``cfg``.  Cells are dispatched largest first by
+    task count and, within one size, by seed, so a worker's consecutive cells
+    share a prewarmed start state (``prewarmed_start``).  The rows, lines and
+    counts are summed in the given cell order.
+    """
+    cfg.check_model_depth(dict.fromkeys(cell[0] for cell in cells))
+    jobs = cfg["jobs"] or min(os.cpu_count() or 1, 8)
+    job = functools.partial(run_cell, cfg, policies, collect_events=cfg["output.event_log"])
+    # largest cells (2*p*m tasks) first, so no worker is left with a long cell at the end
+    order = sorted(range(len(cells)), key=lambda i: (-cells[i][2], cells[i][3]))
+    outcomes: list[CellOutcome | None] = [None] * len(cells)
+    # a pool forks all its workers at once, however few cells there are
+    workers = min(jobs, len(cells))
+    parallel = workers > 1
+    if parallel:  # imported here, so a serial run does not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext() as pool:
+        cell_map = pool.map if pool else map
+        try:
+            done = cell_map(job, *zip(*(cells[i] for i in order)))
+            for n, (i, out) in enumerate(zip(order, done), 1):
+                outcomes[i] = out
+                if verbose:
+                    print(f"cell {n}/{len(cells)} {cells[i]} done", file=sys.stderr, flush=True)
+        except BaseException:
+            if pool is not None:  # a failed cell ends the run: drop the queued ones
+                pool.shutdown(cancel_futures=True)
+            raise
+
+    total = CellOutcome()
+    for out in outcomes:
+        total.rows.extend(out.rows)
+        total.event_lines.extend(out.event_lines)
+        total.counts.update(out.counts)
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -697,9 +744,7 @@ def _run_cell_job(args: tuple) -> tuple[tuple, CellOutcome]:
 
 
 def _outdir(explicit: str | None) -> str:
-    out = explicit or os.environ.get("OPTPIPE_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    return explicit or os.environ.get("OPTPIPE_OUTDIR") or "."
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -709,172 +754,81 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         writer.writerows(rows)
 
 
+def _write_outputs(cfg: RunConfig, outdir: str, command: str, out: CellOutcome,
+                   summary_rows: list[list] | None = None) -> dict[str, str]:
+    """Write ``<command>.csv``, the summary if given and the event log if
+    configured; returns their paths.  ``csv`` writes a float as its ``repr``."""
+    paths = {"results": os.path.join(outdir, f"{command}.csv")}
+    _write_csv(paths["results"], RESULT_COLUMNS, out.rows)
+    if summary_rows is not None:
+        paths["summary"] = os.path.join(outdir, f"{command}_summary.csv")
+        _write_csv(paths["summary"], SUMMARY_COLUMNS, summary_rows)
+    if cfg["output.event_log"]:
+        paths["events"] = os.path.join(outdir, f"{command}_events.log")
+        with open(paths["events"], "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(out.event_lines) + "\n")
+    return paths
+
+
 def _mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
 def cmd_run(cfg: RunConfig, outdir: str, verbose: bool = True) -> dict[str, str]:
-    """One orchestrate call per seed for the configured policy."""
+    """The configured policy's cell at each of ``run.seeds``, in that order,
+    then a mean row over every measured row."""
     os.makedirs(outdir, exist_ok=True)
-    cfg.check_model_depth([cfg["run.model"]])
-    rows: list[list] = []
-    events: list[str] = []
-    for seed in cfg["run.seeds"]:
-        out = run_cell(
-            cfg, [cfg["run.policy"]], cfg["run.model"], cfg["run.schedule"],
-            cfg["run.microbatches"], seed, collect_events=cfg["output.event_log"],
-        )
-        rows.extend(out.rows)
-        events.extend(out.event_lines)
-        if verbose:
-            print(f"run: seed {seed} done ({len(out.rows)} measured rows)",
-                  file=sys.stderr, flush=True)
-
-    summary = [
-        cfg["run.policy"], cfg["run.model"], cfg["run.schedule"],
-        cfg["run.microbatches"], "all", "mean",
-        repr(_mean([float(r[6]) for r in rows])),
-        repr(_mean([float(r[7]) for r in rows])),
-        repr(_mean([float(r[8]) for r in rows])),
-        repr(_mean([float(r[9]) for r in rows])),
-        repr(_mean([float(r[10]) for r in rows])),
-    ]
-    paths = {"results": os.path.join(outdir, "run.csv")}
-    _write_csv(paths["results"], RESULT_COLUMNS, rows + [summary])
-    if cfg["output.event_log"]:
-        paths["events"] = os.path.join(outdir, "run_events.log")
-        with open(paths["events"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(events) + "\n")
-    return paths
+    cell = (cfg["run.model"], cfg["run.schedule"], cfg["run.microbatches"])
+    out = run_cells(cfg, [cfg["run.policy"]], [(*cell, seed) for seed in cfg["run.seeds"]],
+                    verbose)
+    out.rows.append([cfg["run.policy"], *cell, "all", "mean",
+                     *(_mean([r[col] for r in out.rows]) for col in range(6, len(RESULT_COLUMNS)))])
+    return _write_outputs(cfg, outdir, "run", out)
 
 
-def compare_grid(
-    cfg: RunConfig, jobs: int | None = None, verbose: bool = True,
-    collect_events: bool = False,
-) -> tuple[list[list], list[list], list[str], int, int, int, int]:
-    """Run the full paired grid; returns (rows, summary_rows, events, audited,
-    label_checks, reused_cells, reused_iterations).
-
-    ``audited`` and ``label_checks`` count what was simulated and checked;
-    ``reused_cells`` is the number of cells whose SD-FF rows were copied from
-    KSP-FF, and ``reused_iterations`` the number of policy iterations that
-    repeated an earlier iteration's timeline (see ``run_cell``).  Cells are
-    dispatched largest first by task count and, within one size, by seed, so
-    a worker's consecutive cells share a prewarmed start state
-    (``prewarmed_start``); outcomes are collected by key, so the output keeps
-    grid order.  ``jobs`` (default: the ``jobs`` key, else up to 8 cores)
-    must be in [1, ``MAX_JOBS``]; at most one worker per cell is started."""
-    cfg.check_model_depth(cfg["compare.models"])
-    grid = [
-        (model, schedule, m, seed)
-        for model in cfg["compare.models"]
-        for schedule in cfg["compare.schedules"]
-        for m in cfg["compare.microbatch_grid"]
-        for seed in cfg["compare.seeds"]
-    ]
-    policies = list(engine.SELECTORS)
-    if jobs is None:
-        jobs = cfg["jobs"] or min(os.cpu_count() or 1, 8)
-    elif not 1 <= jobs <= MAX_JOBS:
-        raise ConfigError(f"jobs: must be in [1, {MAX_JOBS}] (got {jobs})")
-
-    outcomes: dict[tuple, CellOutcome] = {}
-    # largest cells (2*p*m tasks) first, so no worker is left with a long
-    # cell at the end; outcomes are still emitted in grid order
-    p = cfg["pp.stages"]
-    largest_first = sorted(grid, key=lambda cell: (-2 * p * cell[2], cell[3]))
-    work = [(cfg.flat, policies, *cell, collect_events) for cell in largest_first]
-    # a pool forks all its workers at once, however few cells there are
-    workers = min(jobs, len(work))
-    parallel = workers > 1
-    if parallel:  # imported here, so a serial run does not load the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext() as pool:
-        cell_map = pool.map if pool else map
-        try:
-            for i, (key, out) in enumerate(cell_map(_run_cell_job, work)):
-                outcomes[key] = out
-                if verbose:
-                    print(f"compare: cell {i + 1}/{len(work)} {key}",
-                          file=sys.stderr, flush=True)
-        except BaseException:
-            if pool is not None:  # a failed cell ends the grid: drop the queued ones
-                pool.shutdown(cancel_futures=True)
-            raise
-
-    rows: list[list] = []
-    events: list[str] = []
-    audited = 0
-    label_checks = 0
-    reused_cells = 0
-    reused_iterations = 0
-    order = lambda r: (r[0], r[1], r[2], int(r[3]), int(r[4]), int(r[5]))
-    for cell in grid:
-        out = outcomes[tuple(cell)]
-        rows.extend(out.rows)
-        events.extend(out.event_lines)
-        audited += out.audited_transfers
-        label_checks += out.label_checks
-        reused_cells += out.first_fit_reused
-        reused_iterations += out.reused_iterations
-    rows.sort(key=order)
-
-    summary_rows = _summarize(cfg, rows)
-    return rows, summary_rows, events, audited, label_checks, reused_cells, reused_iterations
+def compare_grid(cfg: RunConfig, verbose: bool = True) -> tuple[CellOutcome, list[list]]:
+    """Run the full paired grid: all three policies on every cell of the
+    models x schedules x microbatch counts x seeds.  Returns the summed
+    outcome, its rows sorted by (policy, model, schedule, m, seed,
+    iteration), and the summary rows."""
+    cells = list(itertools.product(cfg["compare.models"], cfg["compare.schedules"],
+                                   cfg["compare.microbatch_grid"], cfg["compare.seeds"]))
+    out = run_cells(cfg, engine.SELECTORS, cells, verbose)
+    out.rows.sort(key=lambda r: r[:6])
+    return out, _summarize(cfg, out.rows)
 
 
 def _summarize(cfg: RunConfig, rows: list[list]) -> list[list]:
-    cells: dict[tuple, dict[str, list[float]]] = {}
+    """Per (model, schedule, m) and policy: the mean runtime, bubble ratio and
+    blocking probability, and their improvement over each first-fit baseline."""
+    per: dict[tuple, dict[str, list[list]]] = {}
     for r in rows:
-        key = (r[1], r[2], int(r[3]))  # model, schedule, m
-        per = cells.setdefault(key, {})
-        per.setdefault(r[0], []).append(r)
+        per.setdefault(tuple(r[1:4]), {}).setdefault(r[0], []).append(r)
     out: list[list] = []
-    for model in cfg["compare.models"]:
-        for schedule in cfg["compare.schedules"]:
-            for m in cfg["compare.microbatch_grid"]:
-                per = cells.get((model, schedule, m), {})
-                means = {}
-                for policy, rs in per.items():
-                    means[policy] = (
-                        _mean([float(x[6]) for x in rs]),
-                        _mean([float(x[7]) for x in rs]),
-                        _mean([float(x[10]) for x in rs]),
-                    )
-                for policy in engine.SELECTORS:
-                    if policy not in means:
-                        continue
-                    rt, bub, blk = means[policy]
-                    row = [policy, model, schedule, m, repr(rt), repr(bub), repr(blk)]
-                    for base in ("ksp_ff", "sd_ff"):
-                        brt, bbub, bblk = means[base]
-                        d_rt = 100.0 * (brt - rt) / brt if brt else 0.0
-                        row.extend([repr(d_rt), repr(bbub - bub), repr(bblk - blk)])
-                    out.append(row)
+    for model, schedule, m in itertools.product(cfg["compare.models"], cfg["compare.schedules"],
+                                                cfg["compare.microbatch_grid"]):
+        means = {policy: [_mean([r[col] for r in rs]) for col in (6, 7, 10)]
+                 for policy, rs in per[model, schedule, m].items()}
+        for policy in engine.SELECTORS:
+            rt, bub, blk = means[policy]
+            row = [policy, model, schedule, m, rt, bub, blk]
+            for base in ("ksp_ff", "sd_ff"):
+                brt, bbub, bblk = means[base]
+                row.extend([100.0 * (brt - rt) / brt if brt else 0.0, bbub - bub, bblk - blk])
+            out.append(row)
     return out
 
 
-def cmd_compare(cfg: RunConfig, outdir: str, jobs: int | None = None,
-                verbose: bool = True) -> dict[str, str]:
+def cmd_compare(cfg: RunConfig, outdir: str, verbose: bool = True) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
-    rows, summary_rows, events, audited, _, reused_cells, reused_iterations = compare_grid(
-        cfg, jobs=jobs, verbose=verbose, collect_events=cfg["output.event_log"],
-    )
-    paths = {
-        "results": os.path.join(outdir, "compare.csv"),
-        "summary": os.path.join(outdir, "compare_summary.csv"),
-    }
-    _write_csv(paths["results"], RESULT_COLUMNS, rows)
-    _write_csv(paths["summary"], SUMMARY_COLUMNS, summary_rows)
-    if cfg["output.event_log"]:
-        paths["events"] = os.path.join(outdir, "compare_events.log")
-        with open(paths["events"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(events) + "\n")
+    out, summary_rows = compare_grid(cfg, verbose)
+    paths = _write_outputs(cfg, outdir, "compare", out, summary_rows)
     if verbose:
-        print(f"compare: audited {audited} transfers; "
-              f"{reused_cells} cells reused the KSP-FF trajectory for SD-FF; "
-              f"{reused_iterations} iterations reused an earlier iteration's timeline; "
-              f"wrote {paths['results']}", file=sys.stderr, flush=True)
+        counts = out.counts
+        print(f"compare: audited {counts['audited_transfers']} transfers; "
+              f"{counts['first_fit_reused']} cells reused the KSP-FF trajectory for SD-FF; "
+              f"{counts['reused_iterations']} iterations reused an earlier iteration's "
+              f"timeline; wrote {paths['results']}", file=sys.stderr, flush=True)
     return paths
 
 

@@ -69,6 +69,21 @@ class ArrivalCapError(RuntimeError):
     """An arrival tape was asked for more than ``MAX_BG_ARRIVALS`` arrivals."""
 
 
+class RepeatedKeyError(ValueError):
+    """A JSON object names one key twice; the argument is the key."""
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json``: a plain load keeps a repeated key's
+    last value without a word, this refuses it."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise RepeatedKeyError(key)
+        doc[key] = value
+    return doc
+
+
 class UnknownOwnerError(KeyError):
     """Release requested for an owner with no active allocations."""
 
@@ -544,11 +559,16 @@ def load_topology(text: str, fs_total: int = DEFAULT_FS_TOTAL) -> Network:
     """Parse UTF-8 JSON topology content into a fresh all-free Network.
 
     Expected shape: ``{"nodes": [str], "links": [{"a", "b", "length_km"}]}``.
-    The slot count comes from the run configuration, not the file.
+    The slot count comes from the run configuration, not the file.  No object
+    may repeat a key, and no node name may hold ``>``, tab or a line break,
+    which separate the fields of the event log.  The links' total length must
+    be a finite float, so no path's length overflows.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except RepeatedKeyError as exc:
+        raise TopologyError(f"key {exc.args[0]!r} appears more than once") from exc
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise TopologyError(f"topology is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "links" not in doc:
         raise TopologyError("topology must be an object with 'nodes' and 'links'")
@@ -561,6 +581,10 @@ def load_topology(text: str, fs_total: int = DEFAULT_FS_TOTAL) -> Network:
     if len(set(nodes)) != len(nodes):
         dupes = sorted({n for n in nodes if nodes.count(n) > 1})
         raise TopologyError(f"duplicate node names: {dupes}")
+    for n in nodes:
+        if any(c in n for c in ">\t\n\r"):
+            raise TopologyError(f"node name {n!r} holds '>', a tab or a line break, "
+                                "which the event log reserves")
     known = set(nodes)
 
     specs: list[tuple[str, str, float]] = []
@@ -586,6 +610,8 @@ def load_topology(text: str, fs_total: int = DEFAULT_FS_TOTAL) -> Network:
             raise TopologyError(f"duplicate link {a}-{b}")
         seen_pairs.add(pair)
         specs.append((a, b, km))
+    if not math.isfinite(sum(km for *_, km in specs)):
+        raise TopologyError("the links' total length is past the float range")
 
     net = Network(nodes, specs, fs_total=fs_total)
     if len(nodes) > 1 and len(_dijkstra(net.adjacency, nodes[0])[0]) < len(nodes):

@@ -108,20 +108,24 @@ def default_grid() -> GridOutcome:
     """Full default compare grid (3 seeds) under the loaded background."""
     cfg = cli.RunConfig.from_flat({"bg.preset": "loaded",
                                    "engine.retry_backoff_s": 0.005,
-                                   "cba.blocking_prob_threshold": 0.02})
-    t0 = time.time()
-    rows, summary, _, audited, label_checks, *_ = cli.compare_grid(cfg, jobs=2, verbose=False)
-    return GridOutcome(rows, summary, audited, label_checks, time.time() - t0)
+                                   "cba.blocking_prob_threshold": 0.02,
+                                   "jobs": 2})
+    return _grid(cfg)
 
 
 @pytest.fixture(scope="module")
 def loaded_grid() -> GridOutcome:
     """The shipped 20-paired-seed loaded experiment."""
-    cfg = cli.RunConfig.from_file(LOADED_CONFIG)
+    cfg = cli.RunConfig.from_file(LOADED_CONFIG, {"jobs": 2})
     assert len(cfg["compare.seeds"]) >= 20
+    return _grid(cfg)
+
+
+def _grid(cfg) -> GridOutcome:
     t0 = time.time()
-    rows, summary, _, audited, label_checks, *_ = cli.compare_grid(cfg, jobs=2, verbose=False)
-    return GridOutcome(rows, summary, audited, label_checks, time.time() - t0)
+    out, summary = cli.compare_grid(cfg, verbose=False)
+    return GridOutcome(out.rows, summary, out.counts["audited_transfers"],
+                       out.counts["label_checks"], time.time() - t0)
 
 
 # ----------------------------------------------------------------------
@@ -225,15 +229,17 @@ def test_5_runtime_budget(loaded_grid):
 
 
 def test_6_determinism_byte_identical(tmp_path):
-    cfg = cli.RunConfig.from_flat({
+    flat = {
         "bg.preset": "loaded",
         "engine.retry_backoff_s": 0.005,
         "compare.seeds": [0, 1],
         "compare.microbatch_grid": [16, 32],
         "output.event_log": True,
-    })
-    a = cli.cmd_compare(cfg, str(tmp_path / "a"), jobs=2, verbose=False)
-    b = cli.cmd_compare(cfg, str(tmp_path / "b"), jobs=1, verbose=False)
+    }
+    a = cli.cmd_compare(cli.RunConfig.from_flat({**flat, "jobs": 2}), str(tmp_path / "a"),
+                        verbose=False)
+    b = cli.cmd_compare(cli.RunConfig.from_flat({**flat, "jobs": 1}), str(tmp_path / "b"),
+                        verbose=False)
     same = all(
         open(a[k], "rb").read() == open(b[k], "rb").read()
         for k in ("results", "summary", "events")

@@ -10,9 +10,10 @@ import os
 
 import pytest
 
-from optpipe import cli, engine, rsa, topology, validate
+from optpipe import cba, cli, engine, rsa, topology, validate
 from optpipe.cli import ConfigError, RunConfig
 from optpipe.engine import SELECTORS
+from optpipe.latency import LatencyParams
 
 
 class TestConfig:
@@ -142,6 +143,15 @@ class TestConfig:
         grid_tasks = shipped.compare_cells() * shipped.tasks_per_policy_run()
         assert grid_tasks == 320 * 11 * 2 * 8 * 128 < cli.MAX_GRID_TASKS / 80
 
+    def test_defaults_are_the_librarys(self):
+        # KEY_TABLE restates these defaults; the two copies must agree
+        cfg = RunConfig.from_flat({})
+        assert cfg.latency_params() == LatencyParams()
+        for selector in SELECTORS:
+            assert cfg.policy(selector) == engine.PolicyConfig(selector=selector)
+        assert cfg.orchestrator() == cba.OrchestratorConfig()
+        assert cfg["topology.fs_total"] == topology.DEFAULT_FS_TOTAL
+
     def test_shipped_loaded_config_parses(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs", "loaded.json")
         cfg = RunConfig.from_file(root)
@@ -194,6 +204,21 @@ class TestCmdRun:
         w.writerows(rows)
         assert buf.getvalue() == open(paths["results"], encoding="utf-8").read()
 
+    def test_rows_keep_the_order_of_run_seeds(self, tmp_path):
+        # compare sorts its rows; run writes its seeds as configured
+        cfg = RunConfig.from_flat({**SMALL, "run.seeds": [3, 1]})
+        body = read_csv(cli.cmd_run(cfg, str(tmp_path), verbose=False)["results"])[1:-1]
+        assert [r[4] for r in body] == ["3", "3", "1", "1"]
+
+    def test_one_and_two_jobs_write_the_same_bytes(self, tmp_path):
+        flat = {**SMALL, "run.seeds": [2, 0, 1], "bg.preset": "loaded", "output.event_log": True}
+        a = cli.cmd_run(RunConfig.from_flat({**flat, "jobs": 1}), str(tmp_path / "a"),
+                        verbose=False)
+        b = cli.cmd_run(RunConfig.from_flat({**flat, "jobs": 2}), str(tmp_path / "b"),
+                        verbose=False)
+        for key in ("results", "events"):
+            assert open(a[key], "rb").read() == open(b[key], "rb").read()
+
 
 class TestCmdCompare:
     def test_grid_row_count_and_pairing(self, tmp_path):
@@ -237,20 +262,30 @@ class TestCmdCompare:
     def test_largest_cells_dispatched_first(self, monkeypatch):
         flat = {**SMALL, "compare.microbatch_grid": [2, 4, 3], "compare.seeds": [0]}
         dispatched = []
-        real_job = cli._run_cell_job
+        real_cell = cli.run_cell
 
-        def spy(args):
-            dispatched.append(args[4])
-            return real_job(args)
+        def spy(cfg, policies, model, schedule, m, seed, **kwargs):
+            dispatched.append(m)
+            return real_cell(cfg, policies, model, schedule, m, seed, **kwargs)
 
-        monkeypatch.setattr(cli, "_run_cell_job", spy)
-        rows, *_ = cli.compare_grid(RunConfig.from_flat(flat), verbose=False)
+        monkeypatch.setattr(cli, "run_cell", spy)
+        out, _ = cli.compare_grid(RunConfig.from_flat(flat), verbose=False)
         assert dispatched == [4, 3, 2]
-        unsorted = {m: cli.run_cell(RunConfig.from_flat(flat), SELECTORS, "llama3-8b-like",
-                                    "gpipe", m, 0).rows
+        unsorted = {m: real_cell(RunConfig.from_flat(flat), SELECTORS, "llama3-8b-like",
+                                 "gpipe", m, 0).rows
                     for m in (2, 3, 4)}
-        assert rows == sorted((r for m in (2, 3, 4) for r in unsorted[m]),
-                              key=lambda r: (r[0], int(r[3])))
+        assert out.rows == sorted((r for m in (2, 3, 4) for r in unsorted[m]),
+                                  key=lambda r: (r[0], r[3]))
+
+    def test_counts_are_the_sums_of_the_cells(self):
+        cfg = RunConfig.from_flat({**SMALL, "bg.preset": "loaded"})
+        out, _ = cli.compare_grid(cfg, verbose=False)
+        cells = [cli.run_cell(cfg, SELECTORS, "llama3-8b-like", "gpipe", 2, seed)
+                 for seed in (0, 1)]
+        keys = ("audited_transfers", "label_checks", "first_fit_reused", "reused_iterations")
+        assert [out.counts[key] for key in keys] == [sum(c.counts[key] for c in cells)
+                                                     for key in keys]
+        assert out.counts["audited_transfers"] > 0 and out.counts["first_fit_reused"] == 2
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg_serial = RunConfig.from_flat(SMALL)
@@ -279,10 +314,9 @@ class TestFirstFitReuse:
     @pytest.mark.parametrize("schedule", ["gpipe", "1f1b"])
     def test_reused_sd_ff_matches_solo_run(self, model, schedule):
         both, solo = self._cell(self.LOADED, model, schedule)
-        assert both.first_fit_reused
-        assert both.audited_transfers == (
-            solo["cba"].audited_transfers + solo["ksp_ff"].audited_transfers)
-        assert both.label_checks == solo["cba"].label_checks + solo["ksp_ff"].label_checks
+        assert both.counts["first_fit_reused"] == 1
+        for key in ("audited_transfers", "label_checks"):
+            assert both.counts[key] == solo["cba"].counts[key] + solo["ksp_ff"].counts[key]
 
     def test_reordering_latency_simulates_sd_ff(self, monkeypatch):
         tapes = []
@@ -296,12 +330,12 @@ class TestFirstFitReuse:
         # a 10 ms per-hop overhead puts fewer-hop routes first on some pool pairs
         both, solo = self._cell({**self.LOADED, "latency.per_hop_overhead_s": 0.01},
                                 "llama3-8b-like", "gpipe")
-        assert not both.first_fit_reused
+        assert both.counts["first_fit_reused"] == 0
         # one tape per background seed per process: the cell's three policies
         # and the three solo runs all read it
         assert len(tapes) == 1 and len(tapes[0]) > 0
-        assert both.audited_transfers == sum(o.audited_transfers for o in solo.values())
-        assert both.label_checks == sum(o.label_checks for o in solo.values())
+        for key in ("audited_transfers", "label_checks"):
+            assert both.counts[key] == sum(o.counts[key] for o in solo.values())
 
 
 class TestBaselineLabels:
@@ -318,11 +352,11 @@ class TestBaselineLabels:
             monkeypatch.setattr(cli.cba, name, spy)
         cfg = RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 3})
         out = cli.run_cell(cfg, [policy], "llama3-8b-like", "1f1b", 4, 0)
-        assert out.rows and calls == [] and out.label_checks == 0
+        assert out.rows and calls == [] and out.counts["label_checks"] == 0
         # the spies see CBA's labels
         out = cli.run_cell(cfg, ["cba"], "llama3-8b-like", "1f1b", 4, 0)
         assert set(calls) == {"label_cb_tasks", "verify_label_soundness"}
-        assert out.label_checks > 0
+        assert out.counts["label_checks"] > 0
 
 
 class TestStartStates:
@@ -361,18 +395,16 @@ class TestStartStates:
 
     def test_parallel_grid_with_background_matches_serial(self):
         flat = {**SMALL, **self.FLAT, "compare.microbatch_grid": [2, 4],
-                "compare.schedules": ["gpipe", "1f1b"]}
-        serial = cli.compare_grid(RunConfig.from_flat(flat), jobs=1, verbose=False,
-                                  collect_events=True)
-        parallel = cli.compare_grid(RunConfig.from_flat(flat), jobs=2, verbose=False,
-                                    collect_events=True)
+                "compare.schedules": ["gpipe", "1f1b"], "output.event_log": True}
+        serial = cli.compare_grid(RunConfig.from_flat({**flat, "jobs": 1}), verbose=False)
+        parallel = cli.compare_grid(RunConfig.from_flat({**flat, "jobs": 2}), verbose=False)
         assert serial == parallel
-        assert serial[2]  # the event lines
+        assert serial[0].event_lines
 
     def test_memo_stays_within_its_bound(self):
         flat = {**SMALL, **self.FLAT, "compare.seeds": list(range(6)),
                 "compare.schedules": ["gpipe", "1f1b"]}
-        cli.compare_grid(RunConfig.from_flat(flat), jobs=1, verbose=False)
+        cli.compare_grid(RunConfig.from_flat(flat), verbose=False)
         info = cli.prewarmed_start.cache_info()
         assert info.maxsize == cli.START_STATES < 6
         assert info.currsize == cli.START_STATES
@@ -403,15 +435,16 @@ class TestIterationReuse:
         assert reuse.rows == plain.rows and reuse.event_lines == plain.event_lines
         assert sum(line.startswith("RUN\t") for line in reuse.event_lines) == 3 * 6
         # KSP-FF simulates once; SD-FF is copied from it and adds nothing
-        assert plain.reused_iterations == 0 and reuse.reused_iterations >= 5
-        assert reuse_audits == 2 * 6 - reuse.reused_iterations
+        reused = reuse.counts["reused_iterations"]
+        assert plain.counts["reused_iterations"] == 0 and reused >= 5
+        assert reuse_audits == 2 * 6 - reused
         assert len(audits) - reuse_audits == 2 * 6
-        assert 0 < reuse.audited_transfers < plain.audited_transfers
-        assert reuse.label_checks <= plain.label_checks
+        assert 0 < reuse.counts["audited_transfers"] < plain.counts["audited_transfers"]
+        assert reuse.counts["label_checks"] <= plain.counts["label_checks"]
 
     def test_compare_reports_reused_iterations(self, tmp_path, capsys):
         cfg = RunConfig.from_flat({**SMALL, **self.QUIET})
-        *_, reused_iterations = cli.compare_grid(cfg, verbose=False)
+        reused_iterations = cli.compare_grid(cfg, verbose=False)[0].counts["reused_iterations"]
         assert reused_iterations >= 2 * 5  # KSP-FF's at each of two seeds
         cli.cmd_compare(cfg, str(tmp_path))
         assert (f"{reused_iterations} iterations reused an earlier iteration's timeline"
@@ -450,8 +483,7 @@ class TestLeanAudit:
                 for line in engine.Timeline([], [], [], records, 0.0).event_log_lines()
                 if line.startswith("XFER\t")]
         assert xfer == [x for x in full.event_lines if x.startswith("XFER\t")]
-        assert lean.audited_transfers == full.audited_transfers > 0
-        assert lean.label_checks == full.label_checks
+        assert lean.counts == full.counts and full.counts["audited_transfers"] > 0
         assert lean.rows == full.rows and lean.event_lines == []
 
     def test_written_log_is_audited_from_its_lines(self, monkeypatch):
@@ -469,11 +501,11 @@ class TestLeanAudit:
         monkeypatch.setattr(engine, "audit_transfers", no_records)
         full = self._cell(collect_events=True)
         assert audited_lines == [x for x in full.event_lines if not x.startswith("RUN\t")]
-        assert full.audited_transfers > 0
+        assert full.counts["audited_transfers"] > 0
 
 
 class TestWorkerPool:
-    """compare's worker pool, replaced by a fake that starts no process."""
+    """run_cells' worker pool, replaced by a fake that starts no process."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -491,14 +523,14 @@ class TestWorkerPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, work):
-                return map(fn, work)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return started
 
     def test_at_most_one_worker_per_cell(self, pools):
-        cli.compare_grid(RunConfig.from_flat(SMALL), jobs=cli.MAX_JOBS, verbose=False)
+        cli.compare_grid(RunConfig.from_flat({**SMALL, "jobs": cli.MAX_JOBS}), verbose=False)
         assert pools == [2]  # two cells
 
     def test_jobs_above_the_cap_exit_one(self, pools, tmp_path, capsys):
@@ -507,8 +539,6 @@ class TestWorkerPool:
         argv = ["compare", "--config", str(cfg), "--out", str(tmp_path), "--jobs"]
         assert cli.main([*argv, str(cli.MAX_JOBS + 1)]) == 1
         assert capsys.readouterr().err.startswith("config error: jobs: ")
-        with pytest.raises(ConfigError, match="^jobs: "):
-            cli.compare_grid(RunConfig.from_flat(SMALL), jobs=10_000, verbose=False)
         assert pools == []
 
 
@@ -520,6 +550,12 @@ HUGE_MODEL = {"run.microbatches": 2, "cba.n_iterations": 2, "run.model": "custom
 # a custom model of 10^400 layers: no float holds its layer count
 HUGE_LAYERS = {"model.n_layers": 10**400, "model.fwd_time_per_layer_s": 1e-3,
                "model.bwd_time_per_layer_s": 2e-3, "model.msg_bytes_per_microbatch": 8}
+
+
+def star(hub: str, km: float = 1.0) -> str:
+    """A topology whose routes join the default placement pool through ``hub``."""
+    return json.dumps({"nodes": [hub, *cli.DEFAULT_DC_NODES], "links": [
+        {"a": hub, "b": dc, "length_km": km} for dc in cli.DEFAULT_DC_NODES]})
 
 
 class TestMain:
@@ -683,6 +719,8 @@ class TestMain:
             ('{"compare.microbatch_grid": [16, 32, 16]}', "compare.microbatch_grid"),
             ('{"compare.models": ["llama3-8b-like", "llama3-8b-like"]}', "compare.models"),
             ('{"compare.schedules": ["1f1b", "1f1b"]}', "compare.schedules"),
+            # a repeated key would silently keep its last value
+            ('{"rsa.k": 3, "rsa.k": 4}', "rsa.k"),
         ],
     )
     def test_bad_key_exits_one_naming_it(self, tmp_path, capsys, text, key):
@@ -785,13 +823,22 @@ class TestMain:
             '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": NaN}]}',
             '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": true}]}',
             '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": "7"}]}',
+            '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "length_km": 1, '
+            '"length_km": 2}]}',
+            # a hub whose name would break the event log's fields
+            *(pytest.param(star(f"A{c}X"), id=f"hub-{ord(c)}") for c in ">\t\n\r"),
+            # two lengths whose sum is past the float range on every route
+            pytest.param(star("HUB", km=1e308), id="hub-1e308-km"),
+            # json raises a plain ValueError past Python's integer digit limit
+            pytest.param(star("HUB", km=1).replace('"length_km": 1', '"length_km": 1' + "0" * 4400),
+                         id="length-4401-digits"),
         ],
     )
     def test_malformed_topology_file_exits_one(self, tmp_path, capsys, command, topo):
         path = tmp_path / "topo.json"
         path.write_text(topo)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**SMALL, "topology.path": str(path)}))
+        cfg.write_text(json.dumps({**SMALL, "topology.path": str(path), "output.event_log": True}))
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: topology.path: ")
 

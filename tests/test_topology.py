@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -106,6 +107,28 @@ class TestLoadTopology:
     def test_parse_failure(self):
         with pytest.raises(TopologyError, match="not valid JSON"):
             load_topology("{nope")
+
+    @pytest.mark.parametrize("name", ["A>B", "A\tX", "A\nX", "A\rX"])
+    def test_node_name_with_an_event_log_separator_rejected(self, name):
+        # the log joins a path's nodes with '>' and its fields with tabs
+        doc = {"nodes": [name, "B"], "links": [{"a": name, "b": "B", "length_km": 5}]}
+        with pytest.raises(TopologyError, match=f"node name {re.escape(repr(name))} "):
+            load_topology(json.dumps(doc))
+
+    def test_total_length_past_the_float_range_rejected(self):
+        # each link is finite, but the A-B-C path's length is not
+        doc = {"nodes": ["A", "B", "C"], "links": [{"a": "A", "b": "B", "length_km": 1e308},
+                                                   {"a": "B", "b": "C", "length_km": 1e308}]}
+        with pytest.raises(TopologyError, match="total length"):
+            load_topology(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        '{"nodes": ["A", "B"], "nodes": ["A", "B"], "links": []}',
+        '{"nodes": ["A", "B"], "links": [{"a": "A", "b": "B", "b": "A", "length_km": 5}]}',
+    ])
+    def test_repeated_key_rejected(self, text):
+        with pytest.raises(TopologyError, match="appears more than once"):
+            load_topology(text)
 
 
 class TestSpectrumOps:
