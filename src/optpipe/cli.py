@@ -5,6 +5,15 @@ Config files are UTF-8 JSON with flat dotted keys (``{"latency.fs_rate_bps":
 override file keys.  Output is plain CSV; the output directory comes from
 ``--out`` or the ``OPTPIPE_OUTDIR`` environment variable (default ``.``).
 
+``LIBRARY_KEYS`` maps 16 keys to a field of a library dataclass: the
+``latency.*`` keys to ``LatencyParams``; ``run.policy`` (the selector),
+``rsa.k``, ``fs.*`` and ``engine.*`` to ``engine.PolicyConfig``; the ``cba.*``
+keys to ``cba.OrchestratorConfig``.  The field gives the key its default, its
+converter and its lower bound, and one builder makes each object from its
+keys.  This module adds only the harness caps (``MAX_K``, ``MAX_RETRIES``,
+``fs.max`` <= ``topology.fs_total``) and the cross-key rule ``fs.base`` <=
+``fs.max``.
+
 Commands:
 
 * ``run``      one policy over the configured workload and seeds;
@@ -70,10 +79,25 @@ MAX_JOBS = 64
 # Prewarmed start states one process keeps (see prewarmed_start): run_cells
 # dispatches the cells of one size seed by seed, so a worker needs one or two.
 START_STATES = 4
+# key -> (library class, field) for the keys whose default and lower bound
+# the library's dataclass holds; the field's annotation picks the converter.
+LIBRARY_KEYS: dict[str, tuple[type, str]] = {
+    **{f"latency.{p.name}": (LatencyParams, p.name) for p in fields(LatencyParams)},
+    "run.policy": (engine.PolicyConfig, "selector"),
+    "rsa.k": (engine.PolicyConfig, "k"),
+    "fs.base": (engine.PolicyConfig, "base_fs"),
+    "fs.boost_factor": (engine.PolicyConfig, "boost_factor"),
+    "fs.max": (engine.PolicyConfig, "fs_max"),
+    "engine.max_retries": (engine.PolicyConfig, "max_retries"),
+    "engine.retry_backoff_s": (engine.PolicyConfig, "retry_backoff_s"),
+    "engine.fallback_penalty": (engine.PolicyConfig, "fallback_penalty"),
+    **{f"cba.{p.name}": (cba.OrchestratorConfig, p.name) for p in fields(cba.OrchestratorConfig)},
+}
 # The keys behind each term of an event time (see engine.TimeOverflowError).
 _TIME_KEYS = {
     "compute": ["model.fwd_time_per_layer_s", "model.bwd_time_per_layer_s"],
-    "transfer": [f"latency.{p.name}" for p in fields(LatencyParams)] + ["engine.fallback_penalty"],
+    "transfer": [key for key, (cls, _) in LIBRARY_KEYS.items() if cls is LatencyParams]
+                + ["engine.fallback_penalty"],
     "retry": ["engine.retry_backoff_s"],
 }
 
@@ -148,11 +172,18 @@ _LOADED_BG = {
     "bg.fs_demand_max": _LOADED_PRESET.fs_demand_range[1],
 }
 
-# key -> (default, converter).  Converters raise ValueError on bad input.
+
+def _library_entry(cls: type, name: str) -> tuple[Any, Any]:
+    """The (default, converter) of the field ``name`` of ``cls``."""
+    spec = next(p for p in fields(cls) if p.name == name)
+    return spec.default, {"int": _as_int, "float": _as_float, "str": _as_str}[spec.type]
+
+
+# key -> (default, converter).  Converters raise ValueError on bad input.  A
+# key of LIBRARY_KEYS takes both from its field.
 KEY_TABLE: dict[str, tuple[Any, Any]] = {
     "topology.path": (None, _optional(_as_str)),
-    "topology.fs_total": (80, _as_int),
-    "run.policy": ("cba", _as_str),
+    "topology.fs_total": (topology.DEFAULT_FS_TOTAL, _as_int),
     "run.schedule": ("gpipe", _as_str),
     "run.model": ("llama3-8b-like", _as_str),
     "run.microbatches": (16, _as_int),
@@ -167,21 +198,7 @@ KEY_TABLE: dict[str, tuple[Any, Any]] = {
     "model.fwd_time_per_layer_s": (None, _optional(_as_float)),
     "model.bwd_time_per_layer_s": (None, _optional(_as_float)),
     "model.msg_bytes_per_microbatch": (None, _optional(_as_int)),
-    "latency.prop_s_per_km": (5.0e-6, _as_float),
-    "latency.per_hop_overhead_s": (1.0e-4, _as_float),
-    "latency.fs_rate_bps": (7.5e10, _as_float),
-    "latency.intra_dc_latency_s": (5.0e-5, _as_float),
-    "latency.intra_dc_rate_bps": (4.0e11, _as_float),
-    "rsa.k": (5, _as_int),
-    "fs.base": (4, _as_int),
-    "fs.boost_factor": (2.0, _as_float),
-    "fs.max": (16, _as_int),
-    "engine.max_retries": (5, _as_int),
-    "engine.retry_backoff_s": (1e-3, _as_float),
-    "engine.fallback_penalty": (3.0, _as_float),
-    "cba.n_iterations": (11, _as_int),
-    "cba.blocking_prob_threshold": (0.05, _as_float),
-    "cba.epsilon_bubble_s": (1e-6, _as_float),
+    **{key: _library_entry(*target) for key, target in LIBRARY_KEYS.items()},
     "bg.preset": ("off", _as_str),
     "bg.arrival_rate_per_s": (None, _optional(_as_float)),
     "bg.mean_hold_s": (None, _optional(_as_float)),
@@ -251,8 +268,6 @@ class RunConfig:
                 f"must be in [1, {MAX_FS_TOTAL}]")
         require(f["pp.stages"] >= 1, "pp.stages", "must be >= 1")
         require(f["run.microbatches"] >= 1, "run.microbatches", "must be >= 1")
-        require(f["run.policy"] in engine.SELECTORS, "run.policy",
-                f"must be one of {engine.SELECTORS}")
         require(f["run.schedule"] in ("gpipe", "1f1b"), "run.schedule",
                 "must be 'gpipe' or '1f1b'")
         for key in ("run.seeds", "compare.seeds", "compare.microbatch_grid", "compare.models",
@@ -274,28 +289,17 @@ class RunConfig:
                 "compare.microbatch_grid", "entries must be >= 1")
         require(all(s in ("gpipe", "1f1b") for s in f["compare.schedules"]),
                 "compare.schedules", "entries must be 'gpipe' or '1f1b'")
-        require(1 <= f["rsa.k"] <= MAX_K, "rsa.k", f"must be in [1, {MAX_K}]")
-        require(f["fs.base"] >= 1, "fs.base", "must be >= 1")
-        require(f["fs.boost_factor"] >= 1, "fs.boost_factor", "must be >= 1")
-        require(1 <= f["fs.max"] <= f["topology.fs_total"], "fs.max",
-                "must be in [1, topology.fs_total]")
+        # the library's bounds, one key at a time so that a failure names its key
+        for key, (cls, name) in LIBRARY_KEYS.items():
+            try:
+                cls(**{name: f[key]})
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc} (got {f[key]!r})") from exc
+        require(f["rsa.k"] <= MAX_K, "rsa.k", f"must be at most {MAX_K}")
+        require(f["fs.max"] <= f["topology.fs_total"], "fs.max", "must be <= topology.fs_total")
         require(f["fs.base"] <= f["fs.max"], "fs.base", "must be <= fs.max")
-        for key in ("latency.prop_s_per_km", "latency.per_hop_overhead_s",
-                    "latency.intra_dc_latency_s"):
-            require(f[key] >= 0, key, "must be nonnegative")
-        for key in ("latency.fs_rate_bps", "latency.intra_dc_rate_bps"):
-            require(f[key] > 0, key, "must be positive")
-        require(0 <= f["engine.max_retries"] <= MAX_RETRIES, "engine.max_retries",
-                f"must be in [0, {MAX_RETRIES}]")
-        require(f["engine.retry_backoff_s"] >= 0, "engine.retry_backoff_s",
-                "must be nonnegative")
-        require(f["engine.fallback_penalty"] >= 1, "engine.fallback_penalty",
-                "must be >= 1")
-        require(f["cba.n_iterations"] >= 2, "cba.n_iterations", "must be >= 2")
-        require(0 <= f["cba.blocking_prob_threshold"] <= 1,
-                "cba.blocking_prob_threshold", "must be in [0, 1]")
-        require(f["cba.epsilon_bubble_s"] >= 0, "cba.epsilon_bubble_s",
-                "must be nonnegative")
+        require(f["engine.max_retries"] <= MAX_RETRIES, "engine.max_retries",
+                f"must be at most {MAX_RETRIES}")
         require(f["bg.preset"] in ("off", "loaded"), "bg.preset", "must be off or loaded")
         if f["bg.preset"] == "off":
             for key in (*_LOADED_BG, "bg.prewarm_s"):
@@ -422,36 +426,20 @@ class RunConfig:
             msg_bytes_per_microbatch=f["model.msg_bytes_per_microbatch"],
         )
 
+    def _library(self, cls: type, **given: Any) -> Any:
+        """``cls`` built from the values of its ``LIBRARY_KEYS``; ``given`` overrides them."""
+        values = {name: self.flat[key] for key, (owner, name) in LIBRARY_KEYS.items()
+                  if owner is cls}
+        return cls(**{**values, **given})
+
     def latency_params(self) -> LatencyParams:
-        f = self.flat
-        return LatencyParams(
-            prop_s_per_km=f["latency.prop_s_per_km"],
-            per_hop_overhead_s=f["latency.per_hop_overhead_s"],
-            fs_rate_bps=f["latency.fs_rate_bps"],
-            intra_dc_latency_s=f["latency.intra_dc_latency_s"],
-            intra_dc_rate_bps=f["latency.intra_dc_rate_bps"],
-        )
+        return self._library(LatencyParams)
 
     def policy(self, selector: str) -> engine.PolicyConfig:
-        f = self.flat
-        return engine.PolicyConfig(
-            selector=selector,
-            k=f["rsa.k"],
-            base_fs=f["fs.base"],
-            boost_factor=f["fs.boost_factor"],
-            fs_max=f["fs.max"],
-            max_retries=f["engine.max_retries"],
-            retry_backoff_s=f["engine.retry_backoff_s"],
-            fallback_penalty=f["engine.fallback_penalty"],
-        )
+        return self._library(engine.PolicyConfig, selector=selector)
 
     def orchestrator(self) -> cba.OrchestratorConfig:
-        f = self.flat
-        return cba.OrchestratorConfig(
-            n_iterations=f["cba.n_iterations"],
-            blocking_prob_threshold=f["cba.blocking_prob_threshold"],
-            epsilon_bubble_s=f["cba.epsilon_bubble_s"],
-        )
+        return self._library(cba.OrchestratorConfig)
 
     def _bg(self, key: str) -> Any:
         """A background model key's value, or the loaded preset's when unset."""

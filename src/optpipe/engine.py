@@ -80,14 +80,12 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be one of {SELECTORS}")
-        if self.k < 1 or self.base_fs < 1 or self.fs_max < 1:
-            raise ValueError("k, base_fs and fs_max must be >= 1")
-        if self.boost_factor < 1:
-            raise ValueError("boost_factor must be >= 1")
-        if self.max_retries < 0 or self.retry_backoff_s < 0:
-            raise ValueError("retry settings must be nonnegative")
-        if self.fallback_penalty < 1:
-            raise ValueError("fallback_penalty must be >= 1")
+        for name in ("k", "base_fs", "boost_factor", "fs_max", "fallback_penalty"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("max_retries", "retry_backoff_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 def select(net: Network, src: str, dst: str, width: int, policy: PolicyConfig,

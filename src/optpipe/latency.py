@@ -41,8 +41,9 @@ class LatencyParams:
         for name in ("prop_s_per_km", "per_hop_overhead_s", "intra_dc_latency_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.fs_rate_bps <= 0 or self.intra_dc_rate_bps <= 0:
-            raise ValueError("rates must be positive")
+        for name in ("fs_rate_bps", "intra_dc_rate_bps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

@@ -16,6 +16,9 @@ draws them, bit for bit, without importing numpy:
   2000), tail and wedge branches included.  Its tables are
   ``data/ziggurat_exp.json``.
 
+A background arrival (``Generator.arrival``) is these draws and no other
+code: two exponentials around three bounded integers, in a fixed order.
+
 ``tests/test_rng.py`` holds the port to numpy.
 """
 
@@ -154,7 +157,9 @@ class Generator:
         excl = rng + 1
         m = self.next_uint32() * excl
         if (m & MASK32) < excl:
-            m = self._reject(m, excl)
+            threshold = (1 << 32) % excl
+            while (m & MASK32) < threshold:
+                m = self.next_uint32() * excl
         return m >> 32
 
     def integers(self, low: int, high: int, size: int | None = None) -> int | list[int]:
@@ -168,96 +173,30 @@ class Generator:
         return [low + self._bounded(rng) if rng else low for _ in range(size)]
 
     def standard_exponential(self) -> float:
-        we, ke, _ = ziggurat_tables()
+        we, ke, fe = ziggurat_tables()
         ri = self.next_uint64() >> 3
         idx = ri & 0xFF
         ri >>= 8
         x = ri * we[idx]
         if ri < ke[idx]:
             return x
-        return self._exponential_slow(idx, x)
+        if idx == 0:
+            return _ZIGGURAT_R - math.log1p(-self.next_double())
+        if (fe[idx - 1] - fe[idx]) * self.next_double() + fe[idx] < math.exp(-x):
+            return x
+        return self.standard_exponential()
 
     def exponential(self, scale: float = 1.0) -> float:
         return scale * self.standard_exponential()
 
     def arrival(self, gap_scale: float, n: int, lo: int, hi: int,
                 hold_scale: float) -> tuple[float, int, int, int, float]:
-        """One background arrival: the same five draws, in the same order, as
+        """One background arrival, five draws in this order:
         ``exponential(gap_scale)``, ``integers(0, n)``, ``integers(0, n - 1)``,
-        ``integers(lo, hi + 1)``, ``exponential(hold_scale)``.
-
-        Fused for speed: the generator state stays in locals, the three
-        half-word draws are inlined, and each exponential takes its fast path
-        inline (98.9 % of draws) or finishes in ``_exponential_slow``.
-        Needs n >= 2.
+        ``integers(lo, hi + 1)``, ``exponential(hold_scale)``.  Needs n >= 2.
         """
-        _check_range(hi - lo + 1)
-        we, ke, _ = ziggurat_tables()
-        s, inc = self.state, self.inc
-        has, buf = self.has_uint32, self.uinteger
-
-        s = (s * PCG_MULT + inc) & MASK128
-        v = (s ^ (s >> 64)) & MASK64
-        rot = s >> 122
-        ri = (((v >> rot) | (v << (64 - rot))) & MASK64) >> 3
-        idx = ri & 0xFF
-        ri >>= 8
-        if ri < ke[idx]:
-            gap = gap_scale * (ri * we[idx])
-        else:
-            self.state, self.has_uint32, self.uinteger = s, has, buf
-            gap = gap_scale * self._exponential_slow(idx, ri * we[idx])
-            s, has, buf = self.state, self.has_uint32, self.uinteger
-
-        picks = []
-        for excl in (n, n - 1, hi - lo + 1):
-            if excl == 1:
-                picks.append(0)
-                continue
-            if has:
-                has = False
-                u = buf
-            else:
-                s = (s * PCG_MULT + inc) & MASK128
-                v = (s ^ (s >> 64)) & MASK64
-                rot = s >> 122
-                word = ((v >> rot) | (v << (64 - rot))) & MASK64
-                has, buf, u = True, word >> 32, word & MASK32
-            m = u * excl
-            if (m & MASK32) < excl:
-                self.state, self.has_uint32, self.uinteger = s, has, buf
-                m = self._reject(m, excl)
-                s, has, buf = self.state, self.has_uint32, self.uinteger
-            picks.append(m >> 32)
-
-        s = (s * PCG_MULT + inc) & MASK128
-        v = (s ^ (s >> 64)) & MASK64
-        rot = s >> 122
-        ri = (((v >> rot) | (v << (64 - rot))) & MASK64) >> 3
-        idx = ri & 0xFF
-        ri >>= 8
-        self.state, self.has_uint32, self.uinteger = s, has, buf
-        if ri < ke[idx]:
-            hold = hold_scale * (ri * we[idx])
-        else:
-            hold = hold_scale * self._exponential_slow(idx, ri * we[idx])
-        return gap, picks[0], picks[1], lo + picks[2], hold
-
-    def _exponential_slow(self, idx: int, x: float) -> float:
-        """The rest of a standard exponential whose first word missed the fast path."""
-        if idx == 0:
-            return _ZIGGURAT_R - math.log1p(-self.next_double())
-        fe = ziggurat_tables()[2]
-        if (fe[idx - 1] - fe[idx]) * self.next_double() + fe[idx] < math.exp(-x):
-            return x
-        return self.standard_exponential()
-
-    def _reject(self, m: int, excl: int) -> int:
-        """Finish Lemire's rejection for a first product ``m`` whose low word is below ``excl``."""
-        threshold = (1 << 32) % excl
-        while (m & MASK32) < threshold:
-            m = self.next_uint32() * excl
-        return m
+        return (self.exponential(gap_scale), self.integers(0, n), self.integers(0, n - 1),
+                self.integers(lo, hi + 1), self.exponential(hold_scale))
 
 
 def default_rng(seed: int | Sequence[int]) -> Generator:

@@ -303,10 +303,12 @@ class ArrivalTape:
     Arrival k is drawn when a reader first needs it and kept, so every
     network that reads the tape sees the same arrivals however it advances.
     The per-arrival draw order is part of the replay contract (tests replay
-    it independently with numpy's ``default_rng(rng_seed)``): inter-arrival
-    gap, source index, destination offset, FS demand, holding time, as
-    ``Generator.arrival`` draws them.  The arrivals are stored in typed
-    arrays; the destination is kept as a node index with the offset applied.
+    it independently with numpy's ``default_rng(rng_seed)``).
+    ``Generator.arrival`` makes the five draws: the inter-arrival gap
+    ``exponential(1 / rate)``, the source ``integers(0, n)``, the destination
+    offset ``integers(0, n - 1)``, the FS demand ``integers(lo, hi + 1)`` and
+    the holding time ``exponential(mean_hold_s)``.  The arrivals are stored in
+    typed arrays; the destination is kept as a node index with the offset applied.
     """
 
     def __init__(self, model: BackgroundTrafficModel, nodes: Sequence[str]):

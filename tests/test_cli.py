@@ -144,7 +144,13 @@ class TestConfig:
         assert grid_tasks == 320 * 11 * 2 * 8 * 128 < cli.MAX_GRID_TASKS / 80
 
     def test_defaults_are_the_librarys(self):
-        # KEY_TABLE restates these defaults; the two copies must agree
+        # LIBRARY_KEYS names one key for every field of the three classes, so
+        # an empty config builds each class with all of its own defaults
+        targets = list(cli.LIBRARY_KEYS.values())
+        for cls in (LatencyParams, engine.PolicyConfig, cba.OrchestratorConfig):
+            for spec in dataclasses.fields(cls):
+                assert targets.count((cls, spec.name)) == 1, (cls, spec.name)
+        assert len(targets) == 16
         cfg = RunConfig.from_flat({})
         assert cfg.latency_params() == LatencyParams()
         for selector in SELECTORS:
@@ -728,6 +734,33 @@ class TestMain:
         cfg.write_text(text)
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("latency.prop_s_per_km", -1.0),
+        ("latency.per_hop_overhead_s", -1.0),
+        ("latency.fs_rate_bps", 0),
+        ("latency.intra_dc_latency_s", -1.0),
+        ("latency.intra_dc_rate_bps", 0),
+        ("run.policy", "greedy"),
+        ("rsa.k", 0),
+        ("fs.base", 0),
+        ("fs.boost_factor", 0.5),
+        ("fs.max", 0),
+        ("engine.max_retries", -1),
+        ("engine.retry_backoff_s", -1),
+        ("engine.fallback_penalty", 0.5),
+        ("cba.n_iterations", 1),
+        ("cba.blocking_prob_threshold", 1.5),
+        ("cba.epsilon_bubble_s", -1),
+    ])
+    def test_library_bound_exits_one_naming_the_key(self, tmp_path, capsys, key, value):
+        # the library's dataclass holds the bound; the error names the config key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: {cli.LIBRARY_KEYS[key][1]} ")
+        assert err.rstrip().endswith(f"(got {cli.KEY_TABLE[key][1](value)!r})")
 
     @pytest.mark.parametrize(
         "flat, term",

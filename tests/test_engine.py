@@ -148,6 +148,66 @@ class TestCrossDcTransfer:
         assert blocking_probability(tl) == 1.0  # first attempts blocked
 
 
+# 256 MiB per message: pushing one out takes 7.2 ms on 4 slots and 28.6 ms on
+# one, far longer than a 1 ms forward pass, so a stage's back-to-back sends queue
+BIG_MSG_BITS = 8 * 2**28
+
+
+def replay_egress(net, tasks, tl, params, policy, bits):
+    """Each transfer's wait and completion by the egress rule, replayed from
+    its commit instant: it waits until its stage's previous transfer has
+    pushed its last bit, then takes its route's service time.  The stage
+    stays busy for the wait plus the push of the bits (for a fallback, the
+    penalty times the one-slot push)."""
+    busy, waits, complete = {}, [], []
+    for x in tl.transfers:
+        stage, now = tasks[x.task_id].stage_id, x.hold_start
+        path = net.paths.candidates(x.src_dc, x.dst_dc, 1)[0]
+        if x.kind == "optical":
+            push = bits / (x.n_fs * params.fs_rate_bps)
+            service = transfer_time(params, path, x.n_fs, bits)
+        else:
+            push = policy.fallback_penalty * bits / params.fs_rate_bps
+            service = policy.fallback_penalty * transfer_time(params, path, 1, bits)
+        wait = max(0.0, busy.get(stage, 0.0) - now)
+        busy[stage] = now + wait + push
+        waits.append(wait)
+        complete.append(now + wait + service)
+    return waits, complete
+
+
+class TestEgressQueue:
+    def _check(self, net, policy, push):
+        """Stage 0 sends at 1, 2 and 3 ms (1 ms forward passes): the third send
+        waits for the second, which itself waited for the first.  Every
+        completion matches the replayed rule; returns the timeline."""
+        stages = toy_stages(2, ["A", "B"])
+        tasks = build_schedule(ScheduleKind.GPIPE, stages, 3)
+        params = LatencyParams()
+        tl = simulate_iteration(net, stages, tasks, policy, params, msg_bits=BIG_MSG_BITS)
+        waits, complete = replay_egress(net, tasks, tl, params, policy, BIG_MSG_BITS)
+        forward = [w for w, x in zip(waits, tl.transfers) if tasks[x.task_id].stage_id == 0]
+        assert forward == pytest.approx([0.0, push - 1e-3, 2 * (push - 1e-3)], abs=1e-12)
+        assert [x.complete_time for x in tl.transfers] == pytest.approx(complete, abs=1e-12)
+        return tl
+
+    def test_optical_send_waits_for_the_queue_ahead_of_it(self):
+        # a busy time without the second send's wait would shorten the third's
+        net = Network(["A", "B"], [("A", "B", 1000.0)], fs_total=80)
+        tl = self._check(net, PolicyConfig(), BIG_MSG_BITS / (4 * LatencyParams().fs_rate_bps))
+        assert all(x.kind == "optical" and x.retries == 0 for x in tl.transfers)
+
+    def test_fallback_keeps_its_stage_busy_for_the_penalised_push(self):
+        # every request falls back at once; the stage's transmitter pushes the
+        # bits at the one-slot rate, slowed by the fallback penalty
+        net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
+        allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), "bg-perm", 1e15)
+        policy = PolicyConfig(fs_max=8, max_retries=0)
+        tl = self._check(net, policy,
+                         policy.fallback_penalty * BIG_MSG_BITS / LatencyParams().fs_rate_bps)
+        assert all(x.kind == "fallback" for x in tl.transfers)
+
+
 @given(
     kind=st.sampled_from(list(ScheduleKind)),
     p=st.integers(1, 6),
