@@ -15,7 +15,7 @@ from .engine import (
     bubble_ratio,
     simulate_iteration,
 )
-from .latency import EgressState, LatencyParams, alpha, beta, transfer_time
+from .latency import LatencyParams, alpha, beta, transfer_time
 from .rsa import (
     CandidateBlock,
     CandidatePath,

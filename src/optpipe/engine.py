@@ -1,9 +1,8 @@
 """Discrete-event simulation of one training iteration against the network.
 
 A compute task starts once its intra-stage predecessor has finished and its
-cross-stage input message (if any) has arrived: each task counts its unmet
-dependencies, and the event that meets the last one starts it at that
-instant.  When a task finishes, its outgoing message is issued immediately:
+cross-stage input message (if any) has arrived, at the later of the two
+instants.  When a task finishes, its outgoing message is issued immediately:
 the network state is advanced to the current time, the request's slot demand
 is read from the iteration's demand map (``base_fs``, capped at ``fs_max``,
 for a consumer the map does not name), and the configured selection policy
@@ -22,10 +21,34 @@ blocked when its first selection attempt failed, which its record shows as
 ``retries > 0`` or a ``fallback`` delivery; the blocking counts and the
 log's BLOCK lines are read from the records.
 
-Event ordering is total and deterministic: (time, stage, task creation
-index, push sequence).  Given identical seeds and configuration, timelines
-serialize identically byte for byte.  An event time that is not finite
-stops the run with ``TimeOverflowError``.
+Event ordering.  Only network events go on the heap: a producer's finish,
+which issues its message, and a blocked request's retry.  Each is keyed
+(time, stage, producer task id), and no two pending events share a key: a
+producer has one pending event at a time, since its retry is pushed only
+after the event before it has popped.  Task starts are not events.  A task
+starts at the latest of its inputs, and that instant is pushed forward along
+the DAG where its last input becomes known: at its chain predecessor's
+start, or at the attempt that delivers its message.  Both come no later
+than the task's start (an attempt runs before its arrival), so a producer's
+finish is pushed while the clock is at or before its start, and, with a
+compute time that moves the clock, strictly before its finish.  A retry
+lands at or after the instant of the event that pushed it, and with zero
+backoff it carries that event's key and pops next.  So the heap pops the
+network events in key order, which is also the order that a heap holding
+every finish, arrival and retry, keyed (time, stage, task id, push
+sequence), gives them: ``advance_network``, the selectors and
+``allocate_spectrum`` see the same calls in the same order.  That
+all-events loop is ``validate.ref_simulate_iteration``, and the tests and
+``optpipe validate`` hold the engine to it.  Given identical seeds and
+configuration, timelines serialize identically byte for byte.  An event
+time that is not finite stops the run with ``TimeOverflowError``.
+
+A message's first attempt runs in the loop; a request is kept as a
+``_Request`` only when it blocks.  Alpha per candidate path and beta per
+slot count come from ``latency.alpha`` and ``latency.beta`` once per
+iteration, and a completion time keeps ``transfer_time``'s expression,
+``now + (alpha + bits * beta + wait)``, where the wait is the time until the
+sending stage's previous transfer has pushed its last bit.
 
 Each iteration starts by rebasing the network clock to zero, so timeline
 records need no rewrite and every iteration runs with the same arithmetic;
@@ -50,13 +73,12 @@ both time and slots on a shared link.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from . import rsa
-from .latency import EgressState, LatencyParams, beta, transfer_time
+from .latency import LatencyParams, alpha, beta, transfer_time
 from .topology import Link, Network, advance_network, allocate_spectrum
 from .workload import Direction, Stage, Task
 
@@ -171,186 +193,19 @@ class Timeline:
 
 @dataclass(slots=True)
 class _Request:
+    """A blocked request, kept for its retries."""
+
     request_id: int
-    producer: Task
-    consumer: Task
+    consumer_id: int
     src: str
     dst: str
     demand: int           # slot demand at first attempt
     issue_time: float
-    attempts: int = 0
-
-
-# Event kinds.  They never decide the order: the heap orders events by
-# (time, stage, task id, push sequence), and the sequence is unique.
-_FINISH, _ARRIVAL, _RETRY = 0, 1, 2
-_TERMS = ("compute", "transfer", "retry")  # the term each kind's time adds
+    attempts: int
 
 
 class TimeOverflowError(ArithmeticError):
     """An event time is not finite; the argument names the term that overflowed it."""
-
-
-class _Sim:
-    def __init__(
-        self,
-        net: Network,
-        stages: Sequence[Stage],
-        tasks: Sequence[Task],
-        policy: PolicyConfig,
-        params: LatencyParams,
-        demand: dict[int, int],
-        msg_bits: float,
-    ):
-        self.net = net
-        self.policy = policy
-        self.params = params
-        self.egress = EgressState()
-        self.msg_bits = msg_bits
-        self.tasks = tasks
-        self.stage_dc = {s.stage_id: s.dc_node for s in stages}
-        for dc in self.stage_dc.values():
-            if dc not in net.adjacency:
-                raise ValueError(f"stage placed on unknown datacenter {dc!r}")
-        if policy.fs_max > net.fs_total:
-            raise ValueError("fs_max exceeds the network's slot count")
-        # slot demand at first attempt, by consumer task
-        self.demand = demand
-        self.base_demand = min(policy.base_fs, policy.fs_max)
-
-        self.start = [math.nan] * len(tasks)
-        self.finish = [math.nan] * len(tasks)
-        self.unmet = [(t.chain_pred is not None) + (t.msg_pred is not None) for t in tasks]
-
-        self.heap: list[tuple[float, int, int, int, int, _Request | None]] = []
-        self.seq = itertools.count()
-        self.transfers: list[TransferRecord] = []
-        self.req_counter = 0
-
-    def push(self, time: float, task: Task, kind: int, req: _Request | None = None) -> None:
-        if not math.isfinite(time):
-            raise TimeOverflowError(_TERMS[kind])
-        heapq.heappush(self.heap, (time, task.stage_id, task.id, next(self.seq), kind, req))
-
-    def run(self) -> Timeline:
-        tasks, unmet, heap = self.tasks, self.unmet, self.heap
-        start, issue, attempt = self._start, self._issue, self._attempt
-        pop = heapq.heappop
-        for t in tasks:
-            if not unmet[t.id]:
-                start(t, 0.0)
-        finished = 0
-        while heap:
-            now, _, tid, _, kind, req = pop(heap)
-            if kind == _RETRY:
-                attempt(req, now)
-                continue
-            if kind == _FINISH:
-                finished += 1
-                task = tasks[tid]
-                nxt = task.chain_next
-                if nxt is not None:
-                    unmet[nxt] -= 1
-                    if not unmet[nxt]:
-                        start(tasks[nxt], now)
-                if task.msg_next is not None:
-                    issue(task, now)
-                continue
-            # _ARRIVAL: one dependency of task ``tid`` is met at ``now``.
-            # Events pop in nondecreasing time, so the event that meets the
-            # last one is the latest and ``now`` is the task's ready time.
-            unmet[tid] -= 1
-            if not unmet[tid]:
-                start(tasks[tid], now)
-        if finished != len(tasks):
-            raise RuntimeError(
-                f"deadlock: {len(tasks) - finished} tasks never became ready "
-                "(cyclic dependencies?)"
-            )
-        makespan = max(self.finish, default=0.0)
-        advance_network(self.net, makespan)
-        leaked = self.net.active_owners("tx-")
-        if leaked:
-            raise RuntimeError(f"training allocations leaked past iteration end: {leaked}")
-        return Timeline(tasks, self.start, self.finish, self.transfers, makespan)
-
-    # ----------------------------------------------------------------
-
-    def _start(self, task: Task, ready: float) -> None:
-        self.start[task.id] = ready
-        self.finish[task.id] = finish = ready + task.compute_s
-        self.push(finish, task, _FINISH)
-
-    def _issue(self, task: Task, now: float) -> None:
-        """Send the message of ``task``, which has just finished, at ``now``."""
-        consumer = self.tasks[task.msg_next]  # type: ignore[index]
-        self.req_counter += 1
-        rid = self.req_counter
-        src = self.stage_dc[task.stage_id]
-        dst = self.stage_dc[consumer.stage_id]
-        if src == dst:
-            complete = now + transfer_time(self.params, None, 1, self.msg_bits)
-            self._deliver(consumer, complete, TransferRecord(
-                rid, task.id, consumer.id, src, dst, "intra", 0, -1, -1, None, 0,
-                now, now, complete,
-            ))
-            return
-        demand = self.demand.get(consumer.id, self.base_demand)
-        self._attempt(_Request(rid, task, consumer, src, dst, demand, now), now)
-
-    def _deliver(self, consumer: Task, complete: float, record: TransferRecord) -> None:
-        self.transfers.append(record)
-        self.push(complete, consumer, _ARRIVAL)
-
-    def _attempt(self, req: _Request, now: float) -> None:
-        advance_network(self.net, now)
-        attempt = req.attempts
-        req.attempts += 1
-        n_fs = max(req.demand - attempt, 1)
-        p = self.policy
-        sel = select(self.net, req.src, req.dst, n_fs, p, self.params)
-        bits = self.msg_bits
-        stage = req.producer.stage_id
-
-        path, block = sel.path, sel.block
-        if path is not None:
-            assert block is not None
-            pen = self.egress.pending(stage, now)
-            dt = transfer_time(self.params, path, n_fs, bits, pen)
-            complete = now + dt
-            # a transfer too short to move the clock holds no spectrum
-            if complete > now:
-                allocate_spectrum(
-                    self.net, path.links, (block.f_start, block.f_end),
-                    f"tx-{req.request_id}", complete,
-                )
-            # the sender's transmitter is busy until the last bit is pushed
-            # (queue + serialization); propagation happens in flight
-            self.egress.occupy(stage, now + pen + bits * beta(self.params, n_fs))
-            self._deliver(req.consumer, complete, TransferRecord(
-                req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
-                "optical", n_fs, block.f_start, block.f_end,
-                path.nodes, attempt, req.issue_time, now, complete,
-            ))
-            return
-
-        if attempt < p.max_retries:
-            self.push(now + p.retry_backoff_s, req.producer, _RETRY, req)
-            return
-
-        # retries exhausted: degraded fallback delivery, no spectrum held
-        # (the penalty scales the route service time, not the local queue wait)
-        path0 = self.net.paths.candidates(req.src, req.dst, p.k)[0]
-        pen = self.egress.pending(stage, now)
-        dt = p.fallback_penalty * transfer_time(self.params, path0, 1, bits) + pen
-        complete = now + dt
-        self.egress.occupy(
-            stage, now + pen + p.fallback_penalty * bits * beta(self.params, 1),
-        )
-        self._deliver(req.consumer, complete, TransferRecord(
-            req.request_id, req.producer.id, req.consumer.id, req.src, req.dst,
-            "fallback", 1, -1, -1, None, attempt, req.issue_time, now, complete,
-        ))
 
 
 def simulate_iteration(
@@ -374,9 +229,162 @@ def simulate_iteration(
     drawing arrivals.  Every training allocation is released by the time
     this returns.
     """
-    sim = _Sim(net, stages, tasks, policy, params, demand or {}, msg_bits)
+    stage_dc = {s.stage_id: s.dc_node for s in stages}
+    for dc in stage_dc.values():
+        if dc not in net.adjacency:
+            raise ValueError(f"stage placed on unknown datacenter {dc!r}")
+    if policy.fs_max > net.fs_total:
+        raise ValueError("fs_max exceeds the network's slot count")
+    intra = transfer_time(params, None, 1, msg_bits)
+    demand = demand or {}
+    base_demand = min(policy.base_fs, policy.fs_max)
+    k, max_retries, backoff = policy.k, policy.max_retries, policy.retry_backoff_s
     net.rebase(net.now)
-    return sim.run()
+
+    n = len(tasks)
+    start = [math.nan] * n
+    finish = [math.nan] * n
+    # the latest input time known so far, and the inputs still unknown
+    latest = [0.0] * n
+    unmet = [(t.chain_pred is not None) + (t.msg_pred is not None) for t in tasks]
+    # network events: (time, stage, producer task id, None for the message's
+    # issue or its _Request for a retry)
+    heap: list[tuple[float, int, int, _Request | None]] = []
+    push, pop = heapq.heappush, heapq.heappop
+    isfinite = math.isfinite
+    started = 0
+
+    def met(tid: int, t: float) -> None:
+        """One input of task ``tid`` arrives at ``t``.  When it is the last,
+        the task starts at its latest input, and its chain successor's input
+        is known in turn."""
+        nonlocal started
+        while True:
+            if t > latest[tid]:
+                latest[tid] = t
+            unmet[tid] -= 1
+            if unmet[tid]:
+                return
+            task = tasks[tid]
+            s = latest[tid]
+            f = s + task.compute_s
+            if not isfinite(f):
+                raise TimeOverflowError("compute")
+            start[tid] = s
+            finish[tid] = f
+            started += 1
+            if task.msg_next is not None:
+                push(heap, (f, task.stage_id, tid, None))
+            tid = task.chain_next
+            if tid is None:
+                return
+            t = f
+
+    transfers: list[TransferRecord] = []
+
+    def deliver(record: TransferRecord) -> None:
+        transfers.append(record)
+        if not isfinite(record.complete_time):
+            raise TimeOverflowError("transfer")
+        met(record.consumer_id, record.complete_time)
+
+    # a task without inputs has one: the iteration start, at 0
+    for tid in [tid for tid in range(n) if not unmet[tid]]:
+        unmet[tid] = 1
+        met(tid, 0.0)
+
+    # when each stage's transmitter has pushed its last bit
+    busy = dict.fromkeys(stage_dc, 0.0)
+    # alpha per candidate path (by identity; the catalog keeps every path
+    # alive) and beta per slot count, for this iteration's parameters
+    alphas: dict[int, float] = {}
+    betas: dict[int, float] = {}
+    rid = 0
+    while heap:
+        now, stage, tid, req = pop(heap)
+        if req is None:
+            # producer ``tid`` finished at ``now``: its message's first attempt
+            cid = tasks[tid].msg_next
+            rid += 1
+            src, dst = stage_dc[stage], stage_dc[tasks[cid].stage_id]
+            if src == dst:
+                deliver(TransferRecord(rid, tid, cid, src, dst, "intra", 0, -1, -1, None, 0,
+                                       now, now, now + intra))
+                continue
+            request_id, want, issue_time, attempt = rid, demand.get(cid, base_demand), now, 0
+        else:
+            cid, src, dst = req.consumer_id, req.src, req.dst
+            request_id, want, issue_time, attempt = (
+                req.request_id, req.demand, req.issue_time, req.attempts)
+        n_fs = max(want - attempt, 1)
+        advance_network(net, now)
+        sel = select(net, src, dst, n_fs, policy, params)
+        path = sel.path
+        if path is not None:
+            block = sel.block
+            assert block is not None
+            b = busy[stage]
+            wait = b - now if b > now else 0.0
+            a = alphas.get(id(path))
+            if a is None:
+                a = alphas[id(path)] = alpha(params, path)
+            bb = betas.get(n_fs)
+            if bb is None:
+                bb = betas[n_fs] = beta(params, n_fs)
+            # ``transfer_time``'s expression: alpha + bits * beta + wait
+            complete = now + (a + msg_bits * bb + wait)
+            # a transfer too short to move the clock holds no spectrum
+            if complete > now:
+                allocate_spectrum(
+                    net, path.links, (block.f_start, block.f_end),
+                    f"tx-{request_id}", complete,
+                )
+            # the sender's transmitter is busy until the last bit is pushed
+            # (queue + serialization); propagation happens in flight
+            until = now + wait + msg_bits * bb
+            if until > b:
+                busy[stage] = until
+            deliver(TransferRecord(
+                request_id, tid, cid, src, dst, "optical", n_fs, block.f_start, block.f_end,
+                path.nodes, attempt, issue_time, now, complete,
+            ))
+            continue
+
+        if attempt < max_retries:
+            if req is None:
+                req = _Request(request_id, cid, src, dst, want, issue_time, 0)
+            req.attempts = attempt + 1
+            retry = now + backoff
+            if not isfinite(retry):
+                raise TimeOverflowError("retry")
+            push(heap, (retry, stage, tid, req))
+            continue
+
+        # retries exhausted: degraded fallback delivery, no spectrum held
+        # (the penalty scales the route service time, not the local queue wait)
+        path0 = net.paths.candidates(src, dst, k)[0]
+        b = busy[stage]
+        wait = b - now if b > now else 0.0
+        complete = now + (policy.fallback_penalty * transfer_time(params, path0, 1, msg_bits)
+                          + wait)
+        until = now + wait + policy.fallback_penalty * msg_bits * beta(params, 1)
+        if until > b:
+            busy[stage] = until
+        deliver(TransferRecord(
+            request_id, tid, cid, src, dst, "fallback", 1, -1, -1, None, attempt,
+            issue_time, now, complete,
+        ))
+
+    if started != n:
+        raise RuntimeError(
+            f"deadlock: {n - started} tasks never became ready (cyclic dependencies?)"
+        )
+    makespan = max(finish, default=0.0)
+    advance_network(net, makespan)
+    leaked = net.active_owners("tx-")
+    if leaked:
+        raise RuntimeError(f"training allocations leaked past iteration end: {leaked}")
+    return Timeline(tasks, start, finish, transfers, makespan)
 
 
 def bubble_ratio(timeline: Timeline) -> float:

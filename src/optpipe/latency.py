@@ -7,7 +7,8 @@ slot count, and a queuing penalty:
     T = alpha(path) + bits * beta(n_fs) + penalty
 
 The penalty is egress-only: the time until the sending stage's previous
-outbound transfer has pushed its last bit (``EgressState.pending``).
+outbound transfer has pushed its last bit (the engine keeps each stage's
+busy time).
 Transfers sharing a link do not delay each other; they hold disjoint slot
 blocks.  Transfers between stages hosted in the same datacenter bypass the
 optical network entirely and use a flat intra-DC latency plus an intra-DC
@@ -20,7 +21,7 @@ defaults to 75 Gb/s (12.5 GHz slots carrying 6 bit/symbol).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 
@@ -44,25 +45,6 @@ class LatencyParams:
         for name in ("fs_rate_bps", "intra_dc_rate_bps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class EgressState:
-    """Per-stage time at which the last outbound transfer completes.
-
-    Owned by the engine (single writer); values never decrease within an
-    iteration.
-    """
-
-    busy_until: dict[int, float] = field(default_factory=dict)
-
-    def pending(self, stage: int, now: float) -> float:
-        """Queuing delay of a transfer the stage sends at ``now``."""
-        return max(0.0, self.busy_until.get(stage, 0.0) - now)
-
-    def occupy(self, stage: int, until: float) -> None:
-        if until > self.busy_until.get(stage, 0.0):
-            self.busy_until[stage] = until
 
 
 def alpha(params: LatencyParams, path: _PathLike) -> float:

@@ -33,6 +33,14 @@ is ``(nfree*denom - S) / (nfree*denom)``, and the best block is the lowest
 start in ``r & ~(agg >> w)``, or in ``r`` when that is empty.
 ``optpipe.validate`` holds the slot-by-slot reference that these popcounts
 are checked against.
+
+The gamma bound.  Gamma is ``mean_ci / (L * delta)`` with ``mean_ci <= 1``,
+and IEEE division is monotone in its dividend, so a path's gamma is at most
+``1 / (L * delta)``, computed from the same float product.  ``select_cba``
+takes a path only when its gamma is strictly above the best so far, so a
+path whose bound is at or below the best cannot win, and it is skipped after
+the per-link popcounts that give delta: its free-run starts and contiguity
+popcounts are never computed.
 """
 
 from __future__ import annotations
@@ -87,30 +95,37 @@ class SelectionResult:
 # path scoring (fitness and CBA)
 
 
-def _score(path: CandidatePath, width: int, fs_total: int) -> tuple[float, int, int]:
+def _score(path: CandidatePath, width: int, fs_total: int,
+           floor: float = 0.0) -> tuple[float, int, int]:
     """(gamma, path bitmask, free-run starts) of one path at the current occupancy.
 
-    Gamma is 0 when no block fits.  One pass over the links gives both the
-    bitmask (their OR) and the occupied slot count (their popcounts).  The
-    availability divisor is the mean per-link free fraction.  It is positive
-    whenever a block fits, since a free slot is free on every link.
+    Gamma is 0 when no block fits, and also when the bound ``1 / (L * delta)``
+    shows it cannot exceed ``floor`` (the starts are then 0, not computed).
+    One pass over the links gives both the bitmask (their OR) and the
+    occupied slot count (their popcounts).  The availability divisor is the
+    mean per-link free fraction.  It is positive whenever a block fits,
+    since a free slot is free on every link.
     """
     agg = occupied = 0
     for link in path.links:
         bits = link.bits
         agg |= bits
         occupied += bits.bit_count()
+    delta = 1.0 - occupied / (len(path.links) * fs_total)
+    scale = path.length_km * delta
+    # gamma is mean_ci / scale with mean_ci <= 1, and division is monotone
+    if floor > 0.0 and delta > 0.0 and 1.0 / scale <= floor:
+        return 0.0, agg, 0
     starts = free_run_starts(agg, width, fs_total)
     nfree = starts.bit_count()
     if nfree == 0:
         return 0.0, agg, starts
-    delta = 1.0 - occupied / (len(path.links) * fs_total)
     denom = width - 1 if width > 1 else 1
     nd = nfree * denom
     mean_ci = (nd - (starts & (agg >> width)).bit_count()) / nd
     if mean_ci < CI_FLOOR:
         mean_ci = CI_FLOOR
-    return mean_ci / (path.length_km * delta), agg, starts
+    return mean_ci / scale, agg, starts
 
 
 def _best_start(agg: int, starts: int, width: int) -> int:
@@ -145,7 +160,7 @@ def select_cba(net: Network, src: str, dst: str, width: int, k: int) -> Selectio
     best = None
     best_gamma = 0.0
     for p in paths:
-        gamma, agg, starts = _score(p, width, F)
+        gamma, agg, starts = _score(p, width, F, best_gamma)
         if gamma > best_gamma:
             best, best_gamma = (p, agg, starts), gamma
     if best is None:

@@ -2,7 +2,8 @@
 
 Every check pits a production code path against an independent reference
 written the slow, obvious way: closed-form pipeline algebra, exhaustive
-path/block enumeration, direct transition-count loops, and log replay.
+path/block enumeration, direct transition-count loops, log replay, and an
+event loop that puts every task finish and message arrival on its heap.
 A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
 Each randomized brute-force loop lives here once, with its seed and size as
@@ -21,6 +22,7 @@ generator.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import Sequence
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import cba, engine, rsa, topology, workload
 from . import rng as rng_port
-from .latency import LatencyParams
+from .latency import LatencyParams, beta, transfer_time
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +195,143 @@ def random_instance(rng: np.random.Generator) -> topology.Network:
     return net
 
 
+class _RefSim:
+    """The engine's event loop the plain way: every task finish, message
+    arrival and retry is an event on one heap, ordered by (time, stage,
+    task id, push sequence), and a task starts when the event that meets
+    its last dependency pops."""
+
+    FINISH, ARRIVAL, RETRY = 0, 1, 2
+    TERMS = ("compute", "transfer", "retry")  # the term each kind's time adds
+
+    def __init__(self, net, stages, tasks, policy, params, demand, msg_bits):
+        self.net, self.tasks, self.policy, self.params = net, tasks, policy, params
+        self.msg_bits = msg_bits
+        self.stage_dc = {s.stage_id: s.dc_node for s in stages}
+        self.demand = demand
+        self.base_demand = min(policy.base_fs, policy.fs_max)
+        self.busy_until: dict[int, float] = {}  # per stage: its last bit pushed
+        self.start = [math.nan] * len(tasks)
+        self.finish = [math.nan] * len(tasks)
+        self.unmet = [(t.chain_pred is not None) + (t.msg_pred is not None) for t in tasks]
+        self.heap: list = []
+        self.seq = itertools.count()
+        self.transfers: list[engine.TransferRecord] = []
+        self.req_counter = 0
+
+    def push(self, time, task, kind, req=None):
+        if not math.isfinite(time):
+            raise engine.TimeOverflowError(self.TERMS[kind])
+        heapq.heappush(self.heap, (time, task.stage_id, task.id, next(self.seq), kind, req))
+
+    def run(self) -> engine.Timeline:
+        tasks, unmet = self.tasks, self.unmet
+        for t in tasks:
+            if not unmet[t.id]:
+                self.start_task(t, 0.0)
+        finished = 0
+        while self.heap:
+            now, _, tid, _, kind, req = heapq.heappop(self.heap)
+            if kind == self.RETRY:
+                self.attempt(req, now)
+            elif kind == self.FINISH:
+                finished += 1
+                task = tasks[tid]
+                if task.chain_next is not None:
+                    unmet[task.chain_next] -= 1
+                    if not unmet[task.chain_next]:
+                        self.start_task(tasks[task.chain_next], now)
+                if task.msg_next is not None:
+                    self.issue(task, now)
+            else:
+                unmet[tid] -= 1
+                if not unmet[tid]:
+                    self.start_task(tasks[tid], now)
+        if finished != len(tasks):
+            raise RuntimeError(f"deadlock: {len(tasks) - finished} tasks never became ready")
+        makespan = max(self.finish, default=0.0)
+        topology.advance_network(self.net, makespan)
+        if self.net.active_owners("tx-"):
+            raise RuntimeError("training allocations leaked past iteration end")
+        return engine.Timeline(tasks, self.start, self.finish, self.transfers, makespan)
+
+    def start_task(self, task, ready):
+        self.start[task.id] = ready
+        self.finish[task.id] = ready + task.compute_s
+        self.push(self.finish[task.id], task, self.FINISH)
+
+    def issue(self, task, now):
+        consumer = self.tasks[task.msg_next]
+        self.req_counter += 1
+        rid = self.req_counter
+        src, dst = self.stage_dc[task.stage_id], self.stage_dc[consumer.stage_id]
+        if src == dst:
+            complete = now + transfer_time(self.params, None, 1, self.msg_bits)
+            self.deliver(consumer, complete, engine.TransferRecord(
+                rid, task.id, consumer.id, src, dst, "intra", 0, -1, -1, None, 0,
+                now, now, complete))
+            return
+        demand = self.demand.get(consumer.id, self.base_demand)
+        # (request id, producer, consumer, src, dst, demand, issue time, attempts)
+        self.attempt([rid, task, consumer, src, dst, demand, now, 0], now)
+
+    def deliver(self, consumer, complete, record):
+        self.transfers.append(record)
+        self.push(complete, consumer, self.ARRIVAL)
+
+    def pending(self, stage, now):
+        return max(0.0, self.busy_until.get(stage, 0.0) - now)
+
+    def occupy(self, stage, until):
+        if until > self.busy_until.get(stage, 0.0):
+            self.busy_until[stage] = until
+
+    def attempt(self, req, now):
+        rid, producer, consumer, src, dst, demand, issue_time, attempt = req
+        topology.advance_network(self.net, now)
+        req[7] += 1
+        n_fs = max(demand - attempt, 1)
+        p, bits, stage = self.policy, self.msg_bits, producer.stage_id
+        sel = engine.select(self.net, src, dst, n_fs, p, self.params)
+        if sel.path is not None:
+            pen = self.pending(stage, now)
+            complete = now + transfer_time(self.params, sel.path, n_fs, bits, pen)
+            if complete > now:
+                topology.allocate_spectrum(self.net, sel.path.links,
+                                           (sel.block.f_start, sel.block.f_end),
+                                           f"tx-{rid}", complete)
+            self.occupy(stage, now + pen + bits * beta(self.params, n_fs))
+            self.deliver(consumer, complete, engine.TransferRecord(
+                rid, producer.id, consumer.id, src, dst, "optical", n_fs, sel.block.f_start,
+                sel.block.f_end, sel.path.nodes, attempt, issue_time, now, complete))
+        elif attempt < p.max_retries:
+            self.push(now + p.retry_backoff_s, producer, self.RETRY, req)
+        else:
+            path0 = self.net.paths.candidates(src, dst, p.k)[0]
+            pen = self.pending(stage, now)
+            complete = now + (p.fallback_penalty * transfer_time(self.params, path0, 1, bits)
+                              + pen)
+            self.occupy(stage, now + pen + p.fallback_penalty * bits * beta(self.params, 1))
+            self.deliver(consumer, complete, engine.TransferRecord(
+                rid, producer.id, consumer.id, src, dst, "fallback", 1, -1, -1, None, attempt,
+                issue_time, now, complete))
+
+
+def ref_simulate_iteration(
+    net: topology.Network,
+    stages,
+    tasks,
+    policy: engine.PolicyConfig,
+    params: LatencyParams,
+    demand: dict[int, int] | None = None,
+    msg_bits: float = 0.0,
+) -> engine.Timeline:
+    """``engine.simulate_iteration`` with every event on the heap (``_RefSim``)."""
+    sim = _RefSim(net, stages, tasks, policy, params, demand or {}, msg_bits)
+    net.rebase(net.now)
+    return sim.run()
+
+
 def ref_orchestrate(
     config: cba.OrchestratorConfig,
     net: topology.Network,
@@ -202,7 +341,8 @@ def ref_orchestrate(
     params: LatencyParams,
     msg_bits: float,
 ) -> list[cba.IterationResult]:
-    """``cba.orchestrate`` the plain way: every iteration is simulated."""
+    """``cba.orchestrate`` the plain way: every iteration is simulated, by
+    ``ref_simulate_iteration``."""
     labels = None
     boost = policy.boost_factor
     demand: dict[int, int] = {}
@@ -210,7 +350,7 @@ def ref_orchestrate(
     for _ in range(config.n_iterations):
         if policy.selector == "cba":
             demand, boost = cba.plan_requests(labels, config, tasks, policy, boost)
-        timeline = engine.simulate_iteration(
+        timeline = ref_simulate_iteration(
             net, stages, tasks, policy, params, demand=demand, msg_bits=msg_bits,
         )
         if policy.selector == "cba":
@@ -455,6 +595,39 @@ def check_iteration_reuse() -> tuple[bool, str]:
                         f"{reused} of them reused a timeline")
 
 
+def check_engine_reference() -> tuple[bool, str]:
+    """``cba.orchestrate`` against ``ref_orchestrate``, whose iterations run
+    the all-events loop, on one loaded cell per policy.  With a background
+    stream every iteration is simulated, so each one compares the engine
+    with the reference; the cell blocks, retries and falls back."""
+    profile = workload.build_profile("llama3-8b-like")
+    placement = ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"]
+    stages = workload.partition_stages(profile, 8, placement)
+    tasks = workload.build_schedule(workload.ScheduleKind.ONE_F_ONE_B, stages, 16)
+    net = topology.load_nsfnet(fs_total=24)
+    bg = topology.loaded_background(5)
+    net.attach_background(bg)
+    topology.advance_network(net, 5.0 * bg.mean_hold_s)
+    start = net.snapshot()
+    config = cba.OrchestratorConfig(n_iterations=4)
+    blocked = fallbacks = 0
+    for selector in engine.SELECTORS:
+        args = (config, net, stages, tasks, engine.PolicyConfig(selector=selector, fs_max=8),
+                LatencyParams(), profile.msg_bytes_per_microbatch * 8)
+        net.restore(start)
+        got = cba.orchestrate(*args)
+        net.restore(start)
+        mismatch = orchestrate_mismatch(got, ref_orchestrate(*args))
+        if mismatch is not None:
+            return False, f"{selector}: {mismatch}"
+        for r in got:
+            blocked += r.timeline.blocked_requests
+            fallbacks += sum(x.kind == "fallback" for x in r.timeline.transfers)
+    return blocked > 0 and fallbacks > 0, (
+        f"{config.n_iterations * len(engine.SELECTORS)} loaded iterations equal the "
+        f"all-events loop; {blocked} requests blocked, {fallbacks} fell back")
+
+
 def check_demand_bounds() -> tuple[bool, str]:
     """Every width ``cba.plan_requests`` plans lies in [1, fs_max]."""
     stages = workload.partition_stages(workload.build_profile("llama3-8b-like"), 2, ["A", "B"])
@@ -563,6 +736,7 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("spectrum-audit", check_spectrum_audit),
         ("labeling-soundness", check_labeling_soundness),
         ("iteration-reuse", check_iteration_reuse),
+        ("engine-reference", check_engine_reference),
         ("demand-bounds", check_demand_bounds),
         ("occupancy-rebuild", check_occupancy_rebuild),
         ("rng-port", check_rng_port),

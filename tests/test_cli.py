@@ -878,7 +878,7 @@ class TestMain:
     def test_validate_passes_and_catches_a_planted_fault(self, capsys, monkeypatch):
         assert cli.main(["validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 12 and all(": PASS" in line for line in lines)
+        assert len(lines) == 13 and all(": PASS" in line for line in lines)
         assert "start-state: PASS" in lines[-1]
 
         real = rsa.select_ksp_ff

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optpipe import cba
+from optpipe import cba, engine, validate
 from optpipe.cli import DEFAULT_DC_NODES, RunConfig
 from optpipe.engine import (
     SELECTORS,
@@ -19,8 +19,9 @@ from optpipe.engine import (
     bubble_ratio,
     simulate_iteration,
 )
-from optpipe.latency import EgressState, LatencyParams, transfer_time
+from optpipe.latency import LatencyParams, transfer_time
 from optpipe.topology import (
+    BackgroundTrafficModel,
     Network,
     advance_network,
     allocate_spectrum,
@@ -250,6 +251,109 @@ def test_tasks_start_when_their_last_dependency_is_met(
             met.append(x.complete_time)
         assert tl.start[task.id] == max(met, default=0.0)
     audit_event_log(net, tl.event_log_lines(), tl.iteration_makespan)
+
+
+@st.composite
+def engine_cases(draw):
+    """A random iteration that blocks, retries and falls back: a
+    ``validate.random_instance`` network with its spectrum pre-filled,
+    background on or off, compute times down to a microsecond (so a stage's
+    sends queue at its transmitter), zero backoff and zero retries among the
+    choices, and a boosted demand map.  Returns a builder, since each run
+    needs a fresh copy of the network."""
+    net_seed = draw(st.integers(0, 2**32 - 1))
+    nodes = validate.random_instance(np.random.default_rng(net_seed)).nodes
+    p = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(list(ScheduleKind)))
+    m = draw(st.integers(1, 6))
+    # a few fixed compute times make events of different stages tie in time
+    compute = st.one_of(st.sampled_from([1e-6, 2.5e-4, 1e-3]), st.floats(1e-6, 1e-3))
+    stages = [
+        Stage(s, draw(st.sampled_from(nodes)), s, s + 1, draw(compute), draw(compute))
+        for s in range(p)
+    ]
+    tasks = build_schedule(kind, stages, m)
+    policy = PolicyConfig(
+        selector=draw(st.sampled_from(SELECTORS)),
+        k=draw(st.integers(1, 5)),
+        base_fs=draw(st.integers(1, 4)),
+        fs_max=4,
+        max_retries=draw(st.sampled_from([0, 1, 3])),
+        retry_backoff_s=draw(st.sampled_from([0.0, 1e-5, 1e-3])),
+    )
+    consumers = [t.id for t in tasks if t.msg_pred is not None]
+    demand = draw(st.dictionaries(st.sampled_from(consumers), st.integers(1, 4))
+                  if consumers else st.just({}))
+    bg_seed = draw(st.one_of(st.none(), st.integers(0, 2**31 - 1)))
+    msg_bits = draw(st.sampled_from([0.0, 8e6, 16 * 2**20 * 8]))
+
+    def build():
+        net = validate.random_instance(np.random.default_rng(net_seed))
+        if bg_seed is not None:
+            net.attach_background(BackgroundTrafficModel(2000.0, 1e-3, (1, 3), bg_seed))
+            advance_network(net, 5e-3)
+        return net
+
+    return build, stages, tasks, policy, demand, msg_bits
+
+
+@given(case=engine_cases())
+@settings(max_examples=200, deadline=None)
+def test_engine_equals_the_all_events_reference(case):
+    # the reference puts every finish and arrival on its heap; the engine
+    # keeps only issues and retries there, and must decide the same
+    build, stages, tasks, policy, demand, msg_bits = case
+    nets = [build(), build()]
+    got = simulate_iteration(nets[0], stages, tasks, policy, LatencyParams(), demand, msg_bits)
+    want = validate.ref_simulate_iteration(nets[1], stages, tasks, policy, LatencyParams(),
+                                           demand, msg_bits)
+    assert got.iteration_makespan == want.iteration_makespan
+    assert got.event_log_lines() == want.event_log_lines()
+    assert [x.request_id for x in got.transfers] == [x.request_id for x in want.transfers]
+    assert ([link.bits for link in nets[0].links], nets[0].now) == (
+        [link.bits for link in nets[1].links], nets[1].now)
+
+
+def counted_run(build, stages, tasks, policy, demand, msg_bits):
+    """The timeline and the number of ``select`` and ``advance_network``
+    calls the engine made (both are looked up by name on every call)."""
+    calls = {"select": 0, "advance_network": 0}
+
+    def counting(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    net = build()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(engine, name, counting(name))
+        tl = simulate_iteration(net, stages, tasks, policy, LatencyParams(), demand, msg_bits)
+    return tl, calls
+
+
+@given(case=engine_cases())
+@settings(max_examples=100, deadline=None)
+def test_one_selection_per_attempt(case):
+    # each attempt selects once and advances the network once; the iteration
+    # end advances it once more
+    tl, calls = counted_run(*case)
+    attempts = sum(x.retries + 1 for x in tl.transfers if x.kind != "intra")
+    assert calls == {"select": attempts, "advance_network": attempts + 1}
+
+
+def test_blocked_first_attempt_falls_back_without_a_second_selection():
+    net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
+    allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), "bg-perm", 1e15)
+    stages = toy_stages(2, ["A", "B"])
+    tasks = build_schedule(ScheduleKind.GPIPE, stages, 3)
+    tl, calls = counted_run(lambda: net, stages, tasks, PolicyConfig(fs_max=8, max_retries=0),
+                            {}, 1e6)
+    assert [(x.kind, x.retries) for x in tl.transfers] == [("fallback", 0)] * 6
+    assert calls == {"select": 6, "advance_network": 7}
 
 
 class TestBubbleRatio:

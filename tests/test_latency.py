@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from optpipe.latency import EgressState, LatencyParams, alpha, beta, transfer_time
+from optpipe.latency import LatencyParams, alpha, beta, transfer_time
 from optpipe.topology import Network
 
 
@@ -41,15 +41,6 @@ class TestBeta:
     def test_rejects_zero_slots(self):
         with pytest.raises(ValueError):
             beta(DEFAULTS, 0)
-
-
-class TestQueuePenalty:
-    def test_idle_egress_zero(self):
-        assert EgressState().pending(0, now=1.0) == 0.0
-
-    def test_pending_egress(self):
-        egress = EgressState(busy_until={3: 1.002})
-        assert egress.pending(3, now=1.0) == pytest.approx(0.002)
 
 
 class TestTransferTime:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -289,3 +290,53 @@ class TestBruteForceEquivalence:
     def test_selectors_match_oracle_on_random_instances(self):
         ok, detail = validate.check_selection_bruteforce(300, seed=99)
         assert ok, detail
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.5, 0.8, 0.95]),
+        equal_lengths=st.booleans(),
+        width=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cba_matches_oracle_at_k5_on_dense_spectra(self, seed, density, equal_lengths,
+                                                       width):
+        # a complete graph gives five candidates; dense and near-full spectra
+        # leave few feasible paths, and equal link lengths give candidates of
+        # equal length whose gamma bound can tie the best so far
+        rng = np.random.default_rng(seed)
+        names = [chr(ord("A") + i) for i in range(int(rng.integers(3, 6)))]
+        # lengths below 1 km too, where a bound without the length would be too low
+        common = float(rng.choice([0.2, 10.0]))
+        specs = [(a, b, common if equal_lengths else float(rng.uniform(0.1, 20.0)))
+                 for a, b in itertools.combinations(names, 2)]
+        F = int(rng.integers(4, 17))
+        net = Network(names, specs, fs_total=F)
+        for link in net.links:
+            set_link_occupancy(net, link.index, rng.random(F) < density)
+        sel = select_cba(net, "A", "B", width, 5)
+        want = validate.ref_select(net, "A", "B", width, 5, "cba", LatencyParams())
+        got = (sel.path.nodes if sel.path else None,
+               sel.block.f_start if sel.block else None, sel.fitness)
+        assert got == (want[0], want[1], want[2] or 0.0)
+
+    @pytest.mark.parametrize("first_free_run_at_band_edge", [True, False])
+    def test_bound_skips_only_a_path_that_cannot_win(self, first_free_run_at_band_edge):
+        # A-B-D and A-C-D are equally long with one occupied slot of 64 each,
+        # so their deltas and their bounds 1 / (L * delta) are equal.  A free
+        # run that ends at the band edge has contiguity 1 at width 2: then
+        # A-B-D's gamma equals A-C-D's bound, A-C-D is skipped and A-B-D wins
+        # the tie.  One that ends at an occupied slot has contiguity 61/62, so
+        # A-C-D, with its run at the edge, wins by 1.6 %.
+        F = 64
+        net = Network(["A", "B", "C", "D"],
+                      [("A", "B", 1.0), ("B", "D", 1.0), ("A", "C", 1.0), ("C", "D", 1.0)],
+                      fs_total=F)
+        edge, inner = [1] + [0] * (F - 1), [0] * (F - 1) + [1]
+        set_link_occupancy(net, net.link_between("A", "B").index,
+                           edge if first_free_run_at_band_edge else inner)
+        set_link_occupancy(net, net.link_between("A", "C").index, edge)
+        sel = select_cba(net, "A", "D", 2, 2)
+        want = validate.ref_select(net, "A", "D", 2, 2, "cba", LatencyParams())
+        assert (sel.path.nodes, sel.block.f_start, sel.fitness) == want
+        assert sel.path.nodes == (("A", "B", "D") if first_free_run_at_band_edge
+                                  else ("A", "C", "D"))
