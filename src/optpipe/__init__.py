@@ -36,7 +36,6 @@ from .topology import (
     load_nsfnet,
     load_topology,
     loaded_background,
-    release_spectrum,
     set_link_occupancy,
 )
 from .workload import (

@@ -198,7 +198,7 @@ def orchestrate(
     every simulated iteration.
 
     An iteration that starts on a network with no background stream and no
-    allocation is keyed by its demand map, which is all the engine reads of
+    holding is keyed by its demand map, which is all the engine reads of
     the plan.  Every such start sees the same spectrum, so a demand map seen
     before gives the same timeline: the iteration is not simulated again,
     and the list holds the earlier iteration's result object once more.  A
@@ -217,7 +217,7 @@ def orchestrate(
         if plans:
             demand, boost = plan_requests(labels, config, tasks, policy, boost)
         # no key when the iteration does not start from the quiet state
-        quiet = not net.has_background and not net.active_owners()
+        quiet = not net.has_background and not net.holdings()
         key = frozenset(demand.items()) if quiet else None
         result = simulated.get(key)
         if result is None:

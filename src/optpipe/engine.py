@@ -226,8 +226,8 @@ def simulate_iteration(
     The network clock is first rebased so the iteration starts at t=0;
     background allocations persist from earlier iterations, shifted with the
     clock, and the background stream attached to ``net`` (if any) keeps
-    drawing arrivals.  Every training allocation is released by the time
-    this returns.
+    drawing arrivals.  Every training holding ends by the makespan; one that
+    is still held after it raises ``RuntimeError``.
     """
     stage_dc = {s.stage_id: s.dc_node for s in stages}
     for dc in stage_dc.values():
@@ -335,10 +335,8 @@ def simulate_iteration(
             complete = now + (a + msg_bits * bb + wait)
             # a transfer too short to move the clock holds no spectrum
             if complete > now:
-                allocate_spectrum(
-                    net, path.links, (block.f_start, block.f_end),
-                    f"tx-{request_id}", complete,
-                )
+                allocate_spectrum(net, path.links, (block.f_start, block.f_end), complete,
+                                  training=True)
             # the sender's transmitter is busy until the last bit is pushed
             # (queue + serialization); propagation happens in flight
             until = now + wait + msg_bits * bb
@@ -381,7 +379,7 @@ def simulate_iteration(
         )
     makespan = max(finish, default=0.0)
     advance_network(net, makespan)
-    leaked = net.active_owners("tx-")
+    leaked = net.holdings(training=True)
     if leaked:
         raise RuntimeError(f"training allocations leaked past iteration end: {leaked}")
     return Timeline(tasks, start, finish, transfers, makespan)

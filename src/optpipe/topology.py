@@ -3,9 +3,9 @@
 The network is a graph of datacenter nodes joined by fiber links.  Every
 link carries the same number of frequency slots (FS); a transfer occupies a
 contiguous slot block on every link of its path.  This module owns all
-spectrum bookkeeping: committing and releasing allocations, time-driven
-state updates, and the synthetic background traffic that makes optical path
-availability vary over time.  It also owns the routes: each network's
+spectrum bookkeeping: holdings, time-driven state updates, and the synthetic
+background traffic that makes optical path availability vary over time.  It
+also owns the routes: each network's
 ``paths`` is a ``PathCatalog`` that memoises, per node pair, the candidate
 paths every selector tries, SD-FF's delay order over them, and the
 shortest path that background admission uses.  Both routers are plain
@@ -21,8 +21,12 @@ the cursor, so the runs restored from one prewarmed network replay its tape.
 A tape holds at most ``MAX_BG_ARRIVALS`` arrivals: a run that needs more
 stops with ``ArrivalCapError``, so no finite configuration draws forever.
 
-``Network.snapshot`` records a network's mutable state (spectrum, allocation
-ledger, clock and stream cursor) and ``Network.restore`` brings it back, so
+Every holding, a training transfer or an admitted background arrival, gets
+its release time when it is made, and ``advance_network`` frees it at that
+time; nothing releases spectrum early.  A network's mutable state is four
+things: the clock, ``Link.bits``, one heap of holdings by release time, and
+the arrival cursor (tape, position, next arrival time).
+``Network.snapshot`` records it and ``Network.restore`` brings it back, so
 one prewarmed network can serve as the start state of many runs: its routes
 and its tape stay, and each run begins from the same instant.
 
@@ -84,10 +88,6 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-class UnknownOwnerError(KeyError):
-    """Release requested for an owner with no active allocations."""
-
-
 @dataclass(eq=False, slots=True)
 class Link:
     """One fiber link.  ``bits`` is its spectrum state; only Network writes it."""
@@ -107,6 +107,10 @@ class Link:
 
     def __repr__(self) -> str:
         return f"Link({self.a}-{self.b}, {self.length_km} km)"
+
+
+# one holding: (release_time, tie-break, links, f_start, f_end, training)
+Holding = tuple[float, int, tuple[Link, ...], int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -343,65 +347,23 @@ class ArrivalTape:
         self.hold.append(hold)
 
 
-class _BackgroundStream:
-    """One network's cursor over an arrival tape.
-
-    ``pos`` counts the arrivals read from the tape, the pending one (due at
-    ``_next_time``) included.  The stream keeps its own clock: it adds the
-    tape's gaps to its own ``_next_time``, which ``Network.rebase`` shifts,
-    so each reader's arithmetic is what it would be with the draws made in
-    place.
-    """
-
-    def __init__(self, tape: ArrivalTape, pos: int = 0, next_time: float = math.inf):
-        self.tape = tape
-        self.pos = pos
-        self._next_time = next_time
-
-    @classmethod
-    def based_at(cls, tape: ArrivalTape, base_time: float) -> _BackgroundStream:
-        """A cursor at the tape's start whose first arrival is due a gap after ``base_time``."""
-        stream = cls(tape)
-        if tape.active:
-            stream._next_time = base_time
-            stream._advance()
-        return stream
-
-    def _advance(self) -> None:
-        tape, k = self.tape, self.pos
-        if k == len(tape):
-            tape.draw()
-        self.pos = k + 1
-        self._next_time += tape.gaps[k]
-
-    def pop(self) -> tuple[float, str, str, int, float]:
-        tape, k = self.tape, self.pos - 1
-        nodes = tape.nodes
-        arrival = (self._next_time, nodes[tape.src[k]], nodes[tape.dst[k]],
-                   tape.demand[k], tape.hold[k])
-        self._advance()
-        return arrival
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
     """The mutable state of one network at one instant, for ``Network.restore``.
 
     Everything in it is immutable: the clock, each link's spectrum int, the
-    allocation ledger and release heap as tuples, the background owner
-    counter and the stream cursor (tape, position, next arrival time).  The
-    tape is shared, not copied; it is append-only, so a restored cursor reads
-    the arrivals it would have read.  A snapshot restores only onto the
-    network it was taken of, whose links its ledger names.
+    holdings heap as a tuple, and the arrival cursor (tape, position, next
+    arrival time).  The tape is shared, not copied; it is append-only, so a
+    restored cursor reads the arrivals it would have read.  A snapshot
+    restores only onto the network it was taken of, whose links its holdings
+    name.
     """
 
     network: Network
     now: float
     bits: tuple[int, ...]
-    active: tuple[tuple[str, tuple[tuple[Link, ...], int, int, float]], ...]
-    release_heap: tuple[tuple[float, str], ...]
-    bg_counter: int
-    stream: tuple[ArrivalTape, int, float] | None
+    held: tuple[Holding, ...]
+    cursor: tuple[ArrivalTape | None, int, float]
 
 
 class Network:
@@ -433,11 +395,16 @@ class Network:
             self.adjacency.setdefault(a, {})[b] = link
             self.adjacency.setdefault(b, {})[a] = link
 
-        # the one allocation ledger: owner -> (links, f_start, f_end, release_time)
-        self._active: dict[str, tuple[tuple[Link, ...], int, int, float]] = {}
-        self._release_heap: list[tuple[float, str]] = []
-        self._stream: _BackgroundStream | None = None
-        self._bg_counter = 0
+        # the one spectrum ledger: a heap of holdings by release time.  The
+        # tie-break only orders holdings that share a release time, whose
+        # order never changes the state, so a snapshot need not keep it.
+        self._held: list[Holding] = []
+        self._tie_break = itertools.count()
+        # the arrival cursor: the tape, the arrivals read from it (the pending
+        # one included) and when the pending one is due (inf without one)
+        self._tape: ArrivalTape | None = None
+        self._pos = 0
+        self._next_arrival = math.inf
         self.paths = PathCatalog(self)
 
     # ------------------------------------------------------------------
@@ -452,35 +419,37 @@ class Network:
     def path_links(self, node_seq: Sequence[str]) -> tuple[Link, ...]:
         return tuple(self.link_between(u, v) for u, v in zip(node_seq, node_seq[1:]))
 
-    def active_owners(self, prefix: str = "") -> list[str]:
-        return [o for o in self._active if o.startswith(prefix)]
+    def holdings(self, training: bool | None = None,
+                 ) -> list[tuple[float, int, int, tuple[int, ...]]]:
+        """The live holdings as sorted (release_time, f_start, f_end, link
+        indices); ``training`` True or False keeps only that kind."""
+        return sorted((t, f0, f1, tuple(link.index for link in links))
+                      for t, _, links, f0, f1, kind in self._held
+                      if training is None or kind == training)
 
     @property
     def has_background(self) -> bool:
-        """True once ``attach_background`` has given the network a stream."""
-        return self._stream is not None
+        """True once ``attach_background`` has given the network an arrival tape."""
+        return self._tape is not None
 
     # ------------------------------------------------------------------
     # start states
 
     def snapshot(self) -> NetworkSnapshot:
         """The network's current state; ``restore`` brings it back any number of times."""
-        stream = self._stream
         return NetworkSnapshot(
             network=self,
             now=self.now,
             bits=tuple(link.bits for link in self.links),
-            active=tuple(self._active.items()),
-            release_heap=tuple(self._release_heap),
-            bg_counter=self._bg_counter,
-            stream=None if stream is None else (stream.tape, stream.pos, stream._next_time),
+            held=tuple(self._held),
+            cursor=(self._tape, self._pos, self._next_arrival),
         )
 
     def restore(self, snapshot: NetworkSnapshot) -> None:
         """Return to the state of ``snapshot``, taken earlier of this network.
 
         The routes are kept: they depend on the topology alone.  Whatever ran
-        since the snapshot (allocations, releases, the clock, the stream
+        since the snapshot (allocations, releases, the clock, the arrival
         cursor) is undone, and the snapshot itself never changes.
         """
         if snapshot.network is not self:
@@ -488,10 +457,8 @@ class Network:
         self.now = snapshot.now
         for link, bits in zip(self.links, snapshot.bits):
             link.bits = bits
-        self._active = dict(snapshot.active)
-        self._release_heap = list(snapshot.release_heap)
-        self._bg_counter = snapshot.bg_counter
-        self._stream = None if snapshot.stream is None else _BackgroundStream(*snapshot.stream)
+        self._held = list(snapshot.held)
+        self._tape, self._pos, self._next_arrival = snapshot.cursor
 
     # ------------------------------------------------------------------
     # background traffic
@@ -500,61 +467,68 @@ class Network:
         """Shift the clock so ``origin`` becomes time zero.
 
         Used between iterations so each one runs from t=0 with bit-identical
-        arithmetic; carried allocations and the arrival stream shift with it.
+        arithmetic; the holdings and the next arrival shift with it.
         """
         if origin == 0.0:
             return
         self.now -= origin
-        self._active = {
-            o: (links, f0, f1, t - origin)
-            for o, (links, f0, f1, t) in self._active.items()
-        }
-        self._release_heap = [(t - origin, o) for t, o in self._release_heap]
-        heapq.heapify(self._release_heap)
-        if self._stream is not None:
-            self._stream._next_time -= origin
+        # rounding can make distinct release times equal, so re-heapify
+        self._held = [(t - origin, seq, links, f0, f1, training)
+                      for t, seq, links, f0, f1, training in self._held]
+        heapq.heapify(self._held)
+        self._next_arrival -= origin
 
     def attach_background(self, model: BackgroundTrafficModel) -> None:
-        """Attach the network's one arrival stream, based at the current clock.
+        """Attach the network's one arrival tape, its cursor based at the current clock.
 
         The network draws the model's arrivals onto a tape of its own and owns
-        its cursor from then on: ``advance_network`` reads from it, and it
-        carries over between iterations.  Harness code attaches at t=0, before
-        the prewarm, so that paired runs with the same seed observe
-        bit-identical arrival sequences.  A network takes one stream;
-        attaching a second raises.
+        the cursor from then on: ``advance_network`` reads through it, and it
+        carries over between iterations.  The cursor keeps its own clock: it
+        adds the tape's gaps to ``_next_arrival``, which ``rebase`` shifts, so
+        each reader's arithmetic is what it would be with the draws made in
+        place.  Harness code attaches at t=0, before the prewarm, so that
+        paired runs with the same seed observe bit-identical arrival
+        sequences.  A network takes one tape; attaching a second raises.
         """
-        if self._stream is not None:
+        if self._tape is not None:
             raise RuntimeError("a background stream is already attached")
-        self._stream = _BackgroundStream.based_at(ArrivalTape(model, self.nodes), self.now)
+        self._tape = ArrivalTape(model, self.nodes)
+        if self._tape.active:
+            self._next_arrival = self.now
+            self._step_cursor()
 
-    def _admit_background(self, t: float, src: str, dst: str, demand: int, hold: float) -> bool:
+    def _step_cursor(self) -> None:
+        """Make the tape's next arrival the pending one, drawing it if need be."""
+        tape, k = self._tape, self._pos
+        if k == len(tape):
+            tape.draw()
+        self._pos = k + 1
+        self._next_arrival += tape.gaps[k]
+
+    def _admit_next_arrival(self) -> bool:
+        """Admit the pending arrival first-fit on its route and step the
+        cursor; False when the arrival is blocked and dropped."""
+        tape, k, t = self._tape, self._pos - 1, self._next_arrival
+        nodes = tape.nodes
+        src, dst, demand, hold = (nodes[tape.src[k]], nodes[tape.dst[k]], tape.demand[k],
+                                  tape.hold[k])
+        self._step_cursor()
         if demand > self.fs_total:
             return False
         links = self.paths.background(src, dst)
         start = first_free_run(path_bits(links), demand, self.fs_total)
         if start is None:
             return False
-        self._bg_counter += 1
-        owner = f"bg-{self._bg_counter}"
-        self._commit(links, start, start + demand - 1, owner, t + hold)
+        f1 = start + demand - 1
+        self._hold(links, start, f1, block_mask(start, f1), t + hold, False)
         return True
 
-    # ------------------------------------------------------------------
-    # spectrum mutation
-
-    def _commit(self, links: Sequence[Link], f0: int, f1: int, owner: str, release_time: float) -> None:
-        mask = block_mask(f0, f1)
+    def _hold(self, links: tuple[Link, ...], f0: int, f1: int, mask: int, release_time: float,
+              training: bool) -> None:
+        """Set ``mask`` (slots f0..f1) on every link until ``release_time``."""
         for link in links:
             link.bits |= mask
-        self._active[owner] = (tuple(links), f0, f1, release_time)
-        heapq.heappush(self._release_heap, (release_time, owner))
-
-    def _release_owner(self, owner: str) -> None:
-        links, f0, f1, _ = self._active.pop(owner)
-        keep = ~block_mask(f0, f1)
-        for link in links:
-            link.bits &= keep
+        heapq.heappush(self._held, (release_time, next(self._tie_break), links, f0, f1, training))
 
 
 def load_topology(text: str, fs_total: int = DEFAULT_FS_TOTAL) -> Network:
@@ -642,40 +616,31 @@ def load_nsfnet(fs_total: int = DEFAULT_FS_TOTAL) -> Network:
 def advance_network(net: Network, now: float) -> int:
     """Bring network state up to ``now``; returns the number of state changes.
 
-    Releases every allocation whose release time has passed and admits
-    background arrivals drawn from the stream attached to the network (none
-    when ``attach_background`` was never called), chronologically
-    interleaved (releases first on ties).  Blocked arrivals drop silently.
-    Idempotent: a second call at the same ``now`` reports zero changes.
+    Releases every holding whose release time has passed and admits
+    background arrivals from the tape attached to the network (none when
+    ``attach_background`` was never called), chronologically interleaved
+    (releases first on ties).  Blocked arrivals drop silently.  Idempotent:
+    a second call at the same ``now`` reports zero changes.
     """
     if now < net.now - 1e-12:
         raise ValueError(f"time went backwards: {now} < {net.now}")
-    stream = net._stream
-    heap = net._release_heap
-    active = net._active
-    t_arr = stream._next_time if stream is not None else math.inf
+    held = net._held
     changes = 0
     while True:
-        while heap:
-            t_rel, owner = heap[0]
-            rec = active.get(owner)
-            if rec is not None and rec[3] == t_rel:
-                break
-            heapq.heappop(heap)  # stale entry (manually released)
-        else:  # no live release is pending
-            t_rel = math.inf
+        t_rel = held[0][0] if held else math.inf
+        t_arr = net._next_arrival
         if t_rel <= t_arr:
             if t_rel > now:
                 break
-            heapq.heappop(heap)
-            net._release_owner(owner)
+            _, _, links, f0, f1, _ = heapq.heappop(held)
+            keep = ~block_mask(f0, f1)
+            for link in links:
+                link.bits &= keep
             changes += 1
         else:
             if t_arr > now:
                 break
-            t, src, dst, demand, hold = stream.pop()  # type: ignore[union-attr]
-            t_arr = stream._next_time  # type: ignore[union-attr]
-            if net._admit_background(t, src, dst, demand, hold):
+            if net._admit_next_arrival():
                 changes += 1
     if now > net.now:
         net.now = now
@@ -686,37 +651,29 @@ def allocate_spectrum(
     net: Network,
     links: Sequence[Link],
     block: tuple[int, int],
-    owner_id: str,
     release_time: float,
+    training: bool = False,
 ) -> None:
-    """Commit an identical slot block on every link of the path.
+    """Hold an identical slot block on every link of the path until
+    ``release_time``, when ``advance_network`` frees it.
 
-    The caller (the selection policy) must have verified freeness; any
-    occupied slot here is a programming error and raises.
+    ``training`` marks a training transfer, which the engine's leak check
+    looks for at the iteration end; a holding made without it counts as
+    background.  The caller (the selection policy) must have verified
+    freeness; any occupied slot here is a programming error and raises.
     """
     f0, f1 = block
     if not links:
         raise ValueError("empty path")
     if not (0 <= f0 <= f1 < net.fs_total):
         raise ValueError(f"block {block} outside [0, {net.fs_total})")
-    if owner_id in net._active:
-        raise SpectrumConflictError(f"owner {owner_id!r} already has an active allocation")
     if not (release_time > net.now):
         raise ValueError("release_time must be in the future")
     mask = block_mask(f0, f1)
     for link in links:
         if link.bits & mask:
-            raise SpectrumConflictError(
-                f"slots [{f0},{f1}] not free on {link!r} for owner {owner_id!r}"
-            )
-    net._commit(links, f0, f1, owner_id, release_time)
-
-
-def release_spectrum(net: Network, owner_id: str) -> None:
-    """Remove all of an owner's allocations; restores the occupancy invariant."""
-    if owner_id not in net._active:
-        raise UnknownOwnerError(owner_id)
-    net._release_owner(owner_id)
+            raise SpectrumConflictError(f"slots [{f0},{f1}] not free on {link!r}")
+    net._hold(tuple(links), f0, f1, mask, release_time, training)
 
 
 def set_link_occupancy(net: Network, link_index: int, slots: Iterable[int]) -> None:
@@ -724,13 +681,13 @@ def set_link_occupancy(net: Network, link_index: int, slots: Iterable[int]) -> N
 
     Any iterable of 0/1 values (or booleans) packs, a numpy array included;
     slot f becomes bit f.  Builds test and oracle instances without
-    allocation records, so such a network fails ``audit_occupancy``.  A link
-    that an active owner uses is refused, because releasing it would then
-    clear slots set here.
+    holdings, so such a network fails ``audit_occupancy``.  A link that a
+    holding uses is refused, because its release would then clear slots set
+    here.
     """
     link = net.links[link_index]
-    if any(link in links for links, _, _, _ in net._active.values()):
-        raise SpectrumConflictError(f"{link!r} carries allocations; release them first")
+    if any(link in links for _, _, links, _, _, _ in net._held):
+        raise SpectrumConflictError(f"{link!r} carries holdings; let them expire first")
     slots = list(slots)
     if len(slots) != net.fs_total or any(v not in (0, 1) for v in slots):
         raise ValueError(f"slots must be a 0/1 vector of length {net.fs_total}")
@@ -787,10 +744,10 @@ def audit_occupancy(net: Network) -> None:
     """Rebuild-and-compare check of the occupancy invariant.
 
     Raises SpectrumConflictError if any link's slots differ from the union of
-    the active allocations' blocks on it, or if two allocations overlap.
+    the holdings' blocks on it, or if two holdings overlap.
     """
     rebuilt = [0] * len(net.links)
-    for links, f0, f1, _ in net._active.values():
+    for _, _, links, f0, f1, _ in net._held:
         mask = block_mask(f0, f1)
         for link in links:
             if rebuilt[link.index] & mask:

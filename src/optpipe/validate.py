@@ -251,7 +251,7 @@ class _RefSim:
             raise RuntimeError(f"deadlock: {len(tasks) - finished} tasks never became ready")
         makespan = max(self.finish, default=0.0)
         topology.advance_network(self.net, makespan)
-        if self.net.active_owners("tx-"):
+        if self.net.holdings(training=True):
             raise RuntimeError("training allocations leaked past iteration end")
         return engine.Timeline(tasks, self.start, self.finish, self.transfers, makespan)
 
@@ -298,8 +298,8 @@ class _RefSim:
             complete = now + transfer_time(self.params, sel.path, n_fs, bits, pen)
             if complete > now:
                 topology.allocate_spectrum(self.net, sel.path.links,
-                                           (sel.block.f_start, sel.block.f_end),
-                                           f"tx-{rid}", complete)
+                                           (sel.block.f_start, sel.block.f_end), complete,
+                                           training=True)
             self.occupy(stage, now + pen + bits * beta(self.params, n_fs))
             self.deliver(consumer, complete, engine.TransferRecord(
                 rid, producer.id, consumer.id, src, dst, "optical", n_fs, sel.block.f_start,
@@ -529,7 +529,7 @@ def check_spectrum_audit() -> tuple[bool, str]:
         if engine.audit_transfers(cfg_net, tl.transfers, tl.iteration_makespan) != from_log:
             return False, f"iteration {it}: the record and log audits disagree"
         audited += from_log
-        if cfg_net.active_owners("tx-"):
+        if cfg_net.holdings(training=True):
             return False, "training allocation leaked past an iteration boundary"
     topology.audit_occupancy(cfg_net)
     return True, f"audited {audited} transfers over 4 iterations, from the log and the records"
@@ -650,30 +650,66 @@ def check_demand_bounds() -> tuple[bool, str]:
     return True, "1805 plans of the four label combinations stayed in [1, fs_max]"
 
 
-def check_occupancy_rebuild() -> tuple[bool, str]:
-    rng = np.random.default_rng(23)
-    net = topology.load_nsfnet(fs_total=16)
-    owners = []
-    for step in range(300):
-        if owners and rng.random() < 0.4:
-            owner = owners.pop(int(rng.integers(0, len(owners))))
-            topology.release_spectrum(net, owner)
+def check_occupancy_rebuild(n_steps: int = 300, seed: int = 23,
+                            fs_total: int = 16) -> tuple[bool, str]:
+    """Holdings end by the clock.  A random mix of allocations (release times
+    on a half-second grid, so they tie), clock steps, rebases and snapshot
+    restores runs on a network without background, next to a plain list of
+    the blocks held.  After each step every link's int is the OR of the
+    listed blocks on it, ``holdings`` lists them, and a clock step reports
+    one change per block that expired."""
+    rng = np.random.default_rng(seed)
+    net = topology.load_nsfnet(fs_total=fs_total)
+    nodes = net.nodes
+    # (release_time, f0, f1, link indices, training); rebuilt at each change,
+    # never mutated, so the copy saved with a snapshot stays as it was
+    held: list[tuple[float, int, int, tuple[int, ...], bool]] = []
+    saved = None
+    expired = 0
+    for step in range(n_steps):
+        roll = rng.random()
+        if roll < 0.25:
+            now = net.now + 0.5 * int(rng.integers(0, 4))
+            gone = sum(t <= now for t, *_ in held)
+            held = [h for h in held if h[0] > now]
+            changes = topology.advance_network(net, now)
+            if changes != gone:
+                return False, f"step {step}: {changes} changes, {gone} blocks expired"
+            expired += gone
+        elif roll < 0.3:
+            origin = net.now
+            net.rebase(origin)
+            held = [(t - origin, f0, f1, idx, training) for t, f0, f1, idx, training in held]
+        elif roll < 0.4:
+            if saved is None or rng.random() < 0.5:
+                saved = net.snapshot(), held
+            else:
+                net.restore(saved[0])
+                held = saved[1]
         else:
-            nodes = net.nodes
             i, j = rng.choice(len(nodes), size=2, replace=False)
-            paths = net.paths.candidates(nodes[int(i)], nodes[int(j)], 1)
+            links = net.paths.candidates(nodes[int(i)], nodes[int(j)], 1)[0].links
             width = int(rng.integers(1, 4))
-            start = topology.first_free_run(topology.path_bits(paths[0].links), width,
-                                            net.fs_total)
+            start = topology.first_free_run(topology.path_bits(links), width, fs_total)
             if start is None:
                 continue
-            owner = f"chk-{step}"
-            topology.allocate_spectrum(
-                net, paths[0].links, (start, start + width - 1), owner, 1e12
-            )
-            owners.append(owner)
+            release = net.now + 0.5 * int(rng.integers(1, 8))
+            training = bool(rng.random() < 0.5)
+            topology.allocate_spectrum(net, links, (start, start + width - 1), release,
+                                       training=training)
+            held = held + [(release, start, start + width - 1,
+                            tuple(link.index for link in links), training)]
+        want = [0] * len(net.links)
+        for _, f0, f1, idx, _ in held:
+            for index in idx:
+                want[index] |= sum(1 << f for f in range(f0, f1 + 1))
+        if [link.bits for link in net.links] != want:
+            return False, f"step {step}: link spectrum differs from the held blocks"
+        for kind in (True, False):
+            if net.holdings(kind) != sorted(h[:4] for h in held if h[4] == kind):
+                return False, f"step {step}: holdings(training={kind}) differ from the list"
         topology.audit_occupancy(net)
-    return True, "300 random allocate/release steps kept the invariant"
+    return True, f"{n_steps} random steps freed {expired} blocks by the clock, as listed"
 
 
 def check_rng_port() -> tuple[bool, str]:
@@ -700,7 +736,9 @@ def check_rng_port() -> tuple[bool, str]:
 
 def check_start_state() -> tuple[bool, str]:
     """A network restored from the harness's start-state memo replays the
-    background admissions of a freshly prewarmed one, after every run."""
+    background of a freshly prewarmed one, after every run: at each step the
+    change count, the holdings (release times, blocks and links) and the
+    link spectrum agree."""
     from . import cli
 
     cfg = cli.RunConfig.from_flat({"bg.preset": "loaded", "cba.n_iterations": 2})
@@ -709,13 +747,13 @@ def check_start_state() -> tuple[bool, str]:
         fresh = cfg.build_network()
         fresh.attach_background(cfg.background(seed))
         topology.advance_network(fresh, cfg.prewarm_s())
-        want = [(topology.advance_network(fresh, cfg.prewarm_s() + dt), fresh.active_owners(),
+        want = [(topology.advance_network(fresh, cfg.prewarm_s() + dt), fresh.holdings(),
                  [link.bits for link in fresh.links]) for dt in steps]
         start = cfg.start_state(seed)
         net = start.network
         for run in range(3):
             net.restore(start)
-            got = [(topology.advance_network(net, cfg.prewarm_s() + dt), net.active_owners(),
+            got = [(topology.advance_network(net, cfg.prewarm_s() + dt), net.holdings(),
                     [link.bits for link in net.links]) for dt in steps]
             if got != want:
                 bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)

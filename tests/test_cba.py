@@ -317,7 +317,7 @@ class TestIterationReuse:
 
     def test_held_allocation_simulates_every_iteration(self, monkeypatch):
         net = load_nsfnet()
-        allocate_spectrum(net, net.path_links(["IL", "PA"]), (0, 3), "held", 1e9)
+        allocate_spectrum(net, net.path_links(["IL", "PA"]), (0, 3), 1e9)
         stages, tasks = build(4, ["IL", "PA", "NY", "DC"], 4)
         calls, _ = self.count_simulations(monkeypatch, net, stages, tasks,
                                           PolicyConfig(selector="ksp_ff"))

@@ -904,9 +904,9 @@ class TestMain:
         real_restore = topology.Network.restore
 
         def restore_keeping_the_cursor(net, snapshot):
-            stream = net._stream
+            cursor = net._tape, net._pos, net._next_arrival
             real_restore(net, snapshot)
-            net._stream = stream
+            net._tape, net._pos, net._next_arrival = cursor
 
         monkeypatch.setattr(topology.Network, "restore", restore_keeping_the_cursor)
         assert cli.main(["validate"]) == 1

@@ -123,7 +123,7 @@ class TestCrossDcTransfer:
 
     def test_total_blocking_still_completes(self):
         net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
-        allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), "bg-perm", 1e15)
+        allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), 1e15)
         stages = toy_stages(2, ["A", "B"])
         tasks = build_schedule(ScheduleKind.GPIPE, stages, 2)
         tl = simulate_iteration(net, stages, tasks, PolicyConfig(fs_max=8),
@@ -202,7 +202,7 @@ class TestEgressQueue:
         # every request falls back at once; the stage's transmitter pushes the
         # bits at the one-slot rate, slowed by the fallback penalty
         net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
-        allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), "bg-perm", 1e15)
+        allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), 1e15)
         policy = PolicyConfig(fs_max=8, max_retries=0)
         tl = self._check(net, policy,
                          policy.fallback_penalty * BIG_MSG_BITS / LatencyParams().fs_rate_bps)
@@ -347,7 +347,7 @@ def test_one_selection_per_attempt(case):
 
 def test_blocked_first_attempt_falls_back_without_a_second_selection():
     net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
-    allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), "bg-perm", 1e15)
+    allocate_spectrum(net, [net.link_between("A", "B")], (0, 7), 1e15)
     stages = toy_stages(2, ["A", "B"])
     tasks = build_schedule(ScheduleKind.GPIPE, stages, 3)
     tl, calls = counted_run(lambda: net, stages, tasks, PolicyConfig(fs_max=8, max_retries=0),
@@ -466,13 +466,51 @@ class TestDeterminismAndInvariants:
 
     def test_no_leaked_training_allocations(self):
         net, _, _ = self._run()
-        assert net.active_owners("tx-") == []
+        assert net.holdings(training=True) == []
+        assert net.holdings(training=False)
         audit_occupancy(net)
 
     def test_event_log_replay_audit(self):
         net, _, tl = self._run()
         audited = audit_event_log(net, tl.event_log_lines(), tl.iteration_makespan)
         assert audited == sum(1 for t in tl.transfers if t.kind == "optical") > 0
+
+
+class TestLeakCheck:
+    """The iteration end raises on a training holding, and only on one, that
+    outlives the makespan, in the engine and in the all-events reference."""
+
+    @staticmethod
+    def _run(net, simulate=simulate_iteration):
+        stages = toy_stages(2, ["A", "B"])
+        tasks = build_schedule(ScheduleKind.GPIPE, stages, 2)
+        return simulate(net, stages, tasks, PolicyConfig(fs_max=4), LatencyParams(),
+                        msg_bits=1e6)
+
+    @pytest.mark.parametrize("simulate", [simulate_iteration, validate.ref_simulate_iteration])
+    def test_training_holding_past_the_makespan_raises(self, simulate):
+        net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
+        allocate_spectrum(net, [net.link_between("A", "B")], (0, 3), 1e15, training=True)
+        with pytest.raises(RuntimeError, match="training allocations leaked"):
+            self._run(net, simulate)
+
+    def test_transfer_held_past_its_completion_raises(self, monkeypatch):
+        real = engine.allocate_spectrum
+
+        def one_second_late(net, links, block, release_time, training=False):
+            real(net, links, block, release_time + 1.0, training=training)
+
+        monkeypatch.setattr(engine, "allocate_spectrum", one_second_late)
+        with pytest.raises(RuntimeError, match="training allocations leaked"):
+            self._run(Network(["A", "B"], [("A", "B", 100.0)], fs_total=80))
+
+    @pytest.mark.parametrize("simulate", [simulate_iteration, validate.ref_simulate_iteration])
+    def test_background_holding_past_the_makespan_stays(self, simulate):
+        net = Network(["A", "B"], [("A", "B", 100.0)], fs_total=8)
+        allocate_spectrum(net, [net.link_between("A", "B")], (0, 3), 1e15)
+        tl = self._run(net, simulate)
+        assert all(x.kind == "optical" for x in tl.transfers)
+        assert net.holdings() == [(1e15, 0, 3, (0,))]
 
 
 class TestAuditCatchesViolations:

@@ -8,13 +8,13 @@
   numpy, and a serial ``compare`` never loads the process pool.
 * No module imports networkx: the routes are plain Python in ``topology``,
   and networkx is a test-only reference.
-* ``Network`` state, routes and the background stream included, is read
+* ``Network`` state, routes and the arrival cursor included, is read
   and written only in ``topology``: no other module touches an underscore
   attribute that a network or an object it holds defines, or any
   underscore attribute of a network object (a name ``net``, ``*_net`` or
   ``*.net``), by attribute access, ``getattr`` and its kin, or ``vars``.
   Other modules ask a network through its public methods, such as
-  ``has_background`` and ``active_owners``.
+  ``has_background`` and ``holdings``.
 
 The README's Configuration section names every config key and no other.
 
@@ -137,8 +137,8 @@ def test_validate_without_numpy_exits_two_naming_the_extra():
 
 
 def _network_private_names() -> set[str]:
-    """Underscore attributes of a network with a background stream, and of
-    every ``topology`` object it holds: the route catalog, the stream, the tape."""
+    """Underscore attributes of a network with a background tape, and of
+    every ``topology`` object it holds: the route catalog and the tape."""
     net = topology.load_nsfnet()
     net.attach_background(topology.loaded_background(0))
     names: set[str] = set()
@@ -156,7 +156,7 @@ def _network_private_names() -> set[str]:
 
 def test_network_internals_stay_in_topology():
     private = _network_private_names()
-    assert {"_active", "_commit", "_stream", "_next_time", "_candidates"} <= private
+    assert {"_held", "_tape", "_pos", "_next_arrival", "_hold", "_candidates"} <= private
     hits = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "topology.py":
@@ -168,7 +168,7 @@ def test_network_internals_stay_in_topology():
                 or (node.attr == "__dict__" and _names_a_network(node.value))
             ):
                 hits.append(f"{path.name}:{node.lineno} .{node.attr}")
-            # getattr(net, "_stream") and friends, vars(net)
+            # getattr(net, "_held") and friends, vars(net)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args:
                 target, names = node.args[0], node.args[1:2]
                 if node.func.id == "vars" and _names_a_network(target):

@@ -27,8 +27,8 @@ def bits(s: str) -> list[int]:
     return [int(c) for c in s]
 
 
-def occupy(net: Network, a: str, b: str, block: tuple[int, int], owner: str) -> None:
-    allocate_spectrum(net, [net.link_between(a, b)], block, owner, 1e12)
+def occupy(net: Network, a: str, b: str, block: tuple[int, int]) -> None:
+    allocate_spectrum(net, [net.link_between(a, b)], block, 1e12)
 
 
 class TestKShortestPaths:
@@ -69,14 +69,14 @@ class TestCandidateBlocks:
         assert free_starts(triangle, path, 4) == [0, 1, 2, 3, 4]
 
     def test_half_occupied_single_block(self, triangle):
-        occupy(triangle, "A", "B", (0, 3), "x")
-        occupy(triangle, "B", "C", (0, 3), "y")
+        occupy(triangle, "A", "B", (0, 3))
+        occupy(triangle, "B", "C", (0, 3))
         (path,) = triangle.paths.candidates("A", "C", 1)
         assert free_starts(triangle, path, 4) == [4]
 
     def test_alternating_occupancy_no_pairs(self, two_dc):
         for f in (0, 2, 4, 6):
-            occupy(two_dc, "A", "B", (f * 10, f * 10), f"x{f}")
+            occupy(two_dc, "A", "B", (f * 10, f * 10))
         net = Network(["A", "B"], [("A", "B", 1.0)], fs_total=8)
         set_link_occupancy(net, 0, bits("10101010"))
         (path,) = net.paths.candidates("A", "B", 1)
@@ -126,12 +126,12 @@ class TestAvailabilityFactor:
         assert fitness(two_dc, path, 4) == pytest.approx(0.01, abs=1e-15)
 
     def test_half_occupied(self, two_dc, triangle):
-        occupy(two_dc, "A", "B", (0, 39), "x")
+        occupy(two_dc, "A", "B", (0, 39))
         (path,) = two_dc.paths.candidates("A", "B", 1)
         # the occupied run ends below every free block: contiguity 1
         assert fitness(two_dc, path, 4) == pytest.approx(0.02, abs=1e-15)
         # two links, 4 of 16 slots occupied: divisor 0.75 over 2 km
-        occupy(triangle, "A", "B", (0, 3), "y")
+        occupy(triangle, "A", "B", (0, 3))
         (path,) = triangle.paths.candidates("A", "C", 1)
         assert path.nodes == ("A", "B", "C")
         got = fitness(triangle, path, 2)
@@ -139,7 +139,7 @@ class TestAvailabilityFactor:
         assert got == validate.ref_gamma(triangle, path.nodes, 2)[0]
 
     def test_fully_occupied_path_unavailable(self, two_dc):
-        occupy(two_dc, "A", "B", (0, 79), "x")
+        occupy(two_dc, "A", "B", (0, 79))
         (path,) = two_dc.paths.candidates("A", "B", 1)
         assert fitness(two_dc, path, 4) == 0.0
         sel = select_cba(two_dc, "A", "B", 4, 1)
@@ -148,7 +148,7 @@ class TestAvailabilityFactor:
 
 class TestFitness:
     def test_unavailable_path_scores_zero(self, two_dc):
-        occupy(two_dc, "A", "B", (0, 79), "x")
+        occupy(two_dc, "A", "B", (0, 79))
         (path,) = two_dc.paths.candidates("A", "B", 1)
         assert fitness(two_dc, path, 4) == 0.0
 
@@ -203,7 +203,7 @@ class TestFitness:
 
 class TestSelectors:
     def test_cba_avoids_fully_occupied_path(self, triangle):
-        occupy(triangle, "A", "B", (0, 7), "x")  # kills A-B-C
+        occupy(triangle, "A", "B", (0, 7))  # kills A-B-C
         sel = select_cba(triangle, "A", "C", 2, 2)
         assert sel.path.nodes == ("A", "C")
         assert not sel.blocked and sel.fitness > 0
@@ -218,8 +218,8 @@ class TestSelectors:
         assert sel.path.length_km == 2.0
 
     def test_cba_blocked_reports_candidates(self, triangle):
-        occupy(triangle, "A", "B", (0, 7), "x")
-        occupy(triangle, "A", "C", (0, 7), "y")
+        occupy(triangle, "A", "B", (0, 7))
+        occupy(triangle, "A", "C", (0, 7))
         sel = select_cba(triangle, "A", "C", 2, 5)
         assert sel.blocked and sel.block is None
         assert sel.candidates_examined == 2  # only two simple paths exist
@@ -230,14 +230,14 @@ class TestSelectors:
         assert (sel.block.f_start, sel.block.f_end) == (0, 3)
 
     def test_ksp_ff_falls_through_to_second_path(self, triangle):
-        occupy(triangle, "A", "B", (0, 7), "x")
+        occupy(triangle, "A", "B", (0, 7))
         sel = select_ksp_ff(triangle, "A", "C", 2, 2)
         assert sel.path.nodes == ("A", "C")
         assert sel.block.f_start == 0
 
     def test_all_full_blocks(self, triangle):
-        occupy(triangle, "A", "B", (0, 7), "x")
-        occupy(triangle, "A", "C", (0, 7), "y")
+        occupy(triangle, "A", "B", (0, 7))
+        occupy(triangle, "A", "C", (0, 7))
         for sel in (
             select_ksp_ff(triangle, "A", "C", 2, 5),
             select_sd_ff(triangle, "A", "C", 2, 5, LatencyParams()),
@@ -274,7 +274,7 @@ class TestSelectors:
             assert nsfnet.paths.delay_order(a, b, 5, LatencyParams()) == tuple(range(n))
 
     def test_selectors_do_not_mutate_network(self, nsfnet):
-        occupy(nsfnet, "PA", "NY", (0, 9), "x")
+        occupy(nsfnet, "PA", "NY", (0, 9))
         before = [link.bits for link in nsfnet.links]
         select_cba(nsfnet, "IL", "NY", 4, 5)
         select_ksp_ff(nsfnet, "IL", "NY", 4, 5)

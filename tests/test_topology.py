@@ -17,21 +17,21 @@ from optpipe.topology import (
     Network,
     SpectrumConflictError,
     TopologyError,
-    UnknownOwnerError,
     advance_network,
     allocate_spectrum,
     audit_occupancy,
+    block_mask,
     first_free_run,
     free_run_starts,
     load_nsfnet,
     load_topology,
     loaded_background,
     path_bits,
-    release_spectrum,
     set_link_occupancy,
 )
 from optpipe.validate import (
     bit_positions,
+    check_occupancy_rebuild,
     random_instance,
     ref_free_starts,
     ref_simple_paths,
@@ -134,7 +134,7 @@ class TestLoadTopology:
 class TestSpectrumOps:
     def test_allocate_sets_bits_on_every_link(self, nsfnet):
         links = nsfnet.path_links(["WA", "CA1", "UT", "CO"])
-        allocate_spectrum(nsfnet, links, (0, 3), "t1", 5.0)
+        allocate_spectrum(nsfnet, links, (0, 3), 5.0)
         for link in links:
             assert sum(link.occupancy[:4]) == 4
             assert sum(link.occupancy[4:]) == 0
@@ -142,50 +142,58 @@ class TestSpectrumOps:
 
     def test_double_allocate_conflicts(self, two_dc):
         links = [two_dc.link_between("A", "B")]
-        allocate_spectrum(two_dc, links, (0, 3), "t1", 5.0)
+        allocate_spectrum(two_dc, links, (0, 3), 5.0)
         with pytest.raises(SpectrumConflictError):
-            allocate_spectrum(two_dc, links, (0, 3), "t2", 5.0)
+            allocate_spectrum(two_dc, links, (0, 3), 5.0)
 
     def test_adjacent_blocks_are_legal(self, two_dc):
         links = [two_dc.link_between("A", "B")]
-        allocate_spectrum(two_dc, links, (0, 1), "t1", 5.0)
-        allocate_spectrum(two_dc, links, (2, 3), "t2", 5.0)
+        allocate_spectrum(two_dc, links, (0, 1), 5.0)
+        allocate_spectrum(two_dc, links, (2, 3), 5.0)
         assert list(links[0].occupancy[:4]) == [1, 1, 1, 1]
         audit_occupancy(two_dc)
 
     def test_release_restores_prior_state(self, two_dc):
         links = [two_dc.link_between("A", "B")]
         before = links[0].occupancy
-        allocate_spectrum(two_dc, links, (4, 7), "t1", 5.0)
-        release_spectrum(two_dc, "t1")
+        allocate_spectrum(two_dc, links, (4, 7), 5.0)
+        assert advance_network(two_dc, 5.0) == 1
         assert links[0].occupancy == before
-
-    def test_release_unknown_owner(self, two_dc):
-        with pytest.raises(UnknownOwnerError):
-            release_spectrum(two_dc, "ghost")
+        assert two_dc.holdings() == []
 
     def test_release_leaves_other_owner_untouched(self, two_dc):
         links = [two_dc.link_between("A", "B")]
-        allocate_spectrum(two_dc, links, (0, 1), "t1", 5.0)
-        allocate_spectrum(two_dc, links, (4, 5), "t2", 5.0)
-        release_spectrum(two_dc, "t1")
+        allocate_spectrum(two_dc, links, (0, 1), 5.0)
+        allocate_spectrum(two_dc, links, (4, 5), 9.0, training=True)
+        assert advance_network(two_dc, 6.0) == 1
         assert sum(links[0].occupancy[4:6]) == 2
         assert sum(links[0].occupancy[0:2]) == 0
+        assert two_dc.holdings() == two_dc.holdings(training=True) == [(9.0, 4, 5, (0,))]
+        assert two_dc.holdings(training=False) == []
+
+    def test_holdings_sharing_a_release_time_end_together(self, two_dc):
+        links = [two_dc.link_between("A", "B")]
+        for block in [(6, 7), (0, 1), (3, 3)]:
+            allocate_spectrum(two_dc, links, block, 5.0)
+        assert two_dc.holdings() == [(5.0, 0, 1, (0,)), (5.0, 3, 3, (0,)), (5.0, 6, 7, (0,))]
+        assert advance_network(two_dc, 4.0) == 0
+        assert advance_network(two_dc, 5.0) == 3
+        assert links[0].bits == 0 and two_dc.holdings() == []
 
     def test_audit_flags_drift_and_overlap(self, two_dc):
         links = [two_dc.link_between("A", "B")]
-        allocate_spectrum(two_dc, links, (0, 3), "t1", 5.0)
+        allocate_spectrum(two_dc, links, (0, 3), 5.0)
         links[0].bits |= 1 << 9
         with pytest.raises(SpectrumConflictError, match="out of sync"):
             audit_occupancy(two_dc)
-        two_dc._commit(links, 2, 4, "t2", 5.0)  # bypasses the conflict check
+        two_dc._hold(tuple(links), 2, 4, block_mask(2, 4), 5.0, False)  # no conflict check
         with pytest.raises(SpectrumConflictError, match="overlapping"):
             audit_occupancy(two_dc)
 
 
 class TestOccupancyViews:
     def test_views_are_read_only(self, two_dc):
-        allocate_spectrum(two_dc, [two_dc.link_between("A", "B")], (0, 3), "t1", 5.0)
+        allocate_spectrum(two_dc, [two_dc.link_between("A", "B")], (0, 3), 5.0)
         view = two_dc.links[0].occupancy
         assert len(view) == 80 and list(view[:5]) == [1, 1, 1, 1, 0]
         with pytest.raises(TypeError):
@@ -202,7 +210,7 @@ class TestOccupancyViews:
             set_link_occupancy(triangle, 0, [0, 1])
         with pytest.raises(ValueError):
             set_link_occupancy(triangle, 0, [0, 2, 0, 0, 0, 0, 0, 0])
-        allocate_spectrum(triangle, [triangle.links[0]], (0, 1), "t1", 5.0)
+        allocate_spectrum(triangle, [triangle.links[0]], (0, 1), 5.0)
         with pytest.raises(SpectrumConflictError):
             set_link_occupancy(triangle, 0, [0] * 8)
 
@@ -215,18 +223,18 @@ class TestAggregateOccupancy:
     def test_or_semantics(self):
         net = Network(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)], fs_total=4)
         l1, l2 = net.link_between("A", "B"), net.link_between("B", "C")
-        allocate_spectrum(net, [l1], (0, 1), "x", 9.0)   # 1100
-        allocate_spectrum(net, [l2], (1, 2), "y", 9.0)   # 0110
+        allocate_spectrum(net, [l1], (0, 1), 9.0)   # 1100
+        allocate_spectrum(net, [l2], (1, 2), 9.0)   # 0110
         assert path_bits([l1, l2]) == 0b0111
 
     def test_single_link_identity(self, two_dc):
         link = two_dc.link_between("A", "B")
-        allocate_spectrum(two_dc, [link], (7, 9), "x", 9.0)
+        allocate_spectrum(two_dc, [link], (7, 9), 9.0)
         assert path_bits([link]) == link.bits == 0b1110000000
 
     def test_empty_path_rejected(self, two_dc):
         with pytest.raises(ValueError, match="empty path"):
-            allocate_spectrum(two_dc, [], (0, 1), "x", 9.0)
+            allocate_spectrum(two_dc, [], (0, 1), 9.0)
 
 
 class TestPathCatalog:
@@ -313,13 +321,13 @@ class TestAdvanceNetwork:
 
     def test_forced_release(self, two_dc):
         links = [two_dc.link_between("A", "B")]
-        allocate_spectrum(two_dc, links, (0, 3), "t1", 5.0)
+        allocate_spectrum(two_dc, links, (0, 3), 5.0)
         assert advance_network(two_dc, 6.0) == 1
         assert sum(links[0].occupancy) == 0
 
     def test_idempotent_at_same_time(self, two_dc):
         links = [two_dc.link_between("A", "B")]
-        allocate_spectrum(two_dc, links, (0, 3), "t1", 5.0)
+        allocate_spectrum(two_dc, links, (0, 3), 5.0)
         advance_network(two_dc, 6.0)
         assert advance_network(two_dc, 6.0) == 0
 
@@ -361,6 +369,21 @@ class TestAdvanceNetwork:
         assert total_one == total_many
         assert [link.bits for link in one.links] == [link.bits for link in many.links]
 
+    def test_rebase_shifts_holdings_and_the_next_arrival(self, nsfnet):
+        bg = BackgroundTrafficModel(5.0, 0.5, (1, 4), rng_seed=7)
+        shifted = load_nsfnet()
+        for net in (nsfnet, shifted):
+            net.attach_background(bg)
+            advance_network(net, 10.0)
+        shifted.rebase(10.0)
+        assert shifted.now == 0.0
+        for dt in (0.5, 1.0, 3.0):
+            assert advance_network(shifted, dt) == advance_network(nsfnet, 10.0 + dt) > 0
+            assert [link.bits for link in shifted.links] == [link.bits for link in nsfnet.links]
+            assert [h[1:] for h in shifted.holdings()] == [h[1:] for h in nsfnet.holdings()]
+            assert [h[0] for h in shifted.holdings()] == pytest.approx(
+                [h[0] - 10.0 for h in nsfnet.holdings()], abs=1e-9)
+
     def test_zero_rate_draws_nothing(self, nsfnet):
         nsfnet.attach_background(BackgroundTrafficModel(0.0, 1.0, (1, 2), 0))
         assert advance_network(nsfnet, 100.0) == 0
@@ -397,7 +420,7 @@ class TestSnapshot:
 
     @staticmethod
     def _state(net: Network) -> tuple:
-        return net.now, [link.bits for link in net.links], net.active_owners()
+        return net.now, [link.bits for link in net.links], net.holdings()
 
     def _replay(self, net: Network) -> list[tuple]:
         """The change count and state after each step of the next 2 s."""
@@ -411,7 +434,7 @@ class TestSnapshot:
         advance_network(net, net.now + 1.5)
         links = net.paths.candidates("WA", "NY", 1)[0].links
         start = first_free_run(path_bits(links), 3, net.fs_total)
-        allocate_spectrum(net, links, (start, start + 2), "tx-1", net.now + 50.0)
+        allocate_spectrum(net, links, (start, start + 2), net.now + 50.0, training=True)
         advance_network(net, net.now + 0.5)
         net.rebase(net.now)
 
@@ -423,7 +446,7 @@ class TestSnapshot:
         assert self._state(net) != self._state(fresh)
         net.restore(snap)
         assert self._state(net) == self._state(fresh)
-        assert len(net.active_owners()) > 50
+        assert len(net.holdings()) > 50
         audit_occupancy(net)
         replay = self._replay(net)
         assert replay == self._replay(fresh)
@@ -433,21 +456,19 @@ class TestSnapshot:
     def test_restores_of_one_snapshot_are_independent(self):
         net = self._prewarmed()
         snap = net.snapshot()
-        fields = (snap.now, snap.bits, snap.active, snap.release_heap, snap.bg_counter,
-                  snap.stream)
+        fields = (snap.now, snap.bits, snap.held, snap.cursor)
         first = self._replay(net)
         for _ in range(2):
             net.restore(snap)
             self._disturb(net)
             net.restore(snap)
             assert self._replay(net) == first
-        assert (snap.now, snap.bits, snap.active, snap.release_heap, snap.bg_counter,
-                snap.stream) == fields
+        assert (snap.now, snap.bits, snap.held, snap.cursor) == fields
 
     def test_quiet_network_round_trip(self, nsfnet):
         snap = nsfnet.snapshot()
         self._disturb(nsfnet)
-        assert nsfnet.active_owners() == ["tx-1"]
+        assert len(nsfnet.holdings(training=True)) == len(nsfnet.holdings()) == 1
         nsfnet.restore(snap)
         assert self._state(nsfnet) == (0.0, [0] * len(nsfnet.links), [])
         assert not nsfnet.has_background
@@ -458,23 +479,10 @@ class TestSnapshot:
 
 
 class TestInvariants:
-    def test_occupancy_rebuild_after_random_sequence(self, nsfnet):
-        rng = np.random.default_rng(3)
-        owners = []
-        for step in range(200):
-            if owners and rng.random() < 0.45:
-                release_spectrum(nsfnet, owners.pop(int(rng.integers(len(owners)))))
-            else:
-                i, j = rng.choice(len(nsfnet.nodes), size=2, replace=False)
-                links = nsfnet.paths.background(nsfnet.nodes[int(i)], nsfnet.nodes[int(j)])
-                width = int(rng.integers(1, 6))
-                start = first_free_run(path_bits(links), width, nsfnet.fs_total)
-                if start is None:
-                    continue
-                owner = f"o{step}"
-                allocate_spectrum(nsfnet, links, (start, start + width - 1), owner, 1e12)
-                owners.append(owner)
-            audit_occupancy(nsfnet)
+    def test_occupancy_rebuild_after_random_sequence(self):
+        for seed, fs_total in [(3, 16), (4, 8), (5, 80)]:
+            ok, detail = check_occupancy_rebuild(400, seed=seed, fs_total=fs_total)
+            assert ok, detail
 
     def test_background_bit_identical_across_runs(self):
         def occupancy_after(seed):
