@@ -69,7 +69,8 @@ class OrchestratorConfig:
             raise ValueError("epsilon_bubble_s must be nonnegative")
 
 
-def label_cb_tasks(timeline: Timeline, epsilon_bubble_s: float = 1e-6) -> LabelSet:
+def label_cb_tasks(timeline: Timeline,
+                   epsilon_bubble_s: float = OrchestratorConfig.epsilon_bubble_s) -> LabelSet:
     """Label tasks whose start was delayed by a cross-DC message arrival.
 
     All tasks start unlabeled.  A task is CB iff the stage idled for more
@@ -141,7 +142,8 @@ def plan_requests(
 
 
 def verify_label_soundness(
-    timeline: Timeline, labels: LabelSet, epsilon_bubble_s: float = 1e-6
+    timeline: Timeline, labels: LabelSet,
+    epsilon_bubble_s: float = OrchestratorConfig.epsilon_bubble_s,
 ) -> int:
     """Assert every CB label directly against the timeline.
 

@@ -262,7 +262,7 @@ class RunConfig:
             if not cond:
                 raise ConfigError(f"{key}: {msg} (got {f[key]!r})")
 
-        require(not f["topology.path"] or os.path.isfile(f["topology.path"]),
+        require(f["topology.path"] is None or os.path.isfile(f["topology.path"]),
                 "topology.path", "no such file")
         require(1 <= f["topology.fs_total"] <= MAX_FS_TOTAL, "topology.fs_total",
                 f"must be in [1, {MAX_FS_TOTAL}]")
@@ -523,7 +523,7 @@ class RunConfig:
 
 def _load_network(path: str | None, fs_total: int) -> topology.Network:
     """A fresh network of the topology file at ``path``, or of NSFNET."""
-    if not path:
+    if path is None:
         return topology.load_nsfnet(fs_total)
     try:
         return topology.load_topology_file(path, fs_total)
@@ -820,7 +820,7 @@ def cmd_compare(cfg: RunConfig, outdir: str, verbose: bool = True) -> dict[str, 
     return paths
 
 
-def cmd_validate(verbose: bool = True) -> int:
+def cmd_validate() -> int:
     try:
         from . import validate
     except ModuleNotFoundError as exc:

@@ -7,11 +7,13 @@ event loop that puts every task finish and message arrival on its heap.
 A corrupted implementation (say, a wrong contiguity window constant) makes
 the corresponding check fail, so these double as mutation-test targets.
 Each randomized brute-force loop lives here once, with its seed and size as
-parameters; the test suite calls the same checks and imports the same
-``ref_*`` functions, ``random_instance``, ``bit_positions`` and
-``one_link_exhaustive``.  Selection is checked through ``engine.select``.  The
-free-block reference is one slot-by-slot loop, ``ref_free_starts``, over the
-plain slot tuples of ``Link.occupancy``.
+parameters; the tests call the same checks and import the same ``ref_*``
+functions, ``random_instance``, ``bit_positions`` and ``one_link_exhaustive``.
+Selection is checked through ``engine.select``, first fit's lowest block
+included.  Each engine-level experiment runs once: ``check_engine_reference``
+holds every iteration, audit and label of one quiet and one loaded cell to
+the reference.  The free-block reference is one slot-by-slot loop,
+``ref_free_starts``, over the plain slot tuples of ``Link.occupancy``.
 
 This is the one module that imports numpy (the ``validate`` extra), and
 only where a numpy reference is the point: ``ref_arrivals`` draws a
@@ -25,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -381,7 +384,9 @@ def orchestrate_mismatch(got: list[cba.IterationResult],
 
 def check_bubble_closed_form(ms: Sequence[int] = (8, 16, 32)) -> tuple[bool, str]:
     """GPipe over eight stages in one datacenter without communication: the
-    bubble ratio at each microbatch count in ``ms`` is (p-1)/(m+p-1)."""
+    bubble ratio at each microbatch count in ``ms`` is (p-1)/(m+p-1), and
+    ``cba.label_cb_tasks`` labels nothing, since no input crosses the
+    network although the stages idle."""
     p = 8
     profile = workload.build_profile(
         "uniform", n_layers=p, fwd_time_per_layer_s=2e-3,
@@ -390,6 +395,7 @@ def check_bubble_closed_form(ms: Sequence[int] = (8, 16, 32)) -> tuple[bool, str
     stages = workload.partition_stages(profile, p, ["WA"] * p)
     params = LatencyParams(intra_dc_latency_s=0.0)
     worst = 0.0
+    labeled = 0
     for m in ms:
         tasks = workload.build_schedule(workload.ScheduleKind.GPIPE, stages, m)
         tl = engine.simulate_iteration(
@@ -397,7 +403,9 @@ def check_bubble_closed_form(ms: Sequence[int] = (8, 16, 32)) -> tuple[bool, str
         )
         expected = (p - 1) / (m + p - 1)
         worst = max(worst, abs(engine.bubble_ratio(tl) - expected))
-    return worst < 1e-9, f"max |simulated - analytic| = {worst:.2e}"
+        labeled += len(cba.label_cb_tasks(tl).cb_tasks)
+    return worst < 1e-9 and not labeled, (f"max |simulated - analytic| = {worst:.2e}, "
+                                          f"{labeled} tasks labeled CB")
 
 
 def one_link_exhaustive(F: int) -> tuple[int, str | None]:
@@ -494,138 +502,74 @@ def check_ksp_bruteforce(n_instances: int = 100, seed: int = 11,
     return True, f"{n_instances} random instances, candidates and background route"
 
 
-def check_first_fit_lowest_block(n_instances: int = 100, seed: int = 13) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    for i in range(n_instances):
-        net, src, dst = _random_pair(rng)
-        width = int(rng.integers(1, 4))
-        sel = rsa.select_ksp_ff(net, src, dst, width, 3)
-        if sel.blocked:
-            continue
-        starts = ref_blocks(net, sel.path.nodes, width)
-        if starts[0] != sel.block.f_start:
-            return False, f"instance {i}: block {sel.block.f_start}, lowest {starts[0]}"
-    return True, f"{n_instances} random instances"
-
-
-def check_spectrum_audit() -> tuple[bool, str]:
-    cfg_net = topology.load_nsfnet()
+def _reference_cell(schedule: workload.ScheduleKind, m: int, fs_total: int,
+                    background: topology.BackgroundTrafficModel | None = None):
+    """(start snapshot, stages, tasks, message bits) of the 8B model over eight
+    stages, no two neighbours in one datacenter, on NSFNET at ``fs_total``
+    slots; a background is prewarmed for five mean holding times."""
     profile = workload.build_profile("llama3-8b-like")
-    placement = ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"]
-    stages = workload.partition_stages(profile, 8, placement)
-    tasks = workload.build_schedule(workload.ScheduleKind.GPIPE, stages, 8)
-    bg = topology.loaded_background(3)
-    cfg_net.attach_background(bg)
-    topology.advance_network(cfg_net, 5.0 * bg.mean_hold_s)
-    results = cba.orchestrate(
-        cba.OrchestratorConfig(n_iterations=4), cfg_net, stages, tasks,
-        engine.PolicyConfig(selector="cba"), LatencyParams(),
-        msg_bits=profile.msg_bytes_per_microbatch * 8,
-    )
-    audited = 0
-    for it, r in enumerate(results):
-        tl = r.timeline
-        from_log = engine.audit_event_log(cfg_net, tl.event_log_lines(), tl.iteration_makespan)
-        if engine.audit_transfers(cfg_net, tl.transfers, tl.iteration_makespan) != from_log:
-            return False, f"iteration {it}: the record and log audits disagree"
-        audited += from_log
-        if cfg_net.holdings(training=True):
-            return False, "training allocation leaked past an iteration boundary"
-    topology.audit_occupancy(cfg_net)
-    return True, f"audited {audited} transfers over 4 iterations, from the log and the records"
-
-
-def check_labeling_soundness() -> tuple[bool, str]:
-    """CBA's in-run labels, and the labels of a KSP-FF run's timelines, which
-    the run itself leaves unlabeled, are sound."""
-    profile = workload.build_profile("llama3-8b-like")
-    placement = ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"]
-    stages = workload.partition_stages(profile, 8, placement)
-    tasks = workload.build_schedule(workload.ScheduleKind.ONE_F_ONE_B, stages, 8)
-    checked = {}
-    for selector in ("cba", "ksp_ff"):
-        results = cba.orchestrate(
-            cba.OrchestratorConfig(n_iterations=3), topology.load_nsfnet(), stages, tasks,
-            engine.PolicyConfig(selector=selector), LatencyParams(),
-            msg_bits=profile.msg_bytes_per_microbatch * 8,
-        )
-        if selector != "cba" and any(r.labels is not None for r in results):
-            return False, f"{selector} labeled an iteration"
-        checked[selector] = sum(cba.verify_label_soundness(
-            r.timeline, r.labels if selector == "cba" else cba.label_cb_tasks(r.timeline))
-            for r in results)
-
-    # zero-latency variant must label nothing
-    stages0 = workload.partition_stages(profile, 8, ["WA"] * 8)
-    tasks0 = workload.build_schedule(workload.ScheduleKind.GPIPE, stages0, 8)
-    net0 = topology.load_nsfnet()
-    tl0 = engine.simulate_iteration(
-        net0, stages0, tasks0, engine.PolicyConfig(),
-        LatencyParams(intra_dc_latency_s=0.0), msg_bits=0.0,
-    )
-    empty = cba.label_cb_tasks(tl0)
-    if empty.cb_tasks:
-        return False, "zero-latency run produced CB labels"
-    return all(checked.values()), (f"verified {checked['cba']} CB labels in-run and "
-                                   f"{checked['ksp_ff']} on KSP-FF's unlabeled timelines; "
-                                   "zero-latency run labeled none")
-
-
-def check_iteration_reuse() -> tuple[bool, str]:
-    """``orchestrate`` against the plain loop on a small cell without background."""
-    profile = workload.build_profile("llama3-8b-like")
-    placement = ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"]
-    stages = workload.partition_stages(profile, 8, placement)
-    tasks = workload.build_schedule(workload.ScheduleKind.ONE_F_ONE_B, stages, 8)
-    config = cba.OrchestratorConfig(n_iterations=8)
-    reused = 0
-    for selector in engine.SELECTORS:
-        # eight slots per link: the pipeline's own transfers block, and two of
-        # CBA's plans share their labels but not their boost, so not their widths
-        policy = engine.PolicyConfig(selector=selector, fs_max=8)
-        args = (stages, tasks, policy, LatencyParams(), profile.msg_bytes_per_microbatch * 8)
-        got = cba.orchestrate(config, topology.load_nsfnet(fs_total=8), *args)
-        mismatch = orchestrate_mismatch(
-            got, ref_orchestrate(config, topology.load_nsfnet(fs_total=8), *args))
-        if mismatch is not None:
-            return False, f"{selector}: {mismatch}"
-        reused += len(got) - len({id(r) for r in got})
-    total = config.n_iterations * len(engine.SELECTORS)
-    return reused > 0, (f"{total} iterations of 3 policies equal the plain loop; "
-                        f"{reused} of them reused a timeline")
+    stages = workload.partition_stages(profile, 8,
+                                       ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"])
+    net = topology.load_nsfnet(fs_total=fs_total)
+    if background is not None:
+        net.attach_background(background)
+        topology.advance_network(net, 5.0 * background.mean_hold_s)
+    return (net.snapshot(), stages, workload.build_schedule(schedule, stages, m),
+            profile.msg_bytes_per_microbatch * 8)
 
 
 def check_engine_reference() -> tuple[bool, str]:
-    """``cba.orchestrate`` against ``ref_orchestrate``, whose iterations run
-    the all-events loop, on one loaded cell per policy.  With a background
-    stream every iteration is simulated, so each one compares the engine
-    with the reference; the cell blocks, retries and falls back."""
-    profile = workload.build_profile("llama3-8b-like")
-    placement = ["WA", "CA1", "TX", "IL", "NY", "GA", "WA", "TX"]
-    stages = workload.partition_stages(profile, 8, placement)
-    tasks = workload.build_schedule(workload.ScheduleKind.ONE_F_ONE_B, stages, 16)
-    net = topology.load_nsfnet(fs_total=24)
-    bg = topology.loaded_background(5)
-    net.attach_background(bg)
-    topology.advance_network(net, 5.0 * bg.mean_hold_s)
-    start = net.snapshot()
-    config = cba.OrchestratorConfig(n_iterations=4)
-    blocked = fallbacks = 0
-    for selector in engine.SELECTORS:
-        args = (config, net, stages, tasks, engine.PolicyConfig(selector=selector, fs_max=8),
-                LatencyParams(), profile.msg_bytes_per_microbatch * 8)
-        net.restore(start)
-        got = cba.orchestrate(*args)
-        net.restore(start)
-        mismatch = orchestrate_mismatch(got, ref_orchestrate(*args))
-        if mismatch is not None:
-            return False, f"{selector}: {mismatch}"
-        for r in got:
-            blocked += r.timeline.blocked_requests
-            fallbacks += sum(x.kind == "fallback" for x in r.timeline.transfers)
-    return blocked > 0 and fallbacks > 0, (
-        f"{config.n_iterations * len(engine.SELECTORS)} loaded iterations equal the "
-        f"all-events loop; {blocked} requests blocked, {fallbacks} fell back")
+    """Every policy's ``cba.orchestrate`` against ``ref_orchestrate`` (the
+    all-events loop) with ``fs_max`` 8 on two cells.  Quiet: 1F1B m=8 at 8
+    slots, 8 iterations; two of CBA's plans share labels but not boost, and a
+    repeated plan reuses a timeline.  Loaded: GPipe m=16 at 24 slots under
+    ``loaded_background(5)``, 4 iterations that block, retry and fall back.
+    Each iteration equals the reference, its record and log audits agree,
+    and its CB labels are sound: CBA's own, and those ``label_cb_tasks`` gives
+    a baseline's unlabeled timeline.  No run leaves a training holding."""
+    cells = {
+        "quiet": (_reference_cell(workload.ScheduleKind.ONE_F_ONE_B, 8, 8), 8),
+        "loaded": (_reference_cell(workload.ScheduleKind.GPIPE, 16, 24,
+                                   topology.loaded_background(5)), 4),
+    }
+    n = Counter()
+    for name, ((start, stages, tasks, msg_bits), n_iterations) in cells.items():
+        config = cba.OrchestratorConfig(n_iterations=n_iterations)
+        net = start.network
+        for selector in engine.SELECTORS:
+            where = f"{name} {selector}"
+            args = (config, net, stages, tasks, engine.PolicyConfig(selector=selector, fs_max=8),
+                    LatencyParams(), msg_bits)
+            net.restore(start)
+            got = cba.orchestrate(*args)
+            if net.holdings(training=True):
+                return False, f"{where}: a training holding outlived the run"
+            topology.audit_occupancy(net)
+            net.restore(start)
+            mismatch = orchestrate_mismatch(got, ref_orchestrate(*args))
+            if mismatch is not None:
+                return False, f"{where}: {mismatch}"
+            n["iterations"] += len(got)
+            n[name, "reused"] += len(got) - len({id(r) for r in got})
+            for it, r in enumerate(got):
+                tl, end = r.timeline, r.timeline.iteration_makespan
+                audited = engine.audit_transfers(net, tl.transfers, end)
+                if engine.audit_event_log(net, tl.event_log_lines(), end) != audited:
+                    return False, f"{where} iteration {it}: the record and log audits disagree"
+                if selector == "cba":
+                    n["cba labels"] += cba.verify_label_soundness(tl, r.labels)
+                elif r.labels is not None:
+                    return False, f"{where}: iteration {it} is labeled"
+                else:
+                    n["baseline labels"] += cba.verify_label_soundness(tl, cba.label_cb_tasks(tl))
+                n["audited"] += audited
+                n[name, "blocked"] += tl.blocked_requests
+                n[name, "fallbacks"] += sum(x.kind == "fallback" for x in tl.transfers)
+    ok = n["quiet", "reused"] > 0 and n["loaded", "blocked"] > 0 and n["loaded", "fallbacks"] > 0
+    return ok, (f"{n['iterations']} iterations equal the all-events loop; quiet: "
+                f"{n['quiet', 'reused']} reused; loaded: {n['loaded', 'blocked']} blocked, "
+                f"{n['loaded', 'fallbacks']} fell back; {n['audited']} transfers audited; "
+                f"{n['cba labels']} CBA and {n['baseline labels']} baseline CB labels sound")
 
 
 def check_demand_bounds() -> tuple[bool, str]:
@@ -770,10 +714,6 @@ def run_all() -> list[tuple[str, bool, str]]:
         ("ci-reference", check_ci_reference),
         ("selection-bruteforce", check_selection_bruteforce),
         ("ksp-bruteforce", check_ksp_bruteforce),
-        ("first-fit-lowest-block", check_first_fit_lowest_block),
-        ("spectrum-audit", check_spectrum_audit),
-        ("labeling-soundness", check_labeling_soundness),
-        ("iteration-reuse", check_iteration_reuse),
         ("engine-reference", check_engine_reference),
         ("demand-bounds", check_demand_bounds),
         ("occupancy-rebuild", check_occupancy_rebuild),

@@ -281,10 +281,6 @@ class TestSelectors:
         select_sd_ff(nsfnet, "IL", "NY", 4, 5, LatencyParams())
         assert [link.bits for link in nsfnet.links] == before
 
-    def test_first_fit_never_skips_lower_block(self):
-        ok, detail = validate.check_first_fit_lowest_block(100, seed=23)
-        assert ok, detail
-
 
 class TestBruteForceEquivalence:
     def test_selectors_match_oracle_on_random_instances(self):
